@@ -54,6 +54,7 @@ from .dsystems import (
     DeductiveSystem,
     as_deductive_system,
     bck_part_system,
+    brute_force_ds,
     congruence_classes,
     enumerate_ds,
     generate_ds,
@@ -103,6 +104,7 @@ __all__ = [
     "DeductiveSystem",
     "as_deductive_system",
     "bck_part_system",
+    "brute_force_ds",
     "congruence_classes",
     "enumerate_ds",
     "generate_ds",

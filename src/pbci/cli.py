@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import format_selfmap, parse_algebra, parse_selfmap, serialize_spec
+from .limits import env_cap
 from .report import build_report, render_json, render_text
 from .search import PREDICATE_NAMES, SearchQuery, search
 from .theorems import theorem_suite
@@ -43,11 +44,17 @@ def _usage_error(message: str):
     sys.exit(USAGE_EXIT)
 
 
-def _load(path: str) -> PseudoBciAlgebra:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _usage_error(str(exc))
+    except UnicodeDecodeError as exc:
+        _usage_error(f"{path}: not UTF-8 text: {exc}")
+
+
+def _load(path: str) -> PseudoBciAlgebra:
+    text = _read(path)
     try:
         spec = parse_algebra(text)
     except ParseError as exc:
@@ -68,6 +75,10 @@ def _load(path: str) -> PseudoBciAlgebra:
 @click.version_option(version=__version__, prog_name="pbci")
 def main() -> None:
     """Analyze finite pseudo-BCI algebras given as Cayley tables."""
+    try:
+        env_cap()
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 @main.command()
@@ -164,10 +175,7 @@ def quotient_cmd(file: str, by_k: str | None, subset_file: str | None) -> None:
     if by_k:
         system = bck_part_system(algebra)
     else:
-        try:
-            text = Path(subset_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            _usage_error(str(exc))
+        text = _read(subset_file)
         members = []
         for token in text.replace(",", " ").split():
             try:

@@ -2,11 +2,13 @@
 
 A self-map is a plain tuple ``d`` with ``d[i]`` the image of element ``i``.
 Each derivation class is a pair of defining identities, one per implication
-table; ``satisfies`` checks both over all ordered pairs, and
-``enumerate_derivations`` backtracks over partial image assignments,
-checking every identity instance as soon as all elements it mentions have
-assigned images.  ``brute_force_derivations`` is the independent oracle: a
-plain filter over all n^n maps.
+table, written once as a row of the ``_RHS`` table.  Every identity
+instance says that d(x op y) is fixed by x, y and the images its right side
+reads.  ``satisfies`` checks every instance of both identities;
+``enumerate_derivations`` and ``regular_translation_maps`` share one
+propagating solver that assigns d(x op y) as soon as those images are known
+and rejects a branch on a clash.  ``brute_force_derivations`` is the
+independent oracle: a plain filter over all n^n maps.
 """
 
 from __future__ import annotations
@@ -76,52 +78,67 @@ def identity_map(A: PseudoBciAlgebra) -> SelfMap:
     return tuple(range(A.size))
 
 
-def _pair_checker(A: PseudoBciAlgebra, cls: DerivationClass):
-    """check(d, x, y, on_arrow) -> bool for one identity instance.
+# Right-hand side of each class's arrow identity d(x -> y) = s \/k t, as
+# (k, s, t) with each term a pair of operands of ->.  The squig identity reads
+# the same row with ~> in place of -> and the other join: \/2 for \/1 and
+# \/1 for \/2.  Join order is kept exactly as defined, since the joins are
+# not commutative in general.
+Rhs = tuple[int | None, tuple[str, str], tuple[str, str]]
+_RHS: dict[DerivationClass, Rhs] = {
+    DerivationClass.IMPLICATIVE_I: (2, ("x", "dy"), ("dx", "y")),
+    DerivationClass.IMPLICATIVE_II: (2, ("dx", "y"), ("x", "dy")),
+    DerivationClass.IMPLICATIVE_III: (1, ("x", "dy"), ("dx", "y")),
+    DerivationClass.IMPLICATIVE_IV: (1, ("dx", "y"), ("x", "dy")),
+    DerivationClass.SYMMETRIC_I: (2, ("x", "dy"), ("y", "dx")),
+    DerivationClass.SYMMETRIC_II: (2, ("dx", "y"), ("dy", "x")),
+}
+# d(x -> y) = x -> dy and d(x ~> y) = x ~> dy: no join (k = None) keeps the
+# first term alone.
+_TRANSLATION: Rhs = (None, ("x", "dy"), ("x", "dy"))
 
-    The second operand of every cup term is kept exactly as defined: cup
-    order matters because the joins are not commutative in general.
-    """
+# One identity instance (t, a, s, b, u, join), read as
+# d(t) = join[s[d(a)]][u[d(b)]]: t = x op y, a and b are the elements whose
+# images the two terms read, and s, u are the op row or column that turns
+# such an image into the term's value.
+Instance = tuple[int, int, tuple[int, ...], int, tuple[int, ...],
+                 tuple[tuple[int, ...], ...]]
+
+
+def _term(left: str, right: str) -> tuple[int, bool, int]:
+    """How the term left op right reads the map, as (v, is_column, w) with
+    operands numbered x = 0, y = 1: the term is d(v) op w, column w of op
+    at d(v), or w op d(v), row w of op at d(v)."""
+    if left[0] == "d":
+        return "xy".index(left[1]), True, "xy".index(right)
+    return "xy".index(right[1]), False, "xy".index(left)
+
+
+def _instances(A: PseudoBciAlgebra, rhs: Rhs) -> list[Instance]:
+    """Both identities of one right-hand side, instantiated at every pair."""
+    k, first, second = rhs
+    (ra, col_s, at_s), (rb, col_u, at_u) = _term(*first), _term(*second)
+    n = A.size
+    rng = range(n)
     arrow, squig = A.arrow, A.squig
+    if k is None:
+        keep_first = tuple((u,) * n for u in rng)
+        joins = (keep_first, keep_first)
+    else:
+        cup1 = tuple(tuple(squig[arrow[u][v]][v] for v in rng) for u in rng)
+        cup2 = tuple(tuple(arrow[squig[u][v]][v] for v in rng) for u in rng)
+        joins = (cup1, cup2) if k == 1 else (cup2, cup1)
+    found: list[Instance] = []
+    for table, join in zip((arrow, squig), joins):
+        cols = tuple(zip(*table))
+        ss = cols if col_s else table
+        us = cols if col_u else table
+        found += [(table[p[0]][p[1]], p[ra], ss[p[at_s]], p[rb], us[p[at_u]], join)
+                  for p in itertools.product(rng, repeat=2)]
+    return found
 
-    def cup1(u: int, v: int) -> int:
-        return squig[arrow[u][v]][v]
 
-    def cup2(u: int, v: int) -> int:
-        return arrow[squig[u][v]][v]
-
-    C = DerivationClass
-    if cls is C.IMPLICATIVE_I:
-        def check(d, x, y, on_arrow):
-            if on_arrow:
-                return d[arrow[x][y]] == cup2(arrow[x][d[y]], arrow[d[x]][y])
-            return d[squig[x][y]] == cup1(squig[x][d[y]], squig[d[x]][y])
-    elif cls is C.IMPLICATIVE_II:
-        def check(d, x, y, on_arrow):
-            if on_arrow:
-                return d[arrow[x][y]] == cup2(arrow[d[x]][y], arrow[x][d[y]])
-            return d[squig[x][y]] == cup1(squig[d[x]][y], squig[x][d[y]])
-    elif cls is C.IMPLICATIVE_III:
-        def check(d, x, y, on_arrow):
-            if on_arrow:
-                return d[arrow[x][y]] == cup1(arrow[x][d[y]], arrow[d[x]][y])
-            return d[squig[x][y]] == cup2(squig[x][d[y]], squig[d[x]][y])
-    elif cls is C.IMPLICATIVE_IV:
-        def check(d, x, y, on_arrow):
-            if on_arrow:
-                return d[arrow[x][y]] == cup1(arrow[d[x]][y], arrow[x][d[y]])
-            return d[squig[x][y]] == cup2(squig[d[x]][y], squig[x][d[y]])
-    elif cls is C.SYMMETRIC_I:
-        def check(d, x, y, on_arrow):
-            if on_arrow:
-                return d[arrow[x][y]] == cup2(arrow[x][d[y]], arrow[y][d[x]])
-            return d[squig[x][y]] == cup1(squig[x][d[y]], squig[y][d[x]])
-    else:  # SYMMETRIC_II
-        def check(d, x, y, on_arrow):
-            if on_arrow:
-                return d[arrow[x][y]] == cup2(arrow[d[x]][y], arrow[d[y]][x])
-            return d[squig[x][y]] == cup1(squig[d[x]][y], squig[d[y]][x])
-    return check
+def _holds(d: SelfMap, instances: list[Instance]) -> bool:
+    return all(d[t] == join[s[d[a]]][u[d[b]]] for t, a, s, b, u, join in instances)
 
 
 def _is_pseudo_bck(A: PseudoBciAlgebra) -> bool:
@@ -146,53 +163,67 @@ def satisfies(A: PseudoBciAlgebra, d: SelfMap, cls: DerivationClass, *,
     """True iff both defining identities of the class hold for all pairs."""
     _check_map(A, d)
     _gate_class(A, cls, force)
-    check = _pair_checker(A, cls)
-    n = A.size
-    for x in range(n):
-        for y in range(n):
-            if not check(d, x, y, True) or not check(d, x, y, False):
-                return False
-    return True
+    return _holds(d, _instances(A, _RHS[cls]))
 
 
-def _identity_schedule(A: PseudoBciAlgebra) -> list[list[tuple[int, int, bool]]]:
-    """Instances grouped by the assignment step at which they become checkable.
+def _solve(A: PseudoBciAlgebra, instances: list[Instance], *,
+           regular: bool) -> list[SelfMap]:
+    """Every total map satisfying all instances, sorted lexicographically.
 
-    Instance (x, y, on_arrow) mentions x, y and t = x op y, so it is decided
-    once images are assigned for indices 0..max(x, y, t).
+    Branches on d(1) first (only d(1) = 1 when regular), then on the lowest
+    unassigned element.  Each assignment fires the instances whose read
+    images are now all known: the instance's target image is assigned if it
+    is still free and the branch is rejected if it clashes (forward
+    propagation, as in the SEM and Mace4 model finders).
     """
     n = A.size
-    sched: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sched[max(x, y, A.arrow[x][y])].append((x, y, True))
-            sched[max(x, y, A.squig[x][y])].append((x, y, False))
-    return sched
-
-
-def _backtrack(n: int, domains: list[tuple[int, ...]],
-               schedule: list[list[tuple[int, int, bool]]],
-               check) -> list[SelfMap]:
-    """All total maps passing every scheduled instance, in lexicographic order."""
+    unit = A.unit
+    watch: list[list[Instance]] = [[] for _ in range(n)]
+    for inst in instances:
+        watch[inst[1]].append(inst)
+        if inst[3] != inst[1]:
+            watch[inst[3]].append(inst)
+    order = [unit] + [x for x in range(n) if x != unit]
+    d = [-1] * n
+    trail: list[int] = []
     found: list[SelfMap] = []
-    images = [0] * n
 
-    def extend(k: int) -> None:
-        if k == n:
-            found.append(tuple(images))
+    def assign(e: int, v: int) -> bool:
+        d[e] = v
+        trail.append(e)
+        queue = [e]
+        while queue:
+            for t, a, s, b, u, join in watch[queue.pop()]:
+                da = d[a]
+                db = d[b]
+                if da < 0 or db < 0:
+                    continue
+                w = join[s[da]][u[db]]
+                dt = d[t]
+                if dt < 0:
+                    d[t] = w
+                    trail.append(t)
+                    queue.append(t)
+                elif dt != w:
+                    return False
+        return True
+
+    def extend(pos: int) -> None:
+        while pos < n and d[order[pos]] >= 0:
+            pos += 1
+        if pos == n:
+            found.append(tuple(d))
             return
-        ready = schedule[k]
-        for v in domains[k]:
-            images[k] = v
-            ok = True
-            for x, y, on_arrow in ready:
-                if not check(images, x, y, on_arrow):
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1)
+        e = order[pos]
+        mark = len(trail)
+        for v in ((unit,) if regular and e == unit else range(n)):
+            if assign(e, v):
+                extend(pos + 1)
+            while len(trail) > mark:
+                d[trail.pop()] = -1
 
     extend(0)
+    found.sort()
     return found
 
 
@@ -202,9 +233,9 @@ def enumerate_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     """All self-maps in the class, sorted lexicographically by image tuple.
 
     With regular=True only maps fixing the unit are produced.  The result is
-    a pure function of (algebra, class, filter); the backtracking order is
-    an internal detail and brute force over all n^n maps returns the same
-    set (tested for small n).
+    a pure function of (algebra, class, filter); the search order is an
+    internal detail and brute force over all n^n maps returns the same set
+    (tested for small n).
     """
     _gate_class(A, cls, force)
     n = A.size
@@ -212,12 +243,7 @@ def enumerate_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     if n > limit:
         raise EnumerationCapExceeded(
             f"universe size {n} exceeds enumeration cap {limit}")
-    full = tuple(range(n))
-    domains = [full] * n
-    if regular:
-        domains = list(domains)
-        domains[A.unit] = (A.unit,)
-    return _backtrack(n, domains, _identity_schedule(A), _pair_checker(A, cls))
+    return _solve(A, _instances(A, _RHS[cls]), regular=regular)
 
 
 def brute_force_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
@@ -228,17 +254,10 @@ def brute_force_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     enumerator at small sizes.
     """
     _gate_class(A, cls, force)
-    check = _pair_checker(A, cls)
-    n = A.size
+    instances = _instances(A, _RHS[cls])
     unit = A.unit
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    out: list[SelfMap] = []
-    for d in itertools.product(range(n), repeat=n):
-        if regular and d[unit] != unit:
-            continue
-        if all(check(d, x, y, True) and check(d, x, y, False) for x, y in pairs):
-            out.append(d)
-    return out
+    return [d for d in itertools.product(range(A.size), repeat=A.size)
+            if not (regular and d[unit] != unit) and _holds(d, instances)]
 
 
 def regular_translation_maps(A: PseudoBciAlgebra, *,
@@ -254,21 +273,7 @@ def regular_translation_maps(A: PseudoBciAlgebra, *,
     if n > limit:
         raise EnumerationCapExceeded(
             f"universe size {n} exceeds enumeration cap {limit}")
-    arrow, squig = A.arrow, A.squig
-    sched: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sched[max(y, arrow[x][y])].append((x, y, True))
-            sched[max(y, squig[x][y])].append((x, y, False))
-
-    def check(d, x, y, on_arrow):
-        if on_arrow:
-            return d[arrow[x][y]] == arrow[x][d[y]]
-        return d[squig[x][y]] == squig[x][d[y]]
-
-    domains: list[tuple[int, ...]] = [tuple(range(n))] * n
-    domains[A.unit] = (A.unit,)
-    return _backtrack(n, domains, sched, check)
+    return _solve(A, _instances(A, _TRANSLATION), regular=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Deductive systems, invariance under self-maps, and quotient algebras.
 
 A deductive system contains the unit and is closed under detachment:
-x in D and x -> y in D imply y in D.  The squig form of detachment selects
-the same subsets (a theorem), which enumeration asserts.  Compatible means
+x in D and x -> y in D imply y in D.  The deductive systems are closed
+under intersection, so they are the closed sets of one closure operator on
+bitmasks (``_closure``), which ``generate_ds`` applies and ``enumerate_ds``
+walks with Ganter's NextClosure, visiting closed sets only.  The squig form
+of detachment selects the same subsets (a theorem), which enumeration
+asserts by running NextClosure under both forms.  ``brute_force_ds`` is the
+independent oracle: a scan of every subset holding the unit.  Compatible means
 both implications detect membership identically; closed means the subset is
 a subalgebra.  Quotients exist exactly for compatible closed systems.
 """
@@ -10,7 +15,7 @@ a subalgebra.  Quotients exist exactly for compatible closed systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import AlgebraSpec, PseudoBciAlgebra, bck_part, is_subalgebra, validate
 from .errors import (
@@ -63,59 +68,134 @@ def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> Deductiv
         raise ValueError("a deductive system must contain the unit")
     by_arrow = _detachment_closed(A, ms, A.arrow)
     if by_arrow != _detachment_closed(A, ms, A.squig):
-        raise InternalInconsistencyError(
-            "arrow- and squig-detachment disagree on "
-            f"{{{', '.join(A.name_set(ms))}}}")
+        raise _disagreement(A, ms)
     if not by_arrow:
         raise ValueError("subset is not closed under detachment")
     return _flags(A, ms)
 
 
+def _closure(A: PseudoBciAlgebra, table) -> Callable[[int], int]:
+    """The closure operator of detachment along one implication table.
+
+    close(m) is the least bitmask above m that holds the unit and is closed
+    under detachment: x in D and x op y in D imply y in D.  Each element is
+    processed once, against the elements processed before it, so every pair
+    (x, x op y) of members is looked at when its later member comes up.
+    """
+    n = A.size
+    # pre[x][v]: the y with x op y = v, as a bitmask
+    pre = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y, v in enumerate(table[x]):
+            pre[x][v] |= 1 << y
+    unit_bit = 1 << A.unit
+
+    def close(m: int) -> int:
+        m |= unit_bit
+        queue = [x for x in range(n) if m >> x & 1]
+        done: list[int] = []
+        for z in queue:
+            pz = pre[z]
+            new = pz[z]
+            for x in done:
+                new |= pz[x] | pre[x][z]
+            done.append(z)
+            new &= ~m
+            m |= new
+            while new:
+                low = new & -new
+                queue.append(low.bit_length() - 1)
+                new ^= low
+        return m
+
+    return close
+
+
+def _closed_sets(n: int, close: Callable[[int], int]) -> list[int]:
+    """Every closed bitmask of a closure operator on range(n), in lectic
+    order, by Ganter's NextClosure: from closed m, the next one is
+    close(m below i, plus i) for the largest i not in m whose closure adds
+    nothing below i."""
+    m = close(0)
+    found = [m]
+    while True:
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if m & bit:
+                continue
+            below = bit - 1
+            c = close(m & below | bit)
+            if not c & ~m & below:
+                m = c
+                found.append(m)
+                break
+        else:
+            return found
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _disagreement(A: PseudoBciAlgebra, members: frozenset[int]):
+    return InternalInconsistencyError(
+        "arrow- and squig-detachment disagree on "
+        f"{{{', '.join(A.name_set(members))}}}")
+
+
+def _sorted_systems(A: PseudoBciAlgebra, sets) -> list[DeductiveSystem]:
+    found = [_flags(A, members) for members in sets]
+    found.sort(key=lambda d: (len(d.members), tuple(sorted(d.members))))
+    return found
+
+
 def enumerate_ds(A: PseudoBciAlgebra, *, cap: int | None = None) -> list[DeductiveSystem]:
     """Every deductive system, sorted by (size, membership indices).
 
-    Brute force over the 2^(n-1) subsets containing the unit; asserts that
-    arrow- and squig-detachment select the same subsets.
+    NextClosure over the closed sets of arrow-detachment, and again of
+    squig-detachment; the two families are the same (a theorem), which is
+    asserted.  Only closed sets are visited, not the 2^(n-1) subsets.
     """
     n = A.size
     limit = effective_cap(cap, DS_CAP)
     if n > limit:
         raise EnumerationCapExceeded(
             f"universe size {n} exceeds subset-enumeration cap {limit}")
-    rest = [x for x in range(n) if x != A.unit]
-    found: list[DeductiveSystem] = []
+    by_arrow = _closed_sets(n, _closure(A, A.arrow))
+    by_squig = _closed_sets(n, _closure(A, A.squig))
+    if by_arrow != by_squig:
+        odd = min(set(by_arrow) ^ set(by_squig))
+        raise _disagreement(A, _members(odd))
+    return _sorted_systems(A, map(_members, by_arrow))
+
+
+def brute_force_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
+    """Oracle enumeration: test every one of the 2^(n-1) subsets holding
+    the unit under both detachment forms.
+
+    Exponential by construction; intended for cross-checking enumerate_ds.
+    """
+    rest = [x for x in range(A.size) if x != A.unit]
+    found = []
     for bits in range(1 << len(rest)):
         members = frozenset(
             [A.unit] + [rest[i] for i in range(len(rest)) if bits >> i & 1])
         by_arrow = _detachment_closed(A, members, A.arrow)
-        by_squig = _detachment_closed(A, members, A.squig)
-        if by_arrow != by_squig:
-            raise InternalInconsistencyError(
-                "arrow- and squig-detachment disagree on "
-                f"{{{', '.join(A.name_set(members))}}}")
+        if by_arrow != _detachment_closed(A, members, A.squig):
+            raise _disagreement(A, members)
         if by_arrow:
-            found.append(_flags(A, members))
-    found.sort(key=lambda d: (len(d.members), tuple(sorted(d.members))))
-    return found
+            found.append(members)
+    return _sorted_systems(A, found)
 
 
 def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSystem:
     """The least deductive system containing the generators.
 
-    Closure under detachment from the generators plus the unit; usable above
-    the enumeration cap.
+    Closure under arrow-detachment from the generators plus the unit; usable
+    above the enumeration cap.
     """
-    members = set(generators) | {A.unit}
-    changed = True
-    while changed:
-        changed = False
-        for x in tuple(members):
-            row = A.arrow[x]
-            for y in A.elements():
-                if row[y] in members and y not in members:
-                    members.add(y)
-                    changed = True
-    return _flags(A, frozenset(members))
+    close = _closure(A, A.arrow)
+    return _flags(A, _members(close(sum(1 << x for x in set(generators)))))
 
 
 def bck_part_system(A: PseudoBciAlgebra) -> DeductiveSystem:

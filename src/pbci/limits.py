@@ -11,21 +11,30 @@ from __future__ import annotations
 import os
 
 UNIVERSE_CAP = 64   # validate() refuses larger tables
-ENUM_CAP = 12       # derivation-operator enumeration (backtracking over n^n maps)
-DS_CAP = 16         # deductive-system enumeration (2^n subsets)
+ENUM_CAP = 12       # derivation-operator enumeration (search over n^n maps)
+DS_CAP = 16         # deductive-system enumeration (NextClosure over closed subsets)
 SEARCH_CAP = 6      # model search (n^(2(n-1)(n-2)) table pairs)
 
 ENV_VAR = "PBCI_MAX_SIZE"
+
+
+def env_cap() -> int | None:
+    """PBCI_MAX_SIZE as an integer, or None when it is unset.
+
+    Raises ValueError when it is set to something other than an integer.
+    """
+    env = os.environ.get(ENV_VAR)
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def effective_cap(explicit: int | None, default: int) -> int:
     """Resolve a cap: explicit argument, then PBCI_MAX_SIZE, then default."""
     if explicit is not None:
         return explicit
-    env = os.environ.get(ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
-    return default
+    env = env_cap()
+    return default if env is None else env

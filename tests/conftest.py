@@ -1,8 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from pbci import parse_algebra, parse_selfmap, validate
+from pbci import AlgebraSpec, parse_algebra, parse_selfmap, validate
 from pbci.search import SearchQuery, search
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -65,3 +66,60 @@ def small_pool(all_fixtures):
     for n in (1, 2, 3, 4):
         pool.extend(validate(spec) for spec in search(SearchQuery(size=n)))
     return pool
+
+
+def product(A, B):
+    """Direct product A x B, elements named "x.y" in row-major order."""
+    pairs = [(x, y) for x in A.elements() for y in B.elements()]
+    names = tuple(f"{A.names[x]}.{B.names[y]}" for x, y in pairs)
+
+    def table(ta, tb):
+        return tuple(tuple(f"{A.names[ta[x1][x2]]}.{B.names[tb[y1][y2]]}"
+                           for x2, y2 in pairs) for x1, y1 in pairs)
+
+    return validate(AlgebraSpec(
+        names=names, unit=f"{A.names[A.unit]}.{B.names[B.unit]}",
+        arrow=table(A.arrow, B.arrow), squig=table(A.squig, B.squig)),
+        max_size=len(names))
+
+
+def permuted(A, order):
+    """A declared in the order names[order[0]], names[order[1]], ..."""
+    spec = A.to_spec()
+    return validate(AlgebraSpec(
+        names=tuple(spec.names[i] for i in order), unit=spec.unit,
+        arrow=tuple(tuple(spec.arrow[i][j] for j in order) for i in order),
+        squig=tuple(tuple(spec.squig[i][j] for j in order) for i in order)),
+        max_size=A.size)
+
+
+def seeded_orders(n):
+    """Three seeded declaration orders of range(n)."""
+    for seed in (1, 2, 3):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        yield order
+
+
+PRODUCT_LABELS = ("cyclic3^2", "chain2*bck5", "proper5*cyclic3", "bck5*cyclic3")
+
+CHAIN2 = """pbci 1
+elements: 0 1
+unit: 1
+arrow:
+1 1
+0 1
+squig: same
+"""
+
+
+@pytest.fixture(scope="session")
+def products(cyclic3, bck5, proper5):
+    """The PRODUCT_LABELS algebras, n = 9 to 15."""
+    chain2 = validate(parse_algebra(CHAIN2))
+    return {
+        "cyclic3^2": product(cyclic3, cyclic3),
+        "chain2*bck5": product(chain2, bck5),
+        "proper5*cyclic3": product(proper5, cyclic3),
+        "bck5*cyclic3": product(bck5, cyclic3),
+    }

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from pbci.derivations import (
     satisfies,
 )
 
-from conftest import m
+from conftest import PRODUCT_LABELS, m, permuted, seeded_orders
 
 
 def maps(algebra, *rows):
@@ -127,6 +128,77 @@ def test_oracle_equivalence_all_classes(name, request):
             slow = brute_force_derivations(algebra, cls, regular=regular, force=True)
             assert fast == slow
             assert fast == sorted(fast)
+
+
+def test_oracle_equivalence_on_small_pool(small_pool):
+    for algebra in small_pool:
+        for cls in CLASS_ORDER:
+            for regular in (False, True):
+                assert (enumerate_derivations(algebra, cls, regular=regular, force=True)
+                        == brute_force_derivations(algebra, cls, regular=regular,
+                                                   force=True))
+
+
+def _readme_identities(A, cls, d, x, y):
+    """Both identities of a class at (x, y), written out from the README table."""
+    ar, sq = A.arrow, A.squig
+
+    def j1(u, v):       # u \/1 v = (u -> v) ~> v
+        return sq[ar[u][v]][v]
+
+    def j2(u, v):       # u \/2 v = (u ~> v) -> v
+        return ar[sq[u][v]][v]
+
+    dx, dy = d[x], d[y]
+    arrow_side, squig_side = {
+        C.IMPLICATIVE_I: (j2(ar[x][dy], ar[dx][y]), j1(sq[x][dy], sq[dx][y])),
+        C.IMPLICATIVE_II: (j2(ar[dx][y], ar[x][dy]), j1(sq[dx][y], sq[x][dy])),
+        C.IMPLICATIVE_III: (j1(ar[x][dy], ar[dx][y]), j2(sq[x][dy], sq[dx][y])),
+        C.IMPLICATIVE_IV: (j1(ar[dx][y], ar[x][dy]), j2(sq[dx][y], sq[x][dy])),
+        C.SYMMETRIC_I: (j2(ar[x][dy], ar[y][dx]), j1(sq[x][dy], sq[y][dx])),
+        C.SYMMETRIC_II: (j2(ar[dx][y], ar[dy][x]), j1(sq[dx][y], sq[dy][x])),
+    }[cls]
+    return d[ar[x][y]] == arrow_side and d[sq[x][y]] == squig_side
+
+
+def test_satisfies_matches_written_out_identities(all_fixtures, cyclic3):
+    # every map of cyclic3, and seeded random maps plus every enumerated
+    # derivation of each fixture
+    rng = random.Random(7)
+    cases = [(cyclic3, d) for d in itertools.product(range(3), repeat=3)]
+    for algebra in all_fixtures.values():
+        n = algebra.size
+        cases += [(algebra, tuple(rng.randrange(n) for _ in range(n)))
+                  for _ in range(200)]
+        cases += [(algebra, d) for cls in CLASS_ORDER
+                  for d in enumerate_derivations(algebra, cls, force=True)]
+    for algebra, d in cases:
+        pairs = [(x, y) for x in algebra.elements() for y in algebra.elements()]
+        for cls in CLASS_ORDER:
+            expected = all(_readme_identities(algebra, cls, d, x, y) for x, y in pairs)
+            assert satisfies(algebra, d, cls, force=True) == expected
+
+
+def _transport(d, order):
+    """A map of A as a map of permuted(A, order)."""
+    position = {old: new for new, old in enumerate(order)}
+    return tuple(position[d[old]] for old in order)
+
+
+@pytest.mark.parametrize("label", PRODUCT_LABELS)
+def test_enumeration_invariant_under_declaration_order(label, products):
+    algebra = products[label]
+    n = algebra.size
+    base = {cls: enumerate_derivations(algebra, cls, force=True, cap=n)
+            for cls in CLASS_ORDER}
+    translations = regular_translation_maps(algebra, cap=n)
+    for order in seeded_orders(n):
+        moved = permuted(algebra, order)
+        for cls in CLASS_ORDER:
+            got = enumerate_derivations(moved, cls, force=True, cap=n)
+            assert got == sorted(_transport(d, order) for d in base[cls])
+        assert (regular_translation_maps(moved, cap=n)
+                == sorted(_transport(d, order) for d in translations))
 
 
 def test_oracle_equivalence_matches_product_filter(cyclic3):

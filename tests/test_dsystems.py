@@ -4,7 +4,9 @@ import pytest
 
 from pbci import (
     EnumerationCapExceeded,
+    InternalInconsistencyError,
     NotCompatibleOrClosedError,
+    PseudoBciAlgebra,
     classify,
     group_view,
 )
@@ -12,6 +14,7 @@ from pbci.derivations import DerivationClass as C, enumerate_derivations, identi
 from pbci.dsystems import (
     as_deductive_system,
     bck_part_system,
+    brute_force_ds,
     congruence_classes,
     enumerate_ds,
     generate_ds,
@@ -19,7 +22,7 @@ from pbci.dsystems import (
     quotient,
 )
 
-from conftest import m
+from conftest import PRODUCT_LABELS, m, permuted, seeded_orders
 
 
 def member_names(algebra, systems):
@@ -76,6 +79,33 @@ def test_group6_systems_are_subgroups(group6):
     # exactly the normal subgroups admit quotients
     assert compatible == [("1",), ("c", "d", "1"), ("a", "b", "c", "d", "e", "1")]
     assert all(ds.closed for ds in systems)
+
+
+def test_enumerate_ds_equals_oracle_on_small_pool(small_pool):
+    for algebra in small_pool:
+        assert enumerate_ds(algebra) == brute_force_ds(algebra)
+
+
+@pytest.mark.parametrize("label", PRODUCT_LABELS)
+def test_enumerate_ds_equals_oracle_on_products(label, products):
+    algebra = products[label]
+    for order in seeded_orders(algebra.size):
+        moved = permuted(algebra, order)
+        assert enumerate_ds(moved) == brute_force_ds(moved)
+
+
+def test_enumerate_ds_crosscheck_detects_corruption():
+    # hand-built tables bypassing validate: {1} is closed under
+    # arrow-detachment (1 -> a = a) but not under squig-detachment
+    # (1 ~> a = 1), so the two detachment forms select different subsets
+    arrow = ((1, 1), (0, 1))
+    squig = ((1, 1), (1, 1))
+    leq = tuple(tuple(arrow[x][y] == 1 for y in range(2)) for x in range(2))
+    bad = PseudoBciAlgebra(names=("a", "1"), unit=1, arrow=arrow, squig=squig, leq=leq)
+    with pytest.raises(InternalInconsistencyError, match=r"\{1\}"):
+        enumerate_ds(bad)
+    with pytest.raises(InternalInconsistencyError):
+        brute_force_ds(bad)
 
 
 def test_ds_cap(proper5, monkeypatch):

@@ -96,6 +96,41 @@ def test_cli_missing_file_exit_2(runner):
     assert result.exit_code == 2
 
 
+def _one_line_error(result, *fragments):
+    lines = result.output.splitlines()
+    assert result.exit_code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(fragment in lines[0] for fragment in fragments)
+    assert "Traceback" not in result.output
+
+
+def test_cli_non_utf8_input_exit_2(runner, tmp_path):
+    path = tmp_path / "latin1.pbci"
+    path.write_bytes(fixture_text("proper5").replace("a b c d 1", "\xe4 b c d 1")
+                     .encode("latin-1"))
+    _one_line_error(runner.invoke(main, ["check", str(path)]), str(path))
+
+
+def test_cli_quotient_non_utf8_subset_file_exit_2(runner, tmp_path):
+    subset = tmp_path / "subset.txt"
+    subset.write_bytes(b"a b c \xff 1\n")
+    result = runner.invoke(main, [
+        "quotient", fixture_path("proper5"), "--by-file", str(subset)])
+    _one_line_error(result, str(subset))
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "FIXTURE"], ["analyze", "FIXTURE", "--json"], ["verify", "FIXTURE"],
+    ["ds", "FIXTURE"], ["derivations", "FIXTURE", "--kind", "implicative",
+                        "--type", "i"],
+    ["quotient", "FIXTURE", "--by", "K"], ["map", "FIXTURE", "--map", "a b c d 1"],
+    ["search", "--size", "2"]])
+def test_cli_non_integer_cap_exit_2(runner, args):
+    args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
+    result = runner.invoke(main, args, env={"PBCI_MAX_SIZE": "abc"})
+    _one_line_error(result, "PBCI_MAX_SIZE", "'abc'")
+
+
 def test_cli_derivations_golden(runner):
     result = runner.invoke(main, [
         "derivations", fixture_path("proper5"), "--kind", "implicative",
