@@ -113,9 +113,10 @@ squig: same
 """
 
 
-@pytest.fixture(scope="session")
-def products(cyclic3, bck5, proper5):
+def make_products():
     """The PRODUCT_LABELS algebras, n = 9 to 15."""
+    cyclic3, bck5, proper5 = (load_algebra(name)
+                              for name in ("cyclic3", "bck5", "proper5"))
     chain2 = validate(parse_algebra(CHAIN2))
     return {
         "cyclic3^2": product(cyclic3, cyclic3),
@@ -123,3 +124,8 @@ def products(cyclic3, bck5, proper5):
         "proper5*cyclic3": product(proper5, cyclic3),
         "bck5*cyclic3": product(bck5, cyclic3),
     }
+
+
+@pytest.fixture(scope="session")
+def products():
+    return make_products()
