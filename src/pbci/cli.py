@@ -134,7 +134,10 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
         _usage_error(str(exc))
     try:
         maps = enumerate_derivations(algebra, cls, regular=regular, force=force)
-    except (TypeRequiresPseudoBckError, EnumerationCapExceeded) as exc:
+    except TypeRequiresPseudoBckError:
+        _usage_error(f"{cls} is defined only on pseudo-BCK algebras; "
+                     "pass --force to evaluate the identities anyway")
+    except EnumerationCapExceeded as exc:
         _usage_error(str(exc))
     if force and cls.requires_pseudo_bck and not classify(algebra).is_pseudo_bck:
         click.echo("# forced evaluation outside the defined scope of types III/IV")

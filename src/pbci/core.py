@@ -341,9 +341,14 @@ def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
 
 def branches(A: PseudoBciAlgebra, *, crosscheck: bool = True) -> dict[int, frozenset[int]]:
     """Map each atom a to its branch {x | x <= a}; the branches partition A."""
+    return _branches(A, atoms(A, crosscheck=crosscheck))
+
+
+def _branches(A: PseudoBciAlgebra, ats: frozenset[int]) -> dict[int, frozenset[int]]:
+    """The branches headed by already computed atoms, checked to partition A."""
     result = {
         a: frozenset(x for x in A.elements() if A.leq[x][a])
-        for a in sorted(atoms(A, crosscheck=crosscheck))
+        for a in sorted(ats)
     }
     seen: set[int] = set()
     for a, block in result.items():
@@ -421,6 +426,12 @@ def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
 def classify(A: PseudoBciAlgebra, *, crosscheck: bool = True) -> ClassificationReport:
     """Decide every classification flag, cross-checking the theorem-level
     equivalences between them."""
+    return _classify(A, branches(A, crosscheck=crosscheck), crosscheck=crosscheck)
+
+
+def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]], *,
+              crosscheck: bool = True) -> ClassificationReport:
+    """classify() on the already computed branches of A."""
     n = A.size
     u = A.unit
     arrow, squig, leq = A.arrow, A.squig, A.leq
@@ -441,7 +452,6 @@ def classify(A: PseudoBciAlgebra, *, crosscheck: bool = True) -> ClassificationR
     is_commutative = all(
         A.cup1(x, y) == x and A.cup2(x, y) == x
         for x in rng for y in rng if leq[y][x])
-    brs = branches(A, crosscheck=crosscheck)
     is_branchwise = all(
         A.cup1(x, y) == A.cup1(y, x) and A.cup2(x, y) == A.cup2(y, x)
         for block in brs.values() for x in block for y in block)

@@ -317,13 +317,17 @@ class MapPropertyRecord:
 def map_properties(A: PseudoBciAlgebra, d: SelfMap) -> MapPropertyRecord:
     """Compute every MapPropertyRecord field by direct exhaustive check."""
     _check_map(A, d)
+    return _map_record(A, d, bck_part(A), atoms(A))
+
+
+def _map_record(A: PseudoBciAlgebra, d: SelfMap, part: frozenset[int],
+                ats: frozenset[int]) -> MapPropertyRecord:
+    """map_properties() of a total map, given K(A) and the atoms of A."""
     n = A.size
     unit = A.unit
     leq = A.leq
     kernel = frozenset(x for x in range(n) if d[x] == unit)
     image = frozenset(d)
-    part = bck_part(A)
-    ats = atoms(A)
     return MapPropertyRecord(
         regular=d[unit] == unit,
         isotone=all(leq[d[x]][d[y]] for x in range(n) for y in range(n) if leq[x][y]),

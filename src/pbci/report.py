@@ -1,5 +1,10 @@
 """Analysis reports: a deterministic dict built once, rendered as JSON or text.
 
+``build_report`` reads every derived object from one ``theorems.Analysis``
+of the algebra and hands the same analysis to ``theorem_suite``, so one
+report enumerates each derivation class and the deductive systems once and
+runs each crosscheck once per algebra.
+
 Identical inputs produce byte-identical output: every collection is emitted
 in a canonical order (declaration order for element sets, lexicographic
 image tuples for maps, catalogue order for theorems) and the JSON renderer
@@ -11,26 +16,18 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .core import AlgebraSpec, PseudoBciAlgebra, atoms, bck_part, branches, classify
-from .derivations import (
-    CLASS_ORDER,
-    DerivationClass,
-    enumerate_derivations,
-    map_properties,
-    monoid_report,
-    phi_map,
-    satisfies,
-)
-from .dsystems import enumerate_ds
-from .theorems import theorem_suite
+from .core import AlgebraSpec, PseudoBciAlgebra
+from .derivations import _map_record
+from .theorems import Analysis, theorem_suite
 
 
 def _names(A: PseudoBciAlgebra, members) -> list[str]:
     return [A.names[i] for i in sorted(members)]
 
 
-def _map_entry(A: PseudoBciAlgebra, d) -> dict:
-    props = map_properties(A, d)
+def _map_entry(an: Analysis, d) -> dict:
+    A = an.A
+    props = _map_record(A, d, an.K, an.atoms)
     return {
         "images": [A.names[v] for v in d],
         "properties": {
@@ -48,41 +45,11 @@ def _map_entry(A: PseudoBciAlgebra, d) -> dict:
     }
 
 
-def applicable_classes(A: PseudoBciAlgebra) -> list[DerivationClass]:
-    """Implicative I/II and symmetric I/II everywhere; III/IV on pseudo-BCK."""
-    bck = classify(A).is_pseudo_bck
-    return [cls for cls in CLASS_ORDER if bck or not cls.requires_pseudo_bck]
-
-
 def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
     """The full analysis of one algebra as a deterministic plain dict."""
+    an = Analysis(A, cap)
     spec = A.to_spec()
-    cls_report = classify(A)
-    ats = atoms(A)
-    part = bck_part(A)
-    brs = branches(A)
-    systems = enumerate_ds(A, cap=cap)
-    phi = phi_map(A)
-    phi_classes = [str(c) for c in CLASS_ORDER
-                   if (not c.requires_pseudo_bck or cls_report.is_pseudo_bck)
-                   and satisfies(A, phi, c)]
-
-    derivation_blocks = []
-    idop_sets: dict[DerivationClass, list] = {}
-    for cls in applicable_classes(A):
-        maps = enumerate_derivations(A, cls, cap=cap)
-        idop_sets[cls] = maps
-        derivation_blocks.append({
-            "class": str(cls),
-            "count": len(maps),
-            "maps": [_map_entry(A, d) for d in maps],
-        })
-
-    idop = sorted(set(idop_sets[DerivationClass.IMPLICATIVE_I])
-                  & set(idop_sets[DerivationClass.IMPLICATIVE_II]))
-    monoid = monoid_report(A, idop)
-    suite = theorem_suite(A, cap=cap)
-
+    cls_report = an.classification
     return {
         "tool": {"name": "pbci", "version": __version__},
         "algebra": {
@@ -110,11 +77,11 @@ def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
             "is_medial_arrow": cls_report.is_medial_arrow,
             "is_medial_squig": cls_report.is_medial_squig,
         },
-        "atoms": _names(A, ats),
-        "bck_part": _names(A, part),
+        "atoms": _names(A, an.atoms),
+        "bck_part": _names(A, an.K),
         "branches": [
             {"atom": A.names[a], "members": _names(A, block)}
-            for a, block in sorted(brs.items())
+            for a, block in sorted(an.branches.items())
         ],
         "deductive_systems": [
             {
@@ -122,20 +89,29 @@ def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
                 "compatible": ds.compatible,
                 "closed": ds.closed,
             }
-            for ds in systems
+            for ds in an.systems
         ],
         "phi_map": {
-            "images": [A.names[v] for v in phi],
-            "classes": phi_classes,
+            "images": [A.names[v] for v in an.phi],
+            # each class's list is complete, so membership is satisfies()
+            "classes": [str(cls) for cls, maps in an.derivations.items()
+                        if an.phi in maps],
         },
-        "derivations": derivation_blocks,
+        "derivations": [
+            {
+                "class": str(cls),
+                "count": len(maps),
+                "maps": [_map_entry(an, d) for d in maps],
+            }
+            for cls, maps in an.derivations.items()
+        ],
         "monoid": {
-            "members": [[A.names[v] for v in d] for d in idop],
-            "closed_under_composition": monoid.closed_under_composition,
-            "commutative": monoid.commutative,
-            "has_identity": monoid.has_identity,
-            "composition_table": [list(row) for row in monoid.composition_table],
-            "witnesses": list(monoid.witnesses),
+            "members": [[A.names[v] for v in d] for d in an.idop],
+            "closed_under_composition": an.monoid.closed_under_composition,
+            "commutative": an.monoid.commutative,
+            "has_identity": an.monoid.has_identity,
+            "composition_table": [list(row) for row in an.monoid.composition_table],
+            "witnesses": list(an.monoid.witnesses),
         },
         "theorems": [
             {
@@ -146,7 +122,7 @@ def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
                 "witness": r.witness,
                 "note": r.note,
             }
-            for r in suite.results
+            for r in theorem_suite(an).results
         ],
     }
 

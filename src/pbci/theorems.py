@@ -6,15 +6,25 @@ whose structural preconditions fail is reported as skipped, never passed;
 an applicable statement that fails indicates a bug in this package, since
 every catalogued law is proved for all pseudo-BCI algebras (two entries are
 marked as checked empirically only).
+
+The checks read their objects from an ``Analysis``: the classification,
+atoms, K(A), branches, each applicable derivation class, phi and the
+deductive systems of one algebra, each computed on first use and kept for
+the rest of the call.  ``report.build_report`` passes its own analysis to
+``theorem_suite``, so a report and its theorems share one computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import PseudoBciAlgebra, atoms, bck_part, branches, classify
+from .core import (ClassificationReport, PseudoBciAlgebra, _branches, _classify,
+                   atoms, bck_part, classify)
 from .derivations import (
+    CLASS_ORDER,
     DerivationClass,
+    MonoidReport,
     SelfMap,
     compose,
     enumerate_derivations,
@@ -24,7 +34,8 @@ from .derivations import (
     pointwise,
     regular_translation_maps,
 )
-from .dsystems import bck_part_system, enumerate_ds, is_invariant, quotient
+from .dsystems import (DeductiveSystem, bck_part_system, enumerate_ds, is_invariant,
+                       quotient)
 from .formats import format_selfmap
 
 EMPIRICAL_NOTE = "checked empirically; asserted without catalogued proof"
@@ -55,35 +66,108 @@ class TheoremReport:
         return [r for r in self.results if r.applicable]
 
 
-class _Ctx:
-    """Everything the checks share, computed once per algebra."""
+def _maps_of(cls: DerivationClass) -> property:
+    return property(lambda self: self.derivations.get(cls, []),
+                    doc=f"The {cls} maps; [] where the class does not apply.")
 
-    def __init__(self, A: PseudoBciAlgebra, cap: int | None):
-        C = DerivationClass
+
+class Analysis:
+    """Every derived object of one algebra that the report and the theorem
+    suite read, each computed on first use and then kept.
+
+    Built per call from (A, cap): caps are resolved per call, so nothing
+    here outlives the build_report or theorem_suite call that made it.
+    Each crosscheck behind these objects (atoms, classification, phi,
+    deductive systems) runs once per algebra.
+    """
+
+    def __init__(self, A: PseudoBciAlgebra, cap: int | None = None):
         self.A = A
+        self.cap = cap
         self.n = A.size
         self.unit = A.unit
-        self.cls = classify(A)
-        self.atoms = atoms(A)
-        self.K = bck_part(A)
-        self.branch_of = {
-            x: a for a, block in branches(A).items() for x in block}
-        self.idop1 = enumerate_derivations(A, C.IMPLICATIVE_I, cap=cap)
-        self.idop2 = enumerate_derivations(A, C.IMPLICATIVE_II, cap=cap)
-        self.ridop1 = [d for d in self.idop1 if d[A.unit] == A.unit]
-        self.ridop2 = [d for d in self.idop2 if d[A.unit] == A.unit]
-        self.idop = sorted(set(self.idop1) & set(self.idop2))
-        self.sdop1 = enumerate_derivations(A, C.SYMMETRIC_I, cap=cap)
-        self.sdop2 = enumerate_derivations(A, C.SYMMETRIC_II, cap=cap)
-        if self.cls.is_pseudo_bck:
-            self.idop3 = enumerate_derivations(A, C.IMPLICATIVE_III, cap=cap)
-            self.idop4 = enumerate_derivations(A, C.IMPLICATIVE_IV, cap=cap)
-        else:
-            self.idop3 = self.idop4 = []
-        self.translation_cap = cap
-        self.phi = phi_map(A)
         self.ident = identity_map(A)
-        self.systems = enumerate_ds(A, cap=cap)
+
+    @cached_property
+    def atoms(self) -> frozenset[int]:
+        return atoms(self.A)
+
+    @cached_property
+    def K(self) -> frozenset[int]:
+        return bck_part(self.A)
+
+    @cached_property
+    def branches(self) -> dict[int, frozenset[int]]:
+        return _branches(self.A, self.atoms)
+
+    @cached_property
+    def branch_of(self) -> dict[int, int]:
+        return {x: a for a, block in self.branches.items() for x in block}
+
+    @cached_property
+    def classification(self) -> ClassificationReport:
+        return _classify(self.A, self.branches)
+
+    @cached_property
+    def derivations(self) -> dict[DerivationClass, list[SelfMap]]:
+        """Each applicable class's maps, in CLASS_ORDER: implicative I/II and
+        symmetric I/II everywhere, III/IV on pseudo-BCK algebras."""
+        bck = self.classification.is_pseudo_bck
+        return {cls: enumerate_derivations(self.A, cls, cap=self.cap)
+                for cls in CLASS_ORDER if bck or not cls.requires_pseudo_bck}
+
+    idop1 = _maps_of(DerivationClass.IMPLICATIVE_I)
+    idop2 = _maps_of(DerivationClass.IMPLICATIVE_II)
+    idop3 = _maps_of(DerivationClass.IMPLICATIVE_III)
+    idop4 = _maps_of(DerivationClass.IMPLICATIVE_IV)
+    sdop1 = _maps_of(DerivationClass.SYMMETRIC_I)
+    sdop2 = _maps_of(DerivationClass.SYMMETRIC_II)
+
+    @cached_property
+    def ridop1(self) -> list[SelfMap]:
+        return [d for d in self.idop1 if d[self.unit] == self.unit]
+
+    @cached_property
+    def ridop2(self) -> list[SelfMap]:
+        return [d for d in self.idop2 if d[self.unit] == self.unit]
+
+    @cached_property
+    def idop(self) -> list[SelfMap]:
+        """The two-sided implicative maps: type I and type II."""
+        return sorted(set(self.idop1) & set(self.idop2))
+
+    @cached_property
+    def monoid(self) -> MonoidReport:
+        return monoid_report(self.A, self.idop)
+
+    @cached_property
+    def phi(self) -> SelfMap:
+        return phi_map(self.A)
+
+    @cached_property
+    def systems(self) -> list[DeductiveSystem]:
+        return enumerate_ds(self.A, cap=self.cap)
+
+    @cached_property
+    def bck_system(self) -> DeductiveSystem:
+        return bck_part_system(self.A)
+
+    @cached_property
+    def theorems(self) -> TheoremReport:
+        """Every catalogued statement, in catalogue order; skipped entries
+        carry passed=None."""
+        results = []
+        for tid, statement, applies, check, note in _CATALOG:
+            if not applies(self):
+                results.append(TheoremResult(
+                    tid=tid, statement=statement, applicable=False,
+                    passed=None, witness=None, note=note))
+                continue
+            witness = check(self)
+            results.append(TheoremResult(
+                tid=tid, statement=statement, applicable=True,
+                passed=witness is None, witness=witness, note=note))
+        return TheoremReport(results=tuple(results))
 
     def fmt(self, d: SelfMap) -> str:
         return "(" + format_selfmap(d, self.A) + ")"
@@ -105,7 +189,7 @@ class _Ctx:
 # Every check returns a witness string on failure, None on success.
 
 
-def _chk_type1_join_absorption(c: _Ctx):
+def _chk_type1_join_absorption(c: Analysis):
     A = c.A
     for d in c.idop1:
         for x in range(c.n):
@@ -114,7 +198,7 @@ def _chk_type1_join_absorption(c: _Ctx):
     return None
 
 
-def _chk_type2_join_absorption_iff_regular(c: _Ctx):
+def _chk_type2_join_absorption_iff_regular(c: Analysis):
     A = c.A
     for d in c.idop2:
         absorbed = all(
@@ -125,7 +209,7 @@ def _chk_type2_join_absorption_iff_regular(c: _Ctx):
     return None
 
 
-def _chk_regular_type2_basics(c: _Ctx):
+def _chk_regular_type2_basics(c: Analysis):
     A = c.A
     arrow, squig, leq = A.arrow, A.squig, A.leq
     for d in c.ridop2:
@@ -163,7 +247,7 @@ def _chk_regular_type2_basics(c: _Ctx):
     return None
 
 
-def _chk_dominated_idempotent_composition(c: _Ctx):
+def _chk_dominated_idempotent_composition(c: Analysis):
     for d2 in c.ridop2:
         if compose(d2, d2) != d2:
             continue
@@ -174,33 +258,33 @@ def _chk_dominated_idempotent_composition(c: _Ctx):
     return None
 
 
-def _chk_kernel_is_bck_part_iff_phi(c: _Ctx):
+def _chk_kernel_is_bck_part_iff_phi(c: Analysis):
     for d in c.ridop2:
         if (c.kernel(d) == c.K) != (d == c.phi):
             return f"d={c.fmt(d)}"
     return None
 
 
-def _chk_kernel_bck_part_forces_idempotent(c: _Ctx):
+def _chk_kernel_bck_part_forces_idempotent(c: Analysis):
     for d in c.ridop2:
         if c.kernel(d) == c.K and compose(d, d) != d:
             return f"d={c.fmt(d)}"
     return None
 
 
-def _chk_lower_bound_forces_regular_bck(c: _Ctx):
+def _chk_lower_bound_forces_regular_bck(c: Analysis):
     leq = c.A.leq
     for d in c.idop:
         bounded = any(all(leq[a][d[x]] for x in range(c.n)) for a in range(c.n))
         if bounded:
             if d[c.unit] != c.unit:
                 return f"d={c.fmt(d)} bounded below but not regular"
-            if not c.cls.is_pseudo_bck:
+            if not c.classification.is_pseudo_bck:
                 return f"d={c.fmt(d)} bounded below on a non-pseudo-BCK algebra"
     return None
 
 
-def _chk_type1_unit_image(c: _Ctx):
+def _chk_type1_unit_image(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     u = c.unit
@@ -217,7 +301,7 @@ def _chk_type1_unit_image(c: _Ctx):
     return None
 
 
-def _chk_type2_unit_translation(c: _Ctx):
+def _chk_type2_unit_translation(c: Analysis):
     A = c.A
     arrow, squig, leq = A.arrow, A.squig, A.leq
     for d in c.idop2:
@@ -232,7 +316,7 @@ def _chk_type2_unit_translation(c: _Ctx):
     return None
 
 
-def _chk_implicative_atom_stability(c: _Ctx):
+def _chk_implicative_atom_stability(c: Analysis):
     u = c.unit
     for d in sorted(set(c.idop1) | set(c.idop2)):
         tag = f"d={c.fmt(d)}"
@@ -250,8 +334,8 @@ def _chk_implicative_atom_stability(c: _Ctx):
     return None
 
 
-def _chk_regular_type2_characterization(c: _Ctx):
-    alt = regular_translation_maps(c.A, cap=c.translation_cap)
+def _chk_regular_type2_characterization(c: Analysis):
+    alt = regular_translation_maps(c.A, cap=c.cap)
     if set(alt) != set(c.ridop2):
         extra = set(alt) ^ set(c.ridop2)
         some = c.fmt(sorted(extra)[0])
@@ -259,7 +343,7 @@ def _chk_regular_type2_characterization(c: _Ctx):
     return None
 
 
-def _chk_atom_valued_type1_pullthrough(c: _Ctx):
+def _chk_atom_valued_type1_pullthrough(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     for d in c.idop1:
@@ -272,7 +356,7 @@ def _chk_atom_valued_type1_pullthrough(c: _Ctx):
     return None
 
 
-def _chk_left_translation_forces_identity(c: _Ctx):
+def _chk_left_translation_forces_identity(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     rng = range(c.n)
@@ -284,14 +368,14 @@ def _chk_left_translation_forces_identity(c: _Ctx):
     return None
 
 
-def _chk_invariance_forces_regular(c: _Ctx):
+def _chk_invariance_forces_regular(c: Analysis):
     for d in sorted(set(c.idop1) | set(c.idop2)):
         if c.invariant_under(d) and d[c.unit] != c.unit:
             return f"d={c.fmt(d)}"
     return None
 
 
-def _chk_regular_type2_invariance(c: _Ctx):
+def _chk_regular_type2_invariance(c: Analysis):
     for d in c.ridop2:
         for D in c.systems:
             if not is_invariant(c.A, D, d):
@@ -299,15 +383,15 @@ def _chk_regular_type2_invariance(c: _Ctx):
     return None
 
 
-def _chk_type2_regular_iff_all_invariant(c: _Ctx):
+def _chk_type2_regular_iff_all_invariant(c: Analysis):
     for d in c.idop2:
         if (d[c.unit] == c.unit) != c.invariant_under(d):
             return f"d={c.fmt(d)}"
     return None
 
 
-def _chk_psemisimple_iff_trivial_regular_type2(c: _Ctx):
-    a = c.cls.is_p_semisimple
+def _chk_psemisimple_iff_trivial_regular_type2(c: Analysis):
+    a = c.classification.is_p_semisimple
     b = all(c.kernel(d) == frozenset({c.unit}) for d in c.ridop2)
     e = c.ridop2 == [c.ident]
     if not (a == b == e):
@@ -315,7 +399,7 @@ def _chk_psemisimple_iff_trivial_regular_type2(c: _Ctx):
     return None
 
 
-def _chk_psemisimple_type1_closed(c: _Ctx):
+def _chk_psemisimple_type1_closed(c: Analysis):
     members = set(c.idop1)
     for d1 in c.idop1:
         for d2 in c.idop1:
@@ -324,7 +408,7 @@ def _chk_psemisimple_type1_closed(c: _Ctx):
     return None
 
 
-def _chk_psemisimple_type2_closed(c: _Ctx):
+def _chk_psemisimple_type2_closed(c: Analysis):
     members = set(c.idop2)
     for d1 in c.idop2:
         for d2 in c.idop2:
@@ -333,7 +417,7 @@ def _chk_psemisimple_type2_closed(c: _Ctx):
     return None
 
 
-def _chk_psemisimple_composition_commutes(c: _Ctx):
+def _chk_psemisimple_composition_commutes(c: Analysis):
     for d1 in c.idop:
         for d2 in c.idop:
             if compose(d1, d2) != compose(d2, d1):
@@ -341,14 +425,14 @@ def _chk_psemisimple_composition_commutes(c: _Ctx):
     return None
 
 
-def _chk_psemisimple_implicative_monoid(c: _Ctx):
-    rep = monoid_report(c.A, list(c.idop))
+def _chk_psemisimple_implicative_monoid(c: Analysis):
+    rep = c.monoid
     if not (rep.closed_under_composition and rep.commutative and rep.has_identity):
         return "; ".join(rep.witnesses) or "identity map missing"
     return None
 
 
-def _chk_psemisimple_pointwise_constant(c: _Ctx):
+def _chk_psemisimple_pointwise_constant(c: Analysis):
     A = c.A
     for d1 in c.idop:
         for d2 in c.idop:
@@ -361,7 +445,7 @@ def _chk_psemisimple_pointwise_constant(c: _Ctx):
     return None
 
 
-def _chk_sym1_constant_gap(c: _Ctx):
+def _chk_sym1_constant_gap(c: Analysis):
     A = c.A
     arrow, squig, leq = A.arrow, A.squig, A.leq
     for d in c.sdop1:
@@ -384,7 +468,7 @@ def _chk_sym1_constant_gap(c: _Ctx):
     return None
 
 
-def _chk_sym2_atom_valued(c: _Ctx):
+def _chk_sym2_atom_valued(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     for d in c.sdop2:
@@ -409,7 +493,7 @@ def _chk_sym2_atom_valued(c: _Ctx):
     return None
 
 
-def _chk_sym_atom_product_translation(c: _Ctx):
+def _chk_sym_atom_product_translation(c: Analysis):
     for d in sorted(set(c.sdop1) | set(c.sdop2)):
         for x in c.atoms:
             for y in c.atoms:
@@ -419,7 +503,7 @@ def _chk_sym_atom_product_translation(c: _Ctx):
     return None
 
 
-def _chk_psemisimple_sym2_left_translation(c: _Ctx):
+def _chk_psemisimple_sym2_left_translation(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     rng = range(c.n)
@@ -436,29 +520,29 @@ def _chk_psemisimple_sym2_left_translation(c: _Ctx):
     return None
 
 
-def _chk_psemisimple_sym2_equals_type2(c: _Ctx):
+def _chk_psemisimple_sym2_equals_type2(c: Analysis):
     if set(c.sdop2) != set(c.idop2):
         diff = sorted(set(c.sdop2) ^ set(c.idop2))
         return f"sets differ, e.g. {c.fmt(diff[0])}"
     return None
 
 
-def _chk_psemisimple_bci_sym1_equals_type1(c: _Ctx):
+def _chk_psemisimple_bci_sym1_equals_type1(c: Analysis):
     if set(c.sdop1) != set(c.idop1):
         diff = sorted(set(c.sdop1) ^ set(c.idop1))
         return f"sets differ, e.g. {c.fmt(diff[0])}"
     return None
 
 
-def _chk_sym_regular_iff_all_invariant(c: _Ctx):
+def _chk_sym_regular_iff_all_invariant(c: Analysis):
     for d in sorted(set(c.sdop1) | set(c.sdop2)):
         if (d[c.unit] == c.unit) != c.invariant_under(d):
             return f"d={c.fmt(d)}"
     return None
 
 
-def _chk_bck_part_closed_compatible_invariant(c: _Ctx):
-    ds = bck_part_system(c.A)
+def _chk_bck_part_closed_compatible_invariant(c: Analysis):
+    ds = c.bck_system
     if not (ds.compatible and ds.closed):
         return "BCK part is not a compatible closed system"
     for d in c.ridop2:
@@ -467,18 +551,18 @@ def _chk_bck_part_closed_compatible_invariant(c: _Ctx):
     return None
 
 
-def _chk_quotient_by_bck_part_psemisimple(c: _Ctx):
-    Q = quotient(c.A, bck_part_system(c.A))
+def _chk_quotient_by_bck_part_psemisimple(c: Analysis):
+    Q = quotient(c.A, c.bck_system)
     if not classify(Q).is_p_semisimple:
         return "quotient by the BCK part is not p-semisimple"
     reg = enumerate_derivations(Q, DerivationClass.IMPLICATIVE_II,
-                                regular=True, cap=c.translation_cap)
+                                regular=True, cap=c.cap)
     if reg != [identity_map(Q)]:
         return f"quotient has {len(reg)} regular type II derivations"
     return None
 
 
-def _chk_bck_type3_join_absorption(c: _Ctx):
+def _chk_bck_type3_join_absorption(c: Analysis):
     A = c.A
     for d in c.idop3:
         for x in range(c.n):
@@ -487,7 +571,7 @@ def _chk_bck_type3_join_absorption(c: _Ctx):
     return None
 
 
-def _chk_bck_type4_join_absorption_iff_regular(c: _Ctx):
+def _chk_bck_type4_join_absorption_iff_regular(c: Analysis):
     A = c.A
     for d in c.idop4:
         absorbed = all(
@@ -498,7 +582,7 @@ def _chk_bck_type4_join_absorption_iff_regular(c: _Ctx):
     return None
 
 
-def _chk_phi_map_type1_both_kinds(c: _Ctx):
+def _chk_phi_map_type1_both_kinds(c: Analysis):
     if c.phi not in c.idop1:
         return "unit-double-negation map is not a type I implicative map"
     if c.phi not in c.sdop1:
@@ -506,30 +590,30 @@ def _chk_phi_map_type1_both_kinds(c: _Ctx):
     return None
 
 
-def _chk_commutative_phi_map_two_sided(c: _Ctx):
+def _chk_commutative_phi_map_two_sided(c: Analysis):
     if c.phi not in c.idop2:
         return "unit-double-negation map is not type II on a commutative algebra"
     return None
 
 
-def _always(_c: _Ctx) -> bool:
+def _always(_c: Analysis) -> bool:
     return True
 
 
-def _if_psemisimple(c: _Ctx) -> bool:
-    return c.cls.is_p_semisimple
+def _if_psemisimple(c: Analysis) -> bool:
+    return c.classification.is_p_semisimple
 
 
-def _if_psemisimple_bci(c: _Ctx) -> bool:
-    return c.cls.is_p_semisimple and c.cls.is_bci
+def _if_psemisimple_bci(c: Analysis) -> bool:
+    return c.classification.is_p_semisimple and c.classification.is_bci
 
 
-def _if_pseudo_bck(c: _Ctx) -> bool:
-    return c.cls.is_pseudo_bck
+def _if_pseudo_bck(c: Analysis) -> bool:
+    return c.classification.is_pseudo_bck
 
 
-def _if_commutative(c: _Ctx) -> bool:
-    return c.cls.is_commutative
+def _if_commutative(c: Analysis) -> bool:
+    return c.classification.is_commutative
 
 
 _CATALOG = (
@@ -662,23 +746,15 @@ _CATALOG = (
 CATALOG_IDS = tuple(entry[0] for entry in _CATALOG)
 
 
-def theorem_suite(A: PseudoBciAlgebra, *, cap: int | None = None) -> TheoremReport:
+def theorem_suite(A: PseudoBciAlgebra | Analysis, *,
+                  cap: int | None = None) -> TheoremReport:
     """Run every catalogued statement on one algebra.
 
     Applicability is decided per statement (p-semisimple / BCI / pseudo-BCK
     preconditions); skipped entries carry passed=None.  Enumerations respect
-    the given cap.
+    the given cap.  A may also be an Analysis already made for the algebra,
+    as build_report passes its own; its derivation sets and deductive systems
+    are then reused under the cap it was made with.
     """
-    ctx = _Ctx(A, cap)
-    results = []
-    for tid, statement, applies, check, note in _CATALOG:
-        if not applies(ctx):
-            results.append(TheoremResult(
-                tid=tid, statement=statement, applicable=False,
-                passed=None, witness=None, note=note))
-            continue
-        witness = check(ctx)
-        results.append(TheoremResult(
-            tid=tid, statement=statement, applicable=True,
-            passed=witness is None, witness=witness, note=note))
-    return TheoremReport(results=tuple(results))
+    an = A if isinstance(A, Analysis) else Analysis(A, cap)
+    return an.theorems

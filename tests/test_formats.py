@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbci import (
     IncompleteMapError,
@@ -116,3 +117,46 @@ def test_selfmap_duplicate_assignment(proper5):
 def test_format_selfmap_round_trip(proper5):
     d = (4, 4, 4, 3, 4)
     assert parse_selfmap(format_selfmap(d, proper5), proper5) == d
+
+
+# Pieces of the file and map formats, so that generated text also reaches
+# the parser's later states, not only its header check.
+_FORMAT_TOKENS = ("pbci 1", "pbci", "elements:", "unit:", "arrow:", "squig:",
+                  "same", "a", "b", "c", "d", "1", "=", ",", "#", " ", "\n",
+                  "\t", "\r", "\x0b", "\u2028")
+
+
+@st.composite
+def _edited_fixture(draw):
+    text = fixture_text(draw(st.sampled_from(FIXTURE_NAMES)))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(len(text), start + 40)))
+    filler = draw(st.one_of(st.text(max_size=8),
+                            st.sampled_from(_FORMAT_TOKENS)))
+    return text[:start] + filler + text[stop:]
+
+
+_format_texts = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_FORMAT_TOKENS), max_size=60).map("".join),
+    _edited_fixture(),
+)
+
+
+@given(_format_texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_algebra_raises_only_parse_errors(text):
+    try:
+        parse_algebra(text)
+    except ParseError:
+        pass
+
+
+@given(st.one_of(st.text(),
+                 st.lists(st.sampled_from(_FORMAT_TOKENS), max_size=12).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_parse_selfmap_raises_only_parse_errors(proper5, text):
+    try:
+        parse_selfmap(text, proper5)
+    except ParseError:
+        pass

@@ -1,6 +1,5 @@
 """Golden outputs: `analyze --json` and `verify` stdout compared byte for byte
-with copies recorded before the report and the theorem suite were rebuilt
-around one shared analysis, so a refactor that changes any output fails here.
+with recorded copies, so a refactor that changes any output fails here.
 
 The five fixtures are stored in full under ``tests/golden/``; the four
 products of ``conftest.PRODUCT_LABELS`` (n = 9 to 15) as sha256 digests of

@@ -1,9 +1,19 @@
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from pbci import parse_algebra, validate
+from pbci import (
+    EnumerationCapExceeded,
+    bck_part_system,
+    core,
+    derivations,
+    dsystems,
+    parse_algebra,
+    quotient,
+    validate,
+)
 from pbci.cli import main
 from pbci.report import build_report, render_json, render_text, spec_from_report
 
@@ -63,6 +73,46 @@ def test_text_report_marks_irregular_map(proper5):
 def test_report_theorems_deterministic_and_green(group6):
     report = build_report(group6)
     assert all(r["passed"] for r in report["theorems"] if r["applicable"])
+
+
+def test_report_respects_cap(proper5):
+    # deductive systems are enumerated before derivations, so their cap
+    # is the one reported when both are exceeded
+    with pytest.raises(EnumerationCapExceeded, match="subset-enumeration cap 3"):
+        build_report(proper5, cap=3)
+
+
+@pytest.mark.parametrize("name, classes", [("bck5", 6), ("proper5", 4)])
+def test_report_computes_each_object_once(name, classes, request, monkeypatch):
+    algebra = request.getfixturevalue(name)
+    Q = quotient(algebra, bck_part_system(algebra))
+    atom_checks: Counter = Counter()
+    calls: Counter = Counter()
+
+    def count(module, fn, key):
+        original = getattr(module, fn)
+
+        def counted(*args, **kwargs):
+            calls[fn] += 1
+            if key:
+                atom_checks[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, counted)
+
+    count(core, "_atom_characterizations", lambda A, a: (A.names, a))
+    count(derivations, "_solve", None)
+    count(dsystems, "_closed_sets", None)
+    build_report(algebra)
+    # the atom crosscheck: once per element of A and of A / K(A)
+    assert set(atom_checks.values()) == {1}
+    assert set(atom_checks) == ({(algebra.names, a) for a in algebra.elements()}
+                                | {(Q.names, a) for a in Q.elements()})
+    # NextClosure once per detachment form
+    assert calls["_closed_sets"] == 2
+    # the solver once per class, plus the translation route and the
+    # quotient's regular type II maps
+    assert calls["_solve"] == classes + 2
 
 
 # --- cli ------------------------------------------------------------------
@@ -144,7 +194,8 @@ def test_cli_derivations_golden(runner):
 def test_cli_derivations_type3_needs_force(runner):
     args = ["derivations", fixture_path("proper5"), "--kind", "implicative",
             "--type", "iii"]
-    assert runner.invoke(main, args).exit_code == 2
+    _one_line_error(runner.invoke(main, args), "implicative-III",
+                    "pass --force to evaluate")
     forced = runner.invoke(main, args + ["--force"])
     assert forced.exit_code == 0
     assert "outside the defined scope" in forced.output

@@ -65,7 +65,8 @@ def test_empirical_entries_flagged(bck5):
 
 
 def test_suite_respects_cap(proper5):
-    with pytest.raises(EnumerationCapExceeded):
+    # derivations are enumerated before deductive systems
+    with pytest.raises(EnumerationCapExceeded, match="exceeds enumeration cap 3"):
         theorem_suite(proper5, cap=3)
 
 
