@@ -1,9 +1,10 @@
 import pytest
 
 from pbci import EnumerationCapExceeded
-from pbci.theorems import CATALOG_IDS, EMPIRICAL_NOTE, theorem_suite
+from pbci.derivations import DerivationClass
+from pbci.theorems import CATALOG_IDS, EMPIRICAL_NOTE, Analysis, theorem_suite
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, m
 
 
 def test_catalog_ids_unique():
@@ -74,3 +75,38 @@ def test_suite_over_small_pool(small_pool):
     for algebra in small_pool:
         report = theorem_suite(algebra)
         assert report.failures() == [], (algebra.names, report.failures())
+
+
+_I, _II, _III, _IV = (DerivationClass.IMPLICATIVE_I, DerivationClass.IMPLICATIVE_II,
+                      DerivationClass.IMPLICATIVE_III, DerivationClass.IMPLICATIVE_IV)
+_S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
+
+
+@pytest.mark.parametrize("tid, name, cls, image, witness", [
+    ("type1-join-absorption", "proper5", _I, "a a a a a", "d=(a a a a a) at x=b"),
+    ("bck-type3-join-absorption", "bck5", _III, "0 0 0 0 0", "d=(0 0 0 0 0) at x=a"),
+    ("type2-join-absorption-iff-regular", "proper5", _II, "a a a a 1",
+     "d=(a a a a 1)"),
+    ("bck-type4-join-absorption-iff-regular", "bck5", _IV, "0 0 0 0 1",
+     "d=(0 0 0 0 1)"),
+    ("psemisimple-type1-closed", "group6", _I, "a a a a a b",
+     "d1=(a a a a a b), d2=(a a a a a b)"),
+    ("psemisimple-type2-closed", "group6", _II, "a a a a a b",
+     "d1=(a a a a a b), d2=(a a a a a b)"),
+    ("psemisimple-sym2-equals-type2", "group6", _S2, "a a a a a a",
+     "sets differ, e.g. (a a a a a a)"),
+    ("psemisimple-bci-sym1-equals-type1", "cyclic3", _S1, "a a a",
+     "sets differ, e.g. (a a a)"),
+    ("type2-regular-iff-all-invariant", "proper5", _II, "a a a a 1", "d=(a a a a 1)"),
+    ("sym-regular-iff-all-invariant", "proper5", _S1, "a a a a 1", "d=(a a a a 1)"),
+    ("sym-regular-iff-all-invariant", "proper5", _S2, "a a a a 1", "d=(a a a a 1)"),
+])
+def test_failure_witnesses(tid, name, cls, image, witness, request):
+    # one map that breaks the law, added to the class's true maps
+    algebra = request.getfixturevalue(name)
+    maps = dict(Analysis(algebra).derivations)
+    maps[cls] = sorted(set(maps[cls]) | {m(algebra, image)})
+    an = Analysis(algebra)
+    an.__dict__["derivations"] = maps
+    result = next(r for r in an.theorems.results if r.tid == tid)
+    assert (result.applicable, result.passed, result.witness) == (True, False, witness)
