@@ -15,6 +15,7 @@ from . import __version__
 from .core import PseudoBciAlgebra, classify, validate
 from .derivations import (
     DerivationClass,
+    _is_pseudo_bck,
     enumerate_derivations,
     map_properties,
     satisfies,
@@ -139,7 +140,7 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
                      "pass --force to evaluate the identities anyway")
     except EnumerationCapExceeded as exc:
         _usage_error(str(exc))
-    if force and cls.requires_pseudo_bck and not classify(algebra).is_pseudo_bck:
+    if force and cls.requires_pseudo_bck and not _is_pseudo_bck(algebra):
         click.echo("# forced evaluation outside the defined scope of types III/IV")
     click.echo(f"# {cls}{' regular' if regular else ''}: {len(maps)} map(s)")
     for d in maps:
@@ -225,11 +226,12 @@ def map_cmd(file: str, map_spec: str) -> None:
                f"{'yes' if props.maps_bck_into_bck else 'no'}")
     click.echo(f"  maps atoms into atoms: "
                f"{'yes' if props.maps_atoms_into_atoms else 'no'}")
-    bck = classify(algebra).is_pseudo_bck
     for cls in DerivationClass:
-        if cls.requires_pseudo_bck and not bck:
+        try:
+            holds = satisfies(algebra, d, cls)
+        except TypeRequiresPseudoBckError:
             continue
-        click.echo(f"  {cls}: {'yes' if satisfies(algebra, d, cls) else 'no'}")
+        click.echo(f"  {cls}: {'yes' if holds else 'no'}")
 
 
 @main.command()

@@ -190,8 +190,7 @@ def collect_violations(spec: AlgebraSpec) -> list[Violation]:
     return out
 
 
-def validate(spec: AlgebraSpec, *, crosscheck: bool = True,
-             max_size: int | None = None) -> PseudoBciAlgebra:
+def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlgebra:
     """Check the axioms and build the immutable algebra.
 
     Raises StructuralError for malformed input, ValidationError carrying the
@@ -214,12 +213,11 @@ def validate(spec: AlgebraSpec, *, crosscheck: bool = True,
     leq = tuple(tuple(arrow[x][y] == unit for y in range(n)) for x in range(n))
     alg = PseudoBciAlgebra(names=spec.names, unit=unit, arrow=arrow,
                            squig=squig, leq=leq)
-    if crosscheck:
-        failures = _sanity_failures(alg)
-        if failures:
-            raise InternalInconsistencyError(
-                "axioms hold but derived laws fail (package bug): "
-                + "; ".join(failures))
+    failures = _sanity_failures(alg)
+    if failures:
+        raise InternalInconsistencyError(
+            "axioms hold but derived laws fail (package bug): "
+            + "; ".join(failures))
     return alg
 
 
@@ -311,20 +309,19 @@ def _atom_characterizations(A: PseudoBciAlgebra, a: int) -> list[tuple[str, bool
     ]
 
 
-def atoms(A: PseudoBciAlgebra, *, crosscheck: bool = True) -> frozenset[int]:
+def atoms(A: PseudoBciAlgebra) -> frozenset[int]:
     """The minimal elements, computed as {x | (x -> 1) -> 1 = x}.
 
-    With crosscheck on, every element's membership is re-derived through the
-    ten equivalent characterizations; disagreement raises
-    InternalInconsistencyError since the equivalence is a theorem.
+    Every element's membership is re-derived through the ten equivalent
+    characterizations; disagreement raises InternalInconsistencyError since
+    the equivalence is a theorem.
     """
     base = frozenset(x for x in A.elements() if _is_atom(A, x))
-    if crosscheck:
-        for x in A.elements():
-            for label, holds in _atom_characterizations(A, x):
-                if holds != (x in base):
-                    raise InternalInconsistencyError(
-                        f"atom characterization ({label}) disagrees at {A.names[x]}")
+    for x in A.elements():
+        for label, holds in _atom_characterizations(A, x):
+            if holds != (x in base):
+                raise InternalInconsistencyError(
+                    f"atom characterization ({label}) disagrees at {A.names[x]}")
     return base
 
 
@@ -339,9 +336,9 @@ def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
     return part
 
 
-def branches(A: PseudoBciAlgebra, *, crosscheck: bool = True) -> dict[int, frozenset[int]]:
+def branches(A: PseudoBciAlgebra) -> dict[int, frozenset[int]]:
     """Map each atom a to its branch {x | x <= a}; the branches partition A."""
-    return _branches(A, atoms(A, crosscheck=crosscheck))
+    return _branches(A, atoms(A))
 
 
 def _branches(A: PseudoBciAlgebra, ats: frozenset[int]) -> dict[int, frozenset[int]]:
@@ -423,14 +420,13 @@ def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
     return True
 
 
-def classify(A: PseudoBciAlgebra, *, crosscheck: bool = True) -> ClassificationReport:
+def classify(A: PseudoBciAlgebra) -> ClassificationReport:
     """Decide every classification flag, cross-checking the theorem-level
     equivalences between them."""
-    return _classify(A, branches(A, crosscheck=crosscheck), crosscheck=crosscheck)
+    return _classify(A, branches(A))
 
 
-def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]], *,
-              crosscheck: bool = True) -> ClassificationReport:
+def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> ClassificationReport:
     """classify() on the already computed branches of A."""
     n = A.size
     u = A.unit
@@ -443,11 +439,10 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]], *,
 
     chars = _p_semisimple_characterizations(A)
     is_p_semisimple = chars[0][1]
-    if crosscheck:
-        for label, holds in chars:
-            if holds != is_p_semisimple:
-                raise InternalInconsistencyError(
-                    f"p-semisimple characterization ({label}) disagrees")
+    for label, holds in chars:
+        if holds != is_p_semisimple:
+            raise InternalInconsistencyError(
+                f"p-semisimple characterization ({label}) disagrees")
 
     is_commutative = all(
         A.cup1(x, y) == x and A.cup2(x, y) == x
@@ -463,16 +458,15 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]], *,
         squig[arrow[p][q]][arrow[x][y]] == squig[arrow[p][x]][arrow[q][y]]
         for p in rng for q in rng for x in rng for y in rng)
 
-    if crosscheck:
-        if is_commutative != is_branchwise:
-            raise InternalInconsistencyError(
-                "commutative and branchwise-commutative disagree")
-        if is_p_semisimple and not is_commutative:
-            raise InternalInconsistencyError(
-                "p-semisimple algebra fails commutativity")
-        if (is_medial_arrow or is_medial_squig) and not (is_p_semisimple and is_bci):
-            raise InternalInconsistencyError(
-                "medial algebra is not a p-semisimple BCI algebra")
+    if is_commutative != is_branchwise:
+        raise InternalInconsistencyError(
+            "commutative and branchwise-commutative disagree")
+    if is_p_semisimple and not is_commutative:
+        raise InternalInconsistencyError(
+            "p-semisimple algebra fails commutativity")
+    if (is_medial_arrow or is_medial_squig) and not (is_p_semisimple and is_bci):
+        raise InternalInconsistencyError(
+            "medial algebra is not a p-semisimple BCI algebra")
 
     return ClassificationReport(
         is_bci=is_bci,

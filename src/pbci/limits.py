@@ -21,15 +21,19 @@ ENV_VAR = "PBCI_MAX_SIZE"
 def env_cap() -> int | None:
     """PBCI_MAX_SIZE as an integer, or None when it is unset.
 
-    Raises ValueError when it is set to something other than an integer.
+    Raises ValueError when it is set to something other than a positive
+    integer.
     """
     env = os.environ.get(ENV_VAR)
     if env is None:
         return None
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
+        cap = None
+    if cap is None or cap < 1:
+        raise ValueError(f"{ENV_VAR} must be a positive integer, got {env!r}")
+    return cap
 
 
 def effective_cap(explicit: int | None, default: int) -> int:

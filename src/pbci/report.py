@@ -14,6 +14,7 @@ preserves construction order.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from . import __version__
 from .core import AlgebraSpec, PseudoBciAlgebra
@@ -25,23 +26,26 @@ def _names(A: PseudoBciAlgebra, members) -> list[str]:
     return [A.names[i] for i in sorted(members)]
 
 
+def _record(A: PseudoBciAlgebra, record) -> dict:
+    """A record's fields in declaration order: element sets as name lists,
+    (label, holds) pairs as characterization entries."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, frozenset):
+            value = _names(A, value)
+        elif isinstance(value, tuple):
+            value = [{"characterization": label, "holds": holds}
+                     for label, holds in value]
+        out[f.name] = value
+    return out
+
+
 def _map_entry(an: Analysis, d) -> dict:
     A = an.A
-    props = _map_record(A, d, an.K, an.atoms)
     return {
         "images": [A.names[v] for v in d],
-        "properties": {
-            "regular": props.regular,
-            "isotone": props.isotone,
-            "idempotent": props.idempotent,
-            "kernel": _names(A, props.kernel),
-            "image": _names(A, props.image),
-            "kernel_is_subalgebra": props.kernel_is_subalgebra,
-            "kernel_in_bck_part": props.kernel_in_bck_part,
-            "image_in_atoms": props.image_in_atoms,
-            "maps_bck_into_bck": props.maps_bck_into_bck,
-            "maps_atoms_into_atoms": props.maps_atoms_into_atoms,
-        },
+        "properties": _record(A, _map_record(A, d, an.K, an.atoms)),
     }
 
 
@@ -49,7 +53,6 @@ def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
     """The full analysis of one algebra as a deterministic plain dict."""
     an = Analysis(A, cap)
     spec = A.to_spec()
-    cls_report = an.classification
     return {
         "tool": {"name": "pbci", "version": __version__},
         "algebra": {
@@ -63,20 +66,7 @@ def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
             "elements": list(A.names),
             "unit": A.names[A.unit],
         },
-        "classification": {
-            "is_bci": cls_report.is_bci,
-            "is_pseudo_bck": cls_report.is_pseudo_bck,
-            "is_proper": cls_report.is_proper,
-            "is_p_semisimple": cls_report.is_p_semisimple,
-            "p_semisimple_crosscheck": [
-                {"characterization": label, "holds": holds}
-                for label, holds in cls_report.p_semisimple_crosscheck
-            ],
-            "is_commutative": cls_report.is_commutative,
-            "is_branchwise_commutative": cls_report.is_branchwise_commutative,
-            "is_medial_arrow": cls_report.is_medial_arrow,
-            "is_medial_squig": cls_report.is_medial_squig,
-        },
+        "classification": _record(A, an.classification),
         "atoms": _names(A, an.atoms),
         "bck_part": _names(A, an.K),
         "branches": [

@@ -31,17 +31,6 @@ PREDICATE_NAMES = (
     "medial_squig",
 )
 
-_FIELD_OF = {
-    "p_semisimple": "is_p_semisimple",
-    "commutative": "is_commutative",
-    "proper": "is_proper",
-    "pseudo_bck": "is_pseudo_bck",
-    "bci": "is_bci",
-    "medial_arrow": "is_medial_arrow",
-    "medial_squig": "is_medial_squig",
-}
-
-
 @dataclass(frozen=True)
 class SearchQuery:
     size: int
@@ -217,7 +206,7 @@ def search(query: SearchQuery, *, cap: int | None = None) -> list[AlgebraSpec]:
             f"size {query.size} exceeds search cap {limit_cap}")
     n = query.size
     names = element_names(n)
-    wanted = [(_FIELD_OF[name], value) for name, value in query.predicates]
+    wanted = [("is_" + name, value) for name, value in query.predicates]
 
     matches = []
     for arrow, squig in _search_tables(n):

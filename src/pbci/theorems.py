@@ -12,6 +12,12 @@ atoms, K(A), branches, each applicable derivation class, phi and the
 deductive systems of one algebra, each computed on first use and kept for
 the rest of the call.  ``report.build_report`` passes its own analysis to
 ``theorem_suite``, so a report and its theorems share one computation.
+
+The catalogue is one table, ``_CATALOG``.  Each row names its precondition
+as ClassificationReport flags and its check as a function of the analysis.
+A law the paper states for several derivation sets (join absorption for
+types I and III, closure under composition for types I and II, ...) has
+one checker that takes the map lists, and each row passes its own.
 """
 
 from __future__ import annotations
@@ -157,8 +163,8 @@ class Analysis:
         """Every catalogued statement, in catalogue order; skipped entries
         carry passed=None."""
         results = []
-        for tid, statement, applies, check, note in _CATALOG:
-            if not applies(self):
+        for tid, statement, flags, check, note in _CATALOG:
+            if not all(getattr(self.classification, f) for f in flags):
                 results.append(TheoremResult(
                     tid=tid, statement=statement, applicable=False,
                     passed=None, witness=None, note=note))
@@ -189,18 +195,18 @@ class Analysis:
 # Every check returns a witness string on failure, None on success.
 
 
-def _chk_type1_join_absorption(c: Analysis):
+def _chk_join_absorption(c: Analysis, maps: list[SelfMap]):
     A = c.A
-    for d in c.idop1:
+    for d in maps:
         for x in range(c.n):
             if d[x] != A.cup1(d[x], x) or d[x] != A.cup2(d[x], x):
                 return f"d={c.fmt(d)} at x={c.name(x)}"
     return None
 
 
-def _chk_type2_join_absorption_iff_regular(c: Analysis):
+def _chk_join_absorption_iff_regular(c: Analysis, maps: list[SelfMap]):
     A = c.A
-    for d in c.idop2:
+    for d in maps:
         absorbed = all(
             d[x] == A.cup1(x, d[x]) and d[x] == A.cup2(x, d[x])
             for x in range(c.n))
@@ -383,8 +389,8 @@ def _chk_regular_type2_invariance(c: Analysis):
     return None
 
 
-def _chk_type2_regular_iff_all_invariant(c: Analysis):
-    for d in c.idop2:
+def _chk_regular_iff_all_invariant(c: Analysis, maps: list[SelfMap]):
+    for d in maps:
         if (d[c.unit] == c.unit) != c.invariant_under(d):
             return f"d={c.fmt(d)}"
     return None
@@ -399,19 +405,10 @@ def _chk_psemisimple_iff_trivial_regular_type2(c: Analysis):
     return None
 
 
-def _chk_psemisimple_type1_closed(c: Analysis):
-    members = set(c.idop1)
-    for d1 in c.idop1:
-        for d2 in c.idop1:
-            if compose(d1, d2) not in members:
-                return f"d1={c.fmt(d1)}, d2={c.fmt(d2)}"
-    return None
-
-
-def _chk_psemisimple_type2_closed(c: Analysis):
-    members = set(c.idop2)
-    for d1 in c.idop2:
-        for d2 in c.idop2:
+def _chk_closed_under_composition(c: Analysis, maps: list[SelfMap]):
+    members = set(maps)
+    for d1 in maps:
+        for d2 in maps:
             if compose(d1, d2) not in members:
                 return f"d1={c.fmt(d1)}, d2={c.fmt(d2)}"
     return None
@@ -520,24 +517,10 @@ def _chk_psemisimple_sym2_left_translation(c: Analysis):
     return None
 
 
-def _chk_psemisimple_sym2_equals_type2(c: Analysis):
-    if set(c.sdop2) != set(c.idop2):
-        diff = sorted(set(c.sdop2) ^ set(c.idop2))
+def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap]):
+    if set(maps) != set(others):
+        diff = sorted(set(maps) ^ set(others))
         return f"sets differ, e.g. {c.fmt(diff[0])}"
-    return None
-
-
-def _chk_psemisimple_bci_sym1_equals_type1(c: Analysis):
-    if set(c.sdop1) != set(c.idop1):
-        diff = sorted(set(c.sdop1) ^ set(c.idop1))
-        return f"sets differ, e.g. {c.fmt(diff[0])}"
-    return None
-
-
-def _chk_sym_regular_iff_all_invariant(c: Analysis):
-    for d in sorted(set(c.sdop1) | set(c.sdop2)):
-        if (d[c.unit] == c.unit) != c.invariant_under(d):
-            return f"d={c.fmt(d)}"
     return None
 
 
@@ -562,26 +545,6 @@ def _chk_quotient_by_bck_part_psemisimple(c: Analysis):
     return None
 
 
-def _chk_bck_type3_join_absorption(c: Analysis):
-    A = c.A
-    for d in c.idop3:
-        for x in range(c.n):
-            if d[x] != A.cup1(d[x], x) or d[x] != A.cup2(d[x], x):
-                return f"d={c.fmt(d)} at x={c.name(x)}"
-    return None
-
-
-def _chk_bck_type4_join_absorption_iff_regular(c: Analysis):
-    A = c.A
-    for d in c.idop4:
-        absorbed = all(
-            d[x] == A.cup1(x, d[x]) and d[x] == A.cup2(x, d[x])
-            for x in range(c.n))
-        if absorbed != (d[c.unit] == c.unit):
-            return f"d={c.fmt(d)}"
-    return None
-
-
 def _chk_phi_map_type1_both_kinds(c: Analysis):
     if c.phi not in c.idop1:
         return "unit-double-negation map is not a type I implicative map"
@@ -596,150 +559,137 @@ def _chk_commutative_phi_map_two_sided(c: Analysis):
     return None
 
 
-def _always(_c: Analysis) -> bool:
-    return True
-
-
-def _if_psemisimple(c: Analysis) -> bool:
-    return c.classification.is_p_semisimple
-
-
-def _if_psemisimple_bci(c: Analysis) -> bool:
-    return c.classification.is_p_semisimple and c.classification.is_bci
-
-
-def _if_pseudo_bck(c: Analysis) -> bool:
-    return c.classification.is_pseudo_bck
-
-
-def _if_commutative(c: Analysis) -> bool:
-    return c.classification.is_commutative
-
-
+# Each row is (id, statement, precondition, check, note).  The precondition
+# names the ClassificationReport flags that must all hold; an empty one
+# never reads the classification, so those rows cannot change the order in
+# which an Analysis computes its members.
 _CATALOG = (
     ("type1-join-absorption",
      "type I implicative maps absorb their argument under both joins",
-     _always, _chk_type1_join_absorption, None),
+     (), lambda c: _chk_join_absorption(c, c.idop1), None),
     ("type2-join-absorption-iff-regular",
      "type II implicative maps are join-absorbed by their argument iff regular",
-     _always, _chk_type2_join_absorption_iff_regular, None),
+     (), lambda c: _chk_join_absorption_iff_regular(c, c.idop2), None),
     ("regular-type2-basics",
      "regular type II maps are inflationary with well-placed kernels, "
      "images and branches",
-     _always, _chk_regular_type2_basics, None),
+     (), _chk_regular_type2_basics, None),
     ("dominated-idempotent-composition",
      "an idempotent regular type II map absorbs dominated ones under composition",
-     _always, _chk_dominated_idempotent_composition, None),
+     (), _chk_dominated_idempotent_composition, None),
     ("kernel-is-bck-part-iff-phi",
      "a regular type II map has kernel equal to the BCK part iff it is the "
      "unit-double-negation map",
-     _always, _chk_kernel_is_bck_part_iff_phi, None),
+     (), _chk_kernel_is_bck_part_iff_phi, None),
     ("kernel-bck-part-forces-idempotent",
      "a regular type II map whose kernel is the BCK part is idempotent",
-     _always, _chk_kernel_bck_part_forces_idempotent, None),
+     (), _chk_kernel_bck_part_forces_idempotent, None),
     ("lower-bound-forces-regular-bck",
      "a two-sided implicative map bounded below forces regularity and a "
      "pseudo-BCK algebra",
-     _always, _chk_lower_bound_forces_regular_bck, None),
+     (), _chk_lower_bound_forces_regular_bck, None),
     ("type1-unit-image",
      "type I maps send the unit to an atom, translate atoms, and kill the gaps",
-     _always, _chk_type1_unit_image, None),
+     (), _chk_type1_unit_image, None),
     ("type2-unit-translation",
      "type II maps dominate the translation by d(1) and translate atoms by it",
-     _always, _chk_type2_unit_translation, None),
+     (), _chk_type2_unit_translation, None),
     ("implicative-atom-stability",
      "implicative maps stabilize the atoms and fix them exactly when regular",
-     _always, _chk_implicative_atom_stability, None),
+     (), _chk_implicative_atom_stability, None),
     ("regular-type2-characterization",
      "regular type II maps are exactly the regular right-translation-"
      "compatible maps (two enumeration routes agree)",
-     _always, _chk_regular_type2_characterization, None),
+     (), _chk_regular_type2_characterization, None),
     ("atom-valued-type1-pullthrough",
      "atom-valued type I maps pull through both implications",
-     _always, _chk_atom_valued_type1_pullthrough, None),
+     (), _chk_atom_valued_type1_pullthrough, None),
     ("left-translation-forces-identity",
      "a regular implicative map that left-translates either implication is "
      "the identity",
-     _always, _chk_left_translation_forces_identity, None),
+     (), _chk_left_translation_forces_identity, None),
     ("invariance-forces-regular",
      "if every deductive system is invariant under an implicative map, the "
      "map is regular",
-     _always, _chk_invariance_forces_regular, None),
+     (), _chk_invariance_forces_regular, None),
     ("regular-type2-invariance",
      "every deductive system is invariant under every regular type II map",
-     _always, _chk_regular_type2_invariance, None),
+     (), _chk_regular_type2_invariance, None),
     ("type2-regular-iff-all-invariant",
      "a type II map is regular iff every deductive system is invariant under it",
-     _always, _chk_type2_regular_iff_all_invariant, None),
+     (), lambda c: _chk_regular_iff_all_invariant(c, c.idop2), None),
     ("psemisimple-iff-trivial-regular-type2",
      "p-semisimple iff all regular type II kernels are trivial iff the only "
      "regular type II map is the identity",
-     _always, _chk_psemisimple_iff_trivial_regular_type2, None),
+     (), _chk_psemisimple_iff_trivial_regular_type2, None),
     ("psemisimple-type1-closed",
      "on p-semisimple algebras type I maps are closed under composition",
-     _if_psemisimple, _chk_psemisimple_type1_closed, None),
+     ("is_p_semisimple",), lambda c: _chk_closed_under_composition(c, c.idop1), None),
     ("psemisimple-type2-closed",
      "on p-semisimple algebras type II maps are closed under composition",
-     _if_psemisimple, _chk_psemisimple_type2_closed, None),
+     ("is_p_semisimple",), lambda c: _chk_closed_under_composition(c, c.idop2), None),
     ("psemisimple-composition-commutes",
      "on p-semisimple algebras two-sided implicative maps commute",
-     _if_psemisimple, _chk_psemisimple_composition_commutes, None),
+     ("is_p_semisimple",), _chk_psemisimple_composition_commutes, None),
     ("psemisimple-implicative-monoid",
      "on p-semisimple algebras the two-sided implicative maps form a "
      "commutative monoid under composition",
-     _if_psemisimple, _chk_psemisimple_implicative_monoid, None),
+     ("is_p_semisimple",), _chk_psemisimple_implicative_monoid, None),
     ("psemisimple-pointwise-constant",
      "on p-semisimple algebras pointwise implications of two-sided maps "
      "commute and are constant at the composite of the unit",
-     _if_psemisimple, _chk_psemisimple_pointwise_constant, None),
+     ("is_p_semisimple",), _chk_psemisimple_pointwise_constant, None),
     ("sym1-constant-gap",
      "type I symmetric maps have constant gap d(1) = x op dx; regular ones "
      "are inflationary and atom-valued",
-     _always, _chk_sym1_constant_gap, None),
+     (), _chk_sym1_constant_gap, None),
     ("sym2-atom-valued",
      "type II symmetric maps are atom-valued with constant gap dx op x and "
      "collapse to the identity when regular",
-     _always, _chk_sym2_atom_valued, None),
+     (), _chk_sym2_atom_valued, None),
     ("sym-atom-product-translation",
      "symmetric maps translate the atom product on either side",
-     _always, _chk_sym_atom_product_translation, None),
+     (), _chk_sym_atom_product_translation, None),
     ("psemisimple-sym2-left-translation",
      "on p-semisimple algebras type II symmetric maps left-translate and "
      "have constant gaps",
-     _if_psemisimple, _chk_psemisimple_sym2_left_translation, None),
+     ("is_p_semisimple",), _chk_psemisimple_sym2_left_translation, None),
     ("psemisimple-sym2-equals-type2",
      "on p-semisimple algebras symmetric and implicative type II sets coincide",
-     _if_psemisimple, _chk_psemisimple_sym2_equals_type2, None),
+     ("is_p_semisimple",), lambda c: _chk_same_maps(c, c.sdop2, c.idop2), None),
     ("psemisimple-bci-sym1-equals-type1",
      "on p-semisimple BCI algebras symmetric and implicative type I sets coincide",
-     _if_psemisimple_bci, _chk_psemisimple_bci_sym1_equals_type1, None),
+     ("is_p_semisimple", "is_bci"), lambda c: _chk_same_maps(c, c.sdop1, c.idop1),
+     None),
     ("sym-regular-iff-all-invariant",
      "a symmetric map is regular iff every deductive system is invariant under it",
-     _always, _chk_sym_regular_iff_all_invariant, None),
+     (), lambda c: _chk_regular_iff_all_invariant(
+         c, sorted(set(c.sdop1) | set(c.sdop2))), None),
     ("bck-part-closed-compatible-invariant",
      "the BCK part is a compatible closed deductive system invariant under "
      "every regular type II map",
-     _always, _chk_bck_part_closed_compatible_invariant, None),
+     (), _chk_bck_part_closed_compatible_invariant, None),
     ("quotient-by-bck-part-psemisimple",
      "the quotient by the BCK part is p-semisimple with only the identity as "
      "regular type II map",
-     _always, _chk_quotient_by_bck_part_psemisimple, None),
+     (), _chk_quotient_by_bck_part_psemisimple, None),
     ("bck-type3-join-absorption",
      "on pseudo-BCK algebras type III implicative maps absorb their argument "
      "under both joins",
-     _if_pseudo_bck, _chk_bck_type3_join_absorption, EMPIRICAL_NOTE),
+     ("is_pseudo_bck",), lambda c: _chk_join_absorption(c, c.idop3), EMPIRICAL_NOTE),
     ("bck-type4-join-absorption-iff-regular",
      "on pseudo-BCK algebras type IV implicative maps are join-absorbed by "
      "their argument iff regular",
-     _if_pseudo_bck, _chk_bck_type4_join_absorption_iff_regular, EMPIRICAL_NOTE),
+     ("is_pseudo_bck",), lambda c: _chk_join_absorption_iff_regular(c, c.idop4),
+     EMPIRICAL_NOTE),
     ("phi-map-type1-both-kinds",
      "the unit-double-negation map is a type I implicative and a type I "
      "symmetric derivation",
-     _always, _chk_phi_map_type1_both_kinds, None),
+     (), _chk_phi_map_type1_both_kinds, None),
     ("commutative-phi-map-two-sided",
      "on commutative algebras the unit-double-negation map is two-sided "
      "implicative",
-     _if_commutative, _chk_commutative_phi_map_two_sided, None),
+     ("is_commutative",), _chk_commutative_phi_map_two_sided, None),
 )
 
 

@@ -74,7 +74,7 @@ def test_universe_cap(monkeypatch):
     with pytest.raises(StructuralError):
         validate(spec, max_size=0)
     monkeypatch.setenv("PBCI_MAX_SIZE", "0")
-    with pytest.raises(StructuralError):
+    with pytest.raises(ValueError, match="PBCI_MAX_SIZE must be a positive integer"):
         validate(spec)
     assert validate(spec, max_size=1).size == 1  # explicit argument wins
 
@@ -123,7 +123,6 @@ def test_atoms_crosscheck_detects_corruption():
     bad = PseudoBciAlgebra(names=("a", "1"), unit=1, arrow=arrow, squig=squig, leq=leq)
     with pytest.raises(InternalInconsistencyError):
         atoms(bad)
-    assert atoms(bad, crosscheck=False) == frozenset({1})
 
 
 def test_bck_part_golden(proper5, group6, bck5):

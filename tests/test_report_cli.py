@@ -1,8 +1,11 @@
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from pbci import (
     EnumerationCapExceeded,
@@ -15,6 +18,7 @@ from pbci import (
     validate,
 )
 from pbci.cli import main
+from pbci.search import PREDICATE_NAMES
 from pbci.report import build_report, render_json, render_text, spec_from_report
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_text
@@ -177,8 +181,25 @@ def test_cli_quotient_non_utf8_subset_file_exit_2(runner, tmp_path):
     ["search", "--size", "2"]])
 def test_cli_non_integer_cap_exit_2(runner, args):
     args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
-    result = runner.invoke(main, args, env={"PBCI_MAX_SIZE": "abc"})
-    _one_line_error(result, "PBCI_MAX_SIZE", "'abc'")
+    for value in ("abc", "0", "-1"):
+        result = runner.invoke(main, args, env={"PBCI_MAX_SIZE": value})
+        _one_line_error(result, "PBCI_MAX_SIZE", "positive integer", repr(value))
+
+
+@pytest.mark.parametrize("args, checks", [
+    # the property record needs the atoms once; the class list needs none
+    (["map", "FIXTURE", "--map", "d d d 1 d"], 5),
+    (["derivations", "FIXTURE", "--kind", "implicative", "--type", "iii",
+      "--force"], 0),
+])
+def test_cli_atom_crosscheck_counts(runner, monkeypatch, args, checks):
+    checked = []
+    original = core._atom_characterizations
+    monkeypatch.setattr(core, "_atom_characterizations",
+                        lambda A, a: checked.append(a) or original(A, a))
+    args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
+    assert runner.invoke(main, args).exit_code == 0
+    assert len(checked) == checks
 
 
 def test_cli_derivations_golden(runner):
@@ -312,3 +333,65 @@ def test_cli_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "pbci" in result.output
+
+
+# --- fuzz -------------------------------------------------------------------
+
+
+_tokens = st.sampled_from([b"1", b"a", b"d", b" ", b"\n", b":", b"same", b"\xff", b"-"])
+
+
+@st.composite
+def _mutated_fixture(draw) -> bytes:
+    data = fixture_text(draw(st.sampled_from(FIXTURE_NAMES))).encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.one_of(_tokens, st.binary(max_size=3))) + data[at + cut:]
+    return data
+
+
+def _flags(*flags):
+    return st.lists(st.sampled_from(flags), unique=True).map(list)
+
+
+_FILE_COMMANDS = st.one_of(
+    st.sampled_from([["check"], ["analyze"], ["analyze", "--json"], ["verify"], ["ds"],
+                     ["quotient"], ["quotient", "--by", "K"],
+                     ["quotient", "--by-file", "SUBSET"],
+                     ["quotient", "--by", "K", "--by-file", "SUBSET"]]),
+    st.tuples(st.sampled_from(["implicative", "symmetric", "other"]),
+              st.sampled_from(["i", "ii", "iii", "iv", "v"]),
+              _flags("--regular", "--force")).map(
+        lambda t: ["derivations", "--kind", t[0], "--type", t[1], *t[2]]),
+    st.one_of(st.sampled_from(["a b c d 1", "d d d 1 d", "a=d,b=d", "1 1 1", ""]),
+              st.text(max_size=12)).map(lambda spec: ["map", "--map", spec]),
+)
+
+_SEARCHES = st.tuples(
+    st.sampled_from(["-1", "0", "1", "2", "3", "99", "x"]),
+    st.lists(st.sampled_from(PREDICATE_NAMES + ("shiny",)).flatmap(
+        lambda name: st.sampled_from([name, name + "=false", name + "=maybe"])),
+        max_size=2),
+    st.sampled_from([[], ["--limit", "0"], ["--limit", "1"], ["--limit", "-1"]]),
+    _flags("--modulo-iso"),
+).map(lambda t: ["search", "--size", t[0], *[a for p in t[1] for a in ("--pred", p)],
+                 *t[2], *t[3]])
+
+
+@given(command=st.one_of(_FILE_COMMANDS, _SEARCHES),
+       table=_mutated_fixture(), subset=_mutated_fixture(),
+       file=st.sampled_from(["in.pbci", "in.pbci", "in.pbci", "missing.pbci", "."]),
+       cap=st.sampled_from([None, None, "16", "abc", "", "0", "-1", "3", "5"]))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_never_tracebacks(command, table, subset, file, cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "in.pbci").write_bytes(table)
+        (Path(tmp) / "subset.txt").write_bytes(subset[:40])
+        args = [str(Path(tmp) / "subset.txt") if a == "SUBSET" else a for a in command]
+        if args[0] != "search":
+            args.insert(1, str(Path(tmp) / file))
+        result = CliRunner().invoke(main, args, env={"PBCI_MAX_SIZE": cap})
+    assert result.exit_code in (0, 1, 2), (args, cap, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (args, cap, result.exception)
