@@ -352,7 +352,7 @@ def _mutated_fixture(draw) -> bytes:
 
 
 def _flags(*flags):
-    return st.lists(st.sampled_from(flags), unique=True).map(list)
+    return st.lists(st.sampled_from(flags), unique=True)
 
 
 _FILE_COMMANDS = st.one_of(
