@@ -15,6 +15,7 @@ from .core import (
     classify,
     collect_violations,
     group_view,
+    is_pseudo_bck,
     is_subalgebra,
     validate,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "classify",
     "collect_violations",
     "group_view",
+    "is_pseudo_bck",
     "is_subalgebra",
     "validate",
     # formats

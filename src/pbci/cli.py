@@ -12,14 +12,9 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .core import PseudoBciAlgebra, classify, validate
-from .derivations import (
-    DerivationClass,
-    _is_pseudo_bck,
-    enumerate_derivations,
-    map_properties,
-    satisfies,
-)
+from .core import PseudoBciAlgebra, classify, is_pseudo_bck, validate
+from .derivations import (DerivationClass, enumerate_derivations, map_properties,
+                          satisfies)
 from .dsystems import as_deductive_system, bck_part_system, enumerate_ds, quotient
 from .errors import (
     NotCompatibleOrClosedError,
@@ -72,7 +67,18 @@ def _load(path: str) -> PseudoBciAlgebra:
         sys.exit(FAILURE_EXIT)
 
 
-@click.group()
+class _Pbci(click.Group):
+    """The command group; a size-cap error from any command is a usage
+    error, reported once here."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (EnumerationCapExceeded, SearchCapExceeded) as exc:
+            _usage_error(str(exc))
+
+
+@click.group(cls=_Pbci)
 @click.version_option(version=__version__, prog_name="pbci")
 def main() -> None:
     """Analyze finite pseudo-BCI algebras given as Cayley tables."""
@@ -108,10 +114,7 @@ def check(file: str) -> None:
 def analyze(file: str, as_json: bool) -> None:
     """Full structural report for FILE."""
     algebra = _load(file)
-    try:
-        report = build_report(algebra)
-    except EnumerationCapExceeded as exc:
-        _usage_error(str(exc))
+    report = build_report(algebra)
     click.echo(render_json(report) if as_json else render_text(report), nl=False)
     if any(r["applicable"] and r["passed"] is False for r in report["theorems"]):
         sys.exit(FAILURE_EXIT)
@@ -138,9 +141,7 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
     except TypeRequiresPseudoBckError:
         _usage_error(f"{cls} is defined only on pseudo-BCK algebras; "
                      "pass --force to evaluate the identities anyway")
-    except EnumerationCapExceeded as exc:
-        _usage_error(str(exc))
-    if force and cls.requires_pseudo_bck and not _is_pseudo_bck(algebra):
+    if force and cls.requires_pseudo_bck and not is_pseudo_bck(algebra):
         click.echo("# forced evaluation outside the defined scope of types III/IV")
     click.echo(f"# {cls}{' regular' if regular else ''}: {len(maps)} map(s)")
     for d in maps:
@@ -152,10 +153,7 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
 def ds(file: str) -> None:
     """List every deductive system of FILE with its flags."""
     algebra = _load(file)
-    try:
-        systems = enumerate_ds(algebra)
-    except EnumerationCapExceeded as exc:
-        _usage_error(str(exc))
+    systems = enumerate_ds(algebra)
     click.echo(f"# {len(systems)} deductive system(s)")
     for system in systems:
         flags = []
@@ -239,10 +237,7 @@ def map_cmd(file: str, map_spec: str) -> None:
 def verify(file: str) -> None:
     """Run the theorem suite on FILE; exit 1 on any failure."""
     algebra = _load(file)
-    try:
-        report = theorem_suite(algebra)
-    except EnumerationCapExceeded as exc:
-        _usage_error(str(exc))
+    report = theorem_suite(algebra)
     failures = 0
     for result in report.results:
         if not result.applicable:
@@ -292,10 +287,7 @@ def search_cmd(size: int, preds: tuple[str, ...], limit: int | None,
         query.check()
     except ValueError as exc:
         _usage_error(str(exc))
-    try:
-        results = search(query)
-    except SearchCapExceeded as exc:
-        _usage_error(str(exc))
+    results = search(query)
     click.echo(f"# {len(results)} algebra(s)")
     for i, spec in enumerate(results):
         click.echo(f"# model {i}")

@@ -200,7 +200,7 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
     that hold in every pseudo-BCI algebra).
     """
     spec.check_structure()
-    cap = effective_cap(max_size, UNIVERSE_CAP)
+    cap = effective_cap(UNIVERSE_CAP) if max_size is None else max_size
     if len(spec.names) > cap:
         raise StructuralError(
             f"universe size {len(spec.names)} exceeds cap {cap}; "
@@ -325,6 +325,11 @@ def atoms(A: PseudoBciAlgebra) -> frozenset[int]:
     return base
 
 
+def is_pseudo_bck(A: PseudoBciAlgebra) -> bool:
+    """Whether 1 is the greatest element, i.e. K(A) is the whole universe."""
+    return all(A.leq[x][A.unit] for x in A.elements())
+
+
 def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
     """K(A) = {x | x <= 1}; verified closed under both implications."""
     part = frozenset(x for x in A.elements() if A.leq[x][A.unit])
@@ -429,13 +434,12 @@ def classify(A: PseudoBciAlgebra) -> ClassificationReport:
 def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> ClassificationReport:
     """classify() on the already computed branches of A."""
     n = A.size
-    u = A.unit
     arrow, squig, leq = A.arrow, A.squig, A.leq
     rng = range(n)
 
     is_bci = arrow == squig
-    is_pseudo_bck = all(leq[x][u] for x in rng)
-    is_proper = not is_bci and not is_pseudo_bck
+    pseudo_bck = is_pseudo_bck(A)
+    is_proper = not is_bci and not pseudo_bck
 
     chars = _p_semisimple_characterizations(A)
     is_p_semisimple = chars[0][1]
@@ -470,7 +474,7 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> Classifica
 
     return ClassificationReport(
         is_bci=is_bci,
-        is_pseudo_bck=is_pseudo_bck,
+        is_pseudo_bck=pseudo_bck,
         is_proper=is_proper,
         is_p_semisimple=is_p_semisimple,
         p_semisimple_crosscheck=tuple(chars),

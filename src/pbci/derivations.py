@@ -17,13 +17,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import PseudoBciAlgebra, atoms, bck_part, is_subalgebra
-from .errors import (
-    EnumerationCapExceeded,
-    InternalInconsistencyError,
-    TypeRequiresPseudoBckError,
-)
-from .limits import ENUM_CAP, effective_cap
+from .core import PseudoBciAlgebra, atoms, bck_part, is_pseudo_bck, is_subalgebra
+from .errors import InternalInconsistencyError, TypeRequiresPseudoBckError
+from .limits import ENUM_CAP, check_enumeration_cap
 
 SelfMap = tuple[int, ...]
 
@@ -141,12 +137,8 @@ def _holds(d: SelfMap, instances: list[Instance]) -> bool:
     return all(d[t] == join[s[d[a]]][u[d[b]]] for t, a, s, b, u, join in instances)
 
 
-def _is_pseudo_bck(A: PseudoBciAlgebra) -> bool:
-    return all(A.leq[x][A.unit] for x in A.elements())
-
-
 def _gate_class(A: PseudoBciAlgebra, cls: DerivationClass, force: bool) -> None:
-    if cls.requires_pseudo_bck and not force and not _is_pseudo_bck(A):
+    if cls.requires_pseudo_bck and not force and not is_pseudo_bck(A):
         raise TypeRequiresPseudoBckError(
             f"{cls} is defined only on pseudo-BCK algebras; "
             "pass force=True to evaluate the identities anyway")
@@ -228,8 +220,7 @@ def _solve(A: PseudoBciAlgebra, instances: list[Instance], *,
 
 
 def enumerate_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
-                          regular: bool = False, force: bool = False,
-                          cap: int | None = None) -> list[SelfMap]:
+                          regular: bool = False, force: bool = False) -> list[SelfMap]:
     """All self-maps in the class, sorted lexicographically by image tuple.
 
     With regular=True only maps fixing the unit are produced.  The result is
@@ -238,11 +229,7 @@ def enumerate_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     (tested for small n).
     """
     _gate_class(A, cls, force)
-    n = A.size
-    limit = effective_cap(cap, ENUM_CAP)
-    if n > limit:
-        raise EnumerationCapExceeded(
-            f"universe size {n} exceeds enumeration cap {limit}")
+    check_enumeration_cap(A.size, ENUM_CAP, "enumeration")
     return _solve(A, _instances(A, _RHS[cls]), regular=regular)
 
 
@@ -260,19 +247,14 @@ def brute_force_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
             if not (regular and d[unit] != unit) and _holds(d, instances)]
 
 
-def regular_translation_maps(A: PseudoBciAlgebra, *,
-                             cap: int | None = None) -> list[SelfMap]:
+def regular_translation_maps(A: PseudoBciAlgebra) -> list[SelfMap]:
     """Maps with d(1)=1, d(x->y) = x->d(y) and d(x~>y) = x~>d(y) everywhere.
 
     This family characterizes the regular type II implicative derivations;
     enumerating it independently lets the theorem suite compare the two
     routes as whole sets.
     """
-    n = A.size
-    limit = effective_cap(cap, ENUM_CAP)
-    if n > limit:
-        raise EnumerationCapExceeded(
-            f"universe size {n} exceeds enumeration cap {limit}")
+    check_enumeration_cap(A.size, ENUM_CAP, "enumeration")
     return _solve(A, _instances(A, _TRANSLATION), regular=True)
 
 

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import AlgebraSpec, PseudoBciAlgebra, bck_part, is_subalgebra, validate
-from .errors import (
-    CongruenceError,
-    EnumerationCapExceeded,
-    InternalInconsistencyError,
-    NotCompatibleOrClosedError,
-)
-from .limits import DS_CAP, effective_cap
+from .errors import (CongruenceError, InternalInconsistencyError,
+                     NotCompatibleOrClosedError)
+from .limits import DS_CAP, check_enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def _sorted_systems(A: PseudoBciAlgebra, sets) -> list[DeductiveSystem]:
     return found
 
 
-def enumerate_ds(A: PseudoBciAlgebra, *, cap: int | None = None) -> list[DeductiveSystem]:
+def enumerate_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
     """Every deductive system, sorted by (size, membership indices).
 
     NextClosure over the closed sets of arrow-detachment, and again of
@@ -157,10 +153,7 @@ def enumerate_ds(A: PseudoBciAlgebra, *, cap: int | None = None) -> list[Deducti
     asserted.  Only closed sets are visited, not the 2^(n-1) subsets.
     """
     n = A.size
-    limit = effective_cap(cap, DS_CAP)
-    if n > limit:
-        raise EnumerationCapExceeded(
-            f"universe size {n} exceeds subset-enumeration cap {limit}")
+    check_enumeration_cap(n, DS_CAP, "subset-enumeration")
     by_arrow = _closed_sets(n, _closure(A, A.arrow))
     by_squig = _closed_sets(n, _closure(A, A.squig))
     if by_arrow != by_squig:

@@ -44,7 +44,7 @@ class TypeRequiresPseudoBckError(PbciError):
 class EnumerationCapExceeded(PbciError):
     """The universe is too large for an exhaustive enumeration.
 
-    Raise the cap explicitly (or set PBCI_MAX_SIZE) to opt in.
+    Set PBCI_MAX_SIZE to a larger cap to opt in.
     """
 
 

@@ -1,14 +1,17 @@
 """Size caps for the exponential workloads.
 
 Every enumeration in this package is exponential in the universe size, so
-each entry point takes an optional explicit cap and otherwise falls back to
-a conservative default.  Setting the environment variable PBCI_MAX_SIZE
-overrides all defaults at once; an explicit argument always wins.
+each one refuses inputs above a conservative default cap.  Setting the
+environment variable PBCI_MAX_SIZE overrides all defaults at once; it is
+the one override, read by ``effective_cap`` alone.  ``validate`` also takes
+an explicit ``max_size``, which wins over both.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import EnumerationCapExceeded
 
 UNIVERSE_CAP = 64   # validate() refuses larger tables
 ENUM_CAP = 12       # derivation-operator enumeration (search over n^n maps)
@@ -36,9 +39,16 @@ def env_cap() -> int | None:
     return cap
 
 
-def effective_cap(explicit: int | None, default: int) -> int:
-    """Resolve a cap: explicit argument, then PBCI_MAX_SIZE, then default."""
-    if explicit is not None:
-        return explicit
+def effective_cap(default: int) -> int:
+    """PBCI_MAX_SIZE when it is set, else the default."""
     env = env_cap()
     return default if env is None else env
+
+
+def check_enumeration_cap(n: int, default: int, what: str) -> None:
+    """Raise EnumerationCapExceeded when a universe of size n exceeds the
+    cap resolved from default; what names the enumeration in the message."""
+    limit = effective_cap(default)
+    if n > limit:
+        raise EnumerationCapExceeded(
+            f"universe size {n} exceeds {what} cap {limit}")

@@ -49,9 +49,9 @@ def _map_entry(an: Analysis, d) -> dict:
     }
 
 
-def build_report(A: PseudoBciAlgebra, *, cap: int | None = None) -> dict:
+def build_report(A: PseudoBciAlgebra) -> dict:
     """The full analysis of one algebra as a deterministic plain dict."""
-    an = Analysis(A, cap)
+    an = Analysis(A)
     spec = A.to_spec()
     return {
         "tool": {"name": "pbci", "version": __version__},

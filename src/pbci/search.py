@@ -192,7 +192,7 @@ def _search_tables(n: int):
     yield from extend(0, pending0)
 
 
-def search(query: SearchQuery, *, cap: int | None = None) -> list[AlgebraSpec]:
+def search(query: SearchQuery) -> list[AlgebraSpec]:
     """All (or the first ``limit``) algebras matching the query.
 
     Output order is lexicographic by the flattened (arrow, squig) index
@@ -200,7 +200,7 @@ def search(query: SearchQuery, *, cap: int | None = None) -> list[AlgebraSpec]:
     isomorphism class is kept.  Every result passes the full validator.
     """
     query.check()
-    limit_cap = effective_cap(cap, SEARCH_CAP)
+    limit_cap = effective_cap(SEARCH_CAP)
     if query.size > limit_cap:
         raise SearchCapExceeded(
             f"size {query.size} exceeds search cap {limit_cap}")
@@ -216,8 +216,9 @@ def search(query: SearchQuery, *, cap: int | None = None) -> list[AlgebraSpec]:
             arrow=tuple(tuple(names[v] for v in row) for row in arrow),
             squig=tuple(tuple(names[v] for v in row) for row in squig),
         )
-        # defense in depth; search pruning is exact (size vetted above)
-        algebra = validate(spec, max_size=n)
+        # defense in depth; search pruning is exact.  n is within the
+        # search cap, so within validate's cap from the same PBCI_MAX_SIZE
+        algebra = validate(spec)
         if wanted:
             report = classify(algebra)
             if any(getattr(report, field_name) != value

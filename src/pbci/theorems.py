@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (ClassificationReport, PseudoBciAlgebra, _branches, _classify,
-                   atoms, bck_part, classify)
+                   atoms, classify)
 from .derivations import (
     CLASS_ORDER,
     DerivationClass,
@@ -81,15 +81,14 @@ class Analysis:
     """Every derived object of one algebra that the report and the theorem
     suite read, each computed on first use and then kept.
 
-    Built per call from (A, cap): caps are resolved per call, so nothing
-    here outlives the build_report or theorem_suite call that made it.
-    Each crosscheck behind these objects (atoms, classification, phi,
-    deductive systems) runs once per algebra.
+    Built per call from A alone, so nothing here outlives the build_report
+    or theorem_suite call that made it.  Each crosscheck behind these
+    objects (atoms, K(A), classification, phi, deductive systems) runs once
+    per algebra.
     """
 
-    def __init__(self, A: PseudoBciAlgebra, cap: int | None = None):
+    def __init__(self, A: PseudoBciAlgebra):
         self.A = A
-        self.cap = cap
         self.n = A.size
         self.unit = A.unit
         self.ident = identity_map(A)
@@ -100,7 +99,7 @@ class Analysis:
 
     @cached_property
     def K(self) -> frozenset[int]:
-        return bck_part(self.A)
+        return self.bck_system.members
 
     @cached_property
     def branches(self) -> dict[int, frozenset[int]]:
@@ -119,7 +118,7 @@ class Analysis:
         """Each applicable class's maps, in CLASS_ORDER: implicative I/II and
         symmetric I/II everywhere, III/IV on pseudo-BCK algebras."""
         bck = self.classification.is_pseudo_bck
-        return {cls: enumerate_derivations(self.A, cls, cap=self.cap)
+        return {cls: enumerate_derivations(self.A, cls)
                 for cls in CLASS_ORDER if bck or not cls.requires_pseudo_bck}
 
     idop1 = _maps_of(DerivationClass.IMPLICATIVE_I)
@@ -152,7 +151,7 @@ class Analysis:
 
     @cached_property
     def systems(self) -> list[DeductiveSystem]:
-        return enumerate_ds(self.A, cap=self.cap)
+        return enumerate_ds(self.A)
 
     @cached_property
     def bck_system(self) -> DeductiveSystem:
@@ -341,7 +340,7 @@ def _chk_implicative_atom_stability(c: Analysis):
 
 
 def _chk_regular_type2_characterization(c: Analysis):
-    alt = regular_translation_maps(c.A, cap=c.cap)
+    alt = regular_translation_maps(c.A)
     if set(alt) != set(c.ridop2):
         extra = set(alt) ^ set(c.ridop2)
         some = c.fmt(sorted(extra)[0])
@@ -526,8 +525,6 @@ def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap]):
 
 def _chk_bck_part_closed_compatible_invariant(c: Analysis):
     ds = c.bck_system
-    if not (ds.compatible and ds.closed):
-        return "BCK part is not a compatible closed system"
     for d in c.ridop2:
         if not is_invariant(c.A, ds, d):
             return f"BCK part not invariant under d={c.fmt(d)}"
@@ -538,8 +535,7 @@ def _chk_quotient_by_bck_part_psemisimple(c: Analysis):
     Q = quotient(c.A, c.bck_system)
     if not classify(Q).is_p_semisimple:
         return "quotient by the BCK part is not p-semisimple"
-    reg = enumerate_derivations(Q, DerivationClass.IMPLICATIVE_II,
-                                regular=True, cap=c.cap)
+    reg = enumerate_derivations(Q, DerivationClass.IMPLICATIVE_II, regular=True)
     if reg != [identity_map(Q)]:
         return f"quotient has {len(reg)} regular type II derivations"
     return None
@@ -696,15 +692,13 @@ _CATALOG = (
 CATALOG_IDS = tuple(entry[0] for entry in _CATALOG)
 
 
-def theorem_suite(A: PseudoBciAlgebra | Analysis, *,
-                  cap: int | None = None) -> TheoremReport:
+def theorem_suite(A: PseudoBciAlgebra | Analysis) -> TheoremReport:
     """Run every catalogued statement on one algebra.
 
     Applicability is decided per statement (p-semisimple / BCI / pseudo-BCK
-    preconditions); skipped entries carry passed=None.  Enumerations respect
-    the given cap.  A may also be an Analysis already made for the algebra,
-    as build_report passes its own; its derivation sets and deductive systems
-    are then reused under the cap it was made with.
+    preconditions); skipped entries carry passed=None.  A may also be an
+    Analysis already made for the algebra, as build_report passes its own;
+    its derivation sets and deductive systems are then reused.
     """
-    an = A if isinstance(A, Analysis) else Analysis(A, cap)
+    an = A if isinstance(A, Analysis) else Analysis(A)
     return an.theorems

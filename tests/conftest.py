@@ -83,6 +83,25 @@ def product(A, B):
         max_size=len(names))
 
 
+def flat(n):
+    """The flat pseudo-BCK algebra F_n: n - 1 pairwise incomparable elements
+    a0, a1, ... under the unit 1, with x -> y = x ~> y = y for x != y."""
+    names = tuple(f"a{i}" for i in range(n - 1)) + ("1",)
+    table = tuple(tuple("1" if y in (x, "1") else y for y in names)
+                  for x in names)
+    return validate(AlgebraSpec(names=names, unit="1", arrow=table, squig=table))
+
+
+@pytest.fixture(scope="session")
+def flat5():
+    return flat(5)
+
+
+@pytest.fixture(scope="session")
+def flat6():
+    return flat(6)
+
+
 def permuted(A, order):
     """A declared in the order names[order[0]], names[order[1]], ..."""
     spec = A.to_spec()

@@ -12,6 +12,7 @@ from pbci import (
     classify,
     collect_violations,
     group_view,
+    is_pseudo_bck,
     is_subalgebra,
     parse_algebra,
     validate,
@@ -129,6 +130,13 @@ def test_bck_part_golden(proper5, group6, bck5):
     assert proper5.name_set(bck_part(proper5)) == ("a", "b", "c", "1")
     assert bck_part(group6) == frozenset({group6.unit})
     assert bck_part(bck5) == frozenset(bck5.elements())
+
+
+def test_is_pseudo_bck(small_pool):
+    for algebra in small_pool:
+        assert is_pseudo_bck(algebra) == (bck_part(algebra) == set(algebra.elements()))
+    assert [name for name in FIXTURE_NAMES
+            if is_pseudo_bck(load_algebra(name))] == ["bck5"]
 
 
 def test_bck_part_closure_check():

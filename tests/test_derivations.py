@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded
+from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds
 from pbci.derivations import (
     CLASS_ORDER,
     DerivationClass as C,
@@ -19,7 +19,7 @@ from pbci.derivations import (
     satisfies,
 )
 
-from conftest import PRODUCT_LABELS, m, permuted, seeded_orders
+from conftest import PRODUCT_LABELS, flat, m, permuted, seeded_orders
 
 
 def maps(algebra, *rows):
@@ -104,12 +104,11 @@ def test_types_three_four_gated(proper5):
 
 
 def test_enumeration_cap(proper5, monkeypatch):
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_derivations(proper5, C.IMPLICATIVE_I, cap=4)
     monkeypatch.setenv("PBCI_MAX_SIZE", "4")
     with pytest.raises(EnumerationCapExceeded):
         enumerate_derivations(proper5, C.IMPLICATIVE_I)
-    assert enumerate_derivations(proper5, C.IMPLICATIVE_I, cap=5)
+    monkeypatch.setenv("PBCI_MAX_SIZE", "5")
+    assert enumerate_derivations(proper5, C.IMPLICATIVE_I)
 
 
 def test_bad_map_rejected(proper5):
@@ -119,7 +118,7 @@ def test_bad_map_rejected(proper5):
         map_properties(proper5, (0, 1, 2, 3, 9))
 
 
-@pytest.mark.parametrize("name", ["proper5", "cyclic3", "bck5"])
+@pytest.mark.parametrize("name", ["proper5", "cyclic3", "bck5", "flat5", "flat6"])
 def test_oracle_equivalence_all_classes(name, request):
     algebra = request.getfixturevalue(name)
     for cls in CLASS_ORDER:
@@ -128,6 +127,19 @@ def test_oracle_equivalence_all_classes(name, request):
             slow = brute_force_derivations(algebra, cls, regular=regular, force=True)
             assert fast == slow
             assert fast == sorted(fast)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_flat_family_counts(n):
+    # F_n has 2^(n-1) deductive systems and 2^(n-1) maps in each implicative
+    # class: the size caps bound work that doubles with every element
+    algebra = flat(n)
+    assert len(enumerate_ds(algebra)) == 2 ** (n - 1)
+    for cls in CLASS_ORDER[:4]:  # implicative I-IV
+        assert len(enumerate_derivations(algebra, cls)) == 2 ** (n - 1)
+    assert enumerate_derivations(algebra, C.SYMMETRIC_I) == [(algebra.unit,) * n]
+    assert phi_map(algebra) == (algebra.unit,) * n
+    assert enumerate_derivations(algebra, C.SYMMETRIC_II) == []
 
 
 def test_oracle_equivalence_on_small_pool(small_pool):
@@ -186,18 +198,19 @@ def _transport(d, order):
 
 
 @pytest.mark.parametrize("label", PRODUCT_LABELS)
-def test_enumeration_invariant_under_declaration_order(label, products):
+def test_enumeration_invariant_under_declaration_order(label, products, monkeypatch):
     algebra = products[label]
     n = algebra.size
-    base = {cls: enumerate_derivations(algebra, cls, force=True, cap=n)
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(n))
+    base = {cls: enumerate_derivations(algebra, cls, force=True)
             for cls in CLASS_ORDER}
-    translations = regular_translation_maps(algebra, cap=n)
+    translations = regular_translation_maps(algebra)
     for order in seeded_orders(n):
         moved = permuted(algebra, order)
         for cls in CLASS_ORDER:
-            got = enumerate_derivations(moved, cls, force=True, cap=n)
+            got = enumerate_derivations(moved, cls, force=True)
             assert got == sorted(_transport(d, order) for d in base[cls])
-        assert (regular_translation_maps(moved, cap=n)
+        assert (regular_translation_maps(moved)
                 == sorted(_transport(d, order) for d in translations))
 
 

@@ -86,9 +86,9 @@ def test_enumerate_ds_equals_oracle_on_small_pool(small_pool):
         assert enumerate_ds(algebra) == brute_force_ds(algebra)
 
 
-@pytest.mark.parametrize("label", PRODUCT_LABELS)
-def test_enumerate_ds_equals_oracle_on_products(label, products):
-    algebra = products[label]
+@pytest.mark.parametrize("label", PRODUCT_LABELS + ("flat5", "flat6"))
+def test_enumerate_ds_equals_oracle_on_products(label, products, request):
+    algebra = products.get(label) or request.getfixturevalue(label)
     for order in seeded_orders(algebra.size):
         moved = permuted(algebra, order)
         assert enumerate_ds(moved) == brute_force_ds(moved)
@@ -109,8 +109,6 @@ def test_enumerate_ds_crosscheck_detects_corruption():
 
 
 def test_ds_cap(proper5, monkeypatch):
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_ds(proper5, cap=3)
     monkeypatch.setenv("PBCI_MAX_SIZE", "3")
     with pytest.raises(EnumerationCapExceeded):
         enumerate_ds(proper5)

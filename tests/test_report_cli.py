@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -79,11 +80,12 @@ def test_report_theorems_deterministic_and_green(group6):
     assert all(r["passed"] for r in report["theorems"] if r["applicable"])
 
 
-def test_report_respects_cap(proper5):
+def test_report_respects_cap(proper5, monkeypatch):
     # deductive systems are enumerated before derivations, so their cap
     # is the one reported when both are exceeded
+    monkeypatch.setenv("PBCI_MAX_SIZE", "3")
     with pytest.raises(EnumerationCapExceeded, match="subset-enumeration cap 3"):
-        build_report(proper5, cap=3)
+        build_report(proper5)
 
 
 @pytest.mark.parametrize("name, classes", [("bck5", 6), ("proper5", 4)])
@@ -107,6 +109,11 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
     count(core, "_atom_characterizations", lambda A, a: (A.names, a))
     count(derivations, "_solve", None)
     count(dsystems, "_closed_sets", None)
+    # bck_part is imported by name, so count it in every module holding it
+    for module in [mod for name, mod in sys.modules.items()
+                   if name.partition(".")[0] == "pbci"
+                   and getattr(mod, "bck_part", None) is core.bck_part]:
+        count(module, "bck_part", None)
     build_report(algebra)
     # the atom crosscheck: once per element of A and of A / K(A)
     assert set(atom_checks.values()) == {1}
@@ -114,6 +121,8 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
                                 | {(Q.names, a) for a in Q.elements()})
     # NextClosure once per detachment form
     assert calls["_closed_sets"] == 2
+    # K(A) once, shared by the report, the theorems and K(A) as a system
+    assert calls["bck_part"] == 1
     # the solver once per class, plus the translation route and the
     # quotient's regular type II maps
     assert calls["_solve"] == classes + 2

@@ -108,7 +108,8 @@ def test_search_cap(monkeypatch):
     monkeypatch.setenv("PBCI_MAX_SIZE", "2")
     with pytest.raises(SearchCapExceeded):
         search(SearchQuery(size=3))
-    assert search(SearchQuery(size=3), cap=3)
+    monkeypatch.setenv("PBCI_MAX_SIZE", "3")
+    assert search(SearchQuery(size=3))
 
 
 def test_element_names():

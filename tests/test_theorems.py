@@ -65,10 +65,11 @@ def test_empirical_entries_flagged(bck5):
         assert by_id[tid].applicable and by_id[tid].passed
 
 
-def test_suite_respects_cap(proper5):
+def test_suite_respects_cap(proper5, monkeypatch):
     # derivations are enumerated before deductive systems
+    monkeypatch.setenv("PBCI_MAX_SIZE", "3")
     with pytest.raises(EnumerationCapExceeded, match="exceeds enumeration cap 3"):
-        theorem_suite(proper5, cap=3)
+        theorem_suite(proper5)
 
 
 def test_suite_over_small_pool(small_pool):
