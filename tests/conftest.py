@@ -148,3 +148,25 @@ def make_products():
 @pytest.fixture(scope="session")
 def products():
     return make_products()
+
+
+LARGE_PRODUCT_LABELS = ("bck5^2", "cyclic3^3", "mixed6*proper5", "group6^2")
+
+
+def make_large_products():
+    """The LARGE_PRODUCT_LABELS algebras, n = 25 to 36; cyclic3^3 is the
+    only medial one."""
+    bck5, cyclic3, mixed6, proper5, group6 = (
+        load_algebra(name)
+        for name in ("bck5", "cyclic3", "mixed6", "proper5", "group6"))
+    return {
+        "bck5^2": product(bck5, bck5),
+        "cyclic3^3": product(product(cyclic3, cyclic3), cyclic3),
+        "mixed6*proper5": product(mixed6, proper5),
+        "group6^2": product(group6, group6),
+    }
+
+
+@pytest.fixture(scope="session")
+def large_products():
+    return make_large_products()
