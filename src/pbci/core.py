@@ -6,12 +6,20 @@ implication tables are dense tuples so every operation is a table lookup.
 it checks the five defining axioms, precomputes the order relation and runs
 a suite of theorem-backed sanity checks whose failure can only mean a bug
 in this package, never bad input.
+
+The classification crosschecks keep every quantifier of the laws they test,
+but evaluate the inner one a row at a time: the medial laws, the atom
+characterizations and group associativity compare whole rows of composed
+tables (``_pickers``), each built at most once per call, and the atom
+tests share what does not depend on the atom.  Everything is pure
+Python; numpy would cost more at start-up than it saves on these tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .errors import (
     InternalInconsistencyError,
@@ -22,6 +30,19 @@ from .errors import (
 from .limits import UNIVERSE_CAP, effective_cap
 
 Table = tuple[tuple[int, ...], ...]
+Picker = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def _pickers(table: Table) -> list[Picker]:
+    """pick[b](row) = tuple(row[v] for v in table[b]), in one C call.
+
+    The rows of a composed table, y |-> outer[a][inner[b][y]], are
+    pick[b](outer[a]) with pick = _pickers(inner); the scans below compare
+    such rows whole instead of looping over y.
+    """
+    if len(table) == 1:             # itemgetter(v) would return row[v] bare
+        return [lambda row: (row[0],)]
+    return [itemgetter(*r) for r in table]
 
 
 @dataclass(frozen=True)
@@ -283,28 +304,61 @@ def _is_atom(A: PseudoBciAlgebra, a: int) -> bool:
     return A.arrow[A.arrow[a][u]][u] == a
 
 
-def _atom_characterizations(A: PseudoBciAlgebra, a: int) -> list[tuple[str, bool]]:
-    """The ten equivalent membership tests (b)..(k) for a in At(A)."""
-    n = A.size
+@dataclass(frozen=True)
+class _AtomTables:
+    """What the atom characterizations share across the elements of one
+    algebra: both tables by column, and the elements fixed by each cup."""
+
+    arrow_cols: Table                # arrow_cols[y][x] = x -> y
+    squig_cols: Table                # squig_cols[y][x] = x ~> y
+    pick_arrow_cols: list[Picker]    # _pickers(arrow_cols)
+    pick_squig_cols: list[Picker]    # _pickers(squig_cols)
+    cup1_fixed: frozenset[int]       # {v | (v -> y) ~> y = v for every y}
+    cup2_fixed: frozenset[int]       # {v | (v ~> y) -> y = v for every y}
+
+
+def _atom_tables(A: PseudoBciAlgebra) -> _AtomTables:
+    arrow, squig = A.arrow, A.squig
+    rng = A.elements()
+    arrow_cols = tuple(zip(*arrow))
+    squig_cols = tuple(zip(*squig))
+    return _AtomTables(
+        arrow_cols=arrow_cols,
+        squig_cols=squig_cols,
+        pick_arrow_cols=_pickers(arrow_cols),
+        pick_squig_cols=_pickers(squig_cols),
+        cup1_fixed=frozenset(
+            v for v in rng if all(squig[arrow[v][y]][y] == v for y in rng)),
+        cup2_fixed=frozenset(
+            v for v in rng if all(arrow[squig[v][y]][y] == v for y in rng)),
+    )
+
+
+def _atom_characterizations(A: PseudoBciAlgebra, a: int,
+                            t: _AtomTables) -> list[tuple[str, bool]]:
+    """The ten equivalent membership tests (b)..(k) for a in At(A).
+
+    Each test quantifies over x (and y) as in the paper, a whole column at
+    a time: (c)-(f), (i) and (j) compare the column x |-> x -> a or
+    x |-> x ~> a with a composed row; (g) and (h) ask whether every entry of
+    that column is fixed by a cup, and (b) whether a itself is.
+    """
     u = A.unit
     arrow, squig = A.arrow, A.squig
-
-    def all_x(pred) -> bool:
-        return all(pred(x) for x in range(n))
-
-    def all_xy(pred) -> bool:
-        return all(pred(x, y) for x in range(n) for y in range(n))
-
+    to_a, sq_to_a = t.arrow_cols[a], t.squig_cols[a]
+    by_arrow_col, by_squig_col = t.pick_arrow_cols, t.pick_squig_cols
     return [
-        ("b", all_x(lambda x: A.cup1(a, x) == a and A.cup2(a, x) == a)),
-        ("c", all_x(lambda x: arrow[x][a] == squig[arrow[a][x]][u])),
-        ("d", all_x(lambda x: squig[x][a] == arrow[squig[a][x]][u])),
-        ("e", all_xy(lambda x, y: arrow[x][a] == squig[arrow[a][y]][arrow[x][y]])),
-        ("f", all_xy(lambda x, y: squig[x][a] == arrow[squig[a][y]][squig[x][y]])),
-        ("g", all_xy(lambda x, y: arrow[x][a] == arrow[squig[arrow[x][a]][y]][y])),
-        ("h", all_xy(lambda x, y: squig[x][a] == squig[arrow[squig[x][a]][y]][y])),
-        ("i", all_x(lambda x: arrow[x][a] == squig[arrow[a][u]][arrow[x][u]])),
-        ("j", all_x(lambda x: squig[x][a] == arrow[squig[a][u]][squig[x][u]])),
+        ("b", a in t.cup1_fixed and a in t.cup2_fixed),
+        ("c", to_a == tuple(map(t.squig_cols[u].__getitem__, arrow[a]))),
+        ("d", sq_to_a == tuple(map(t.arrow_cols[u].__getitem__, squig[a]))),
+        ("e", all(to_a == by_arrow_col[y](squig[arrow[a][y]])
+                  for y in A.elements())),
+        ("f", all(sq_to_a == by_squig_col[y](arrow[squig[a][y]])
+                  for y in A.elements())),
+        ("g", t.cup2_fixed.issuperset(to_a)),
+        ("h", t.cup1_fixed.issuperset(sq_to_a)),
+        ("i", to_a == by_arrow_col[u](squig[arrow[a][u]])),
+        ("j", sq_to_a == by_squig_col[u](arrow[squig[a][u]])),
         ("k", squig[arrow[a][u]][u] == a and arrow[squig[a][u]][u] == a),
     ]
 
@@ -317,8 +371,9 @@ def atoms(A: PseudoBciAlgebra) -> frozenset[int]:
     the equivalence is a theorem.
     """
     base = frozenset(x for x in A.elements() if _is_atom(A, x))
+    tables = _atom_tables(A)
     for x in A.elements():
-        for label, holds in _atom_characterizations(A, x):
+        for label, holds in _atom_characterizations(A, x, tables):
             if holds != (x in base):
                 raise InternalInconsistencyError(
                     f"atom characterization ({label}) disagrees at {A.names[x]}")
@@ -406,21 +461,56 @@ def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
     u = A.unit
     arrow, squig = A.arrow, A.squig
     inv = [arrow[x][u] for x in range(n)]
-    prod = [[squig[inv[x]][y] for y in range(n)] for x in range(n)]
+    prod = [squig[i] for i in inv]    # prod[x][y] = (x->1) ~> y
     for x in range(n):
-        if prod[x][u] != x or prod[u][x] != x:
+        px = prod[x]
+        if px[u] != x or prod[u][x] != x:
             return False
-        if prod[x][inv[x]] != u or prod[inv[x]][x] != u:
+        if px[inv[x]] != u or prod[inv[x]][x] != u:
             return False
         if inv[x] != squig[x][u]:
             return False
         for y in range(n):
-            if prod[x][y] != arrow[squig[y][u]][x]:   # the dual product form
+            if px[y] != arrow[squig[y][u]][x]:   # the dual product form
                 return False
             if arrow[x][y] != prod[y][inv[x]] or squig[x][y] != prod[inv[x]][y]:
                 return False
-            for z in range(n):
-                if prod[prod[x][y]][z] != prod[x][prod[y][z]]:
+    # associativity, a row of z at a time: (x.y).z against x.(y.z)
+    pick = _pickers(prod)
+    return all(prod[px[y]] == pick[y](px) for px in prod for y in range(n))
+
+
+def _is_medial(outer: Table, inner: Table) -> bool:
+    """Whether (p * q) . (x * y) = (p * x) . (q * y) for all p, q, x, y,
+    with . the outer and * the inner implication.
+
+    Both sides are entries of rows of the composed table
+    C(a, b)[y] = outer[a][inner[b][y]], so the law holds iff
+    C(p * q, x) = C(p * x, q) for all p, q and x; the pair (q, x) and its
+    swap make the same comparison.  Each row is built when first compared,
+    at most n^2 of them, and kept only as the index of its first equal row,
+    so a medial algebra, whose composed table has n distinct rows, holds n
+    rows and not n^2.  The scan stops at the first unequal pair.
+    """
+    n = len(outer)
+    rng = range(n)
+    pick = _pickers(inner)
+    distinct: dict[tuple[int, ...], int] = {}
+    first = distinct.setdefault     # a row's index among the distinct rows
+    row_id: list[list[int | None]] = [[None] * n for _ in rng]
+    for ip in inner:
+        for q in rng:
+            a = ip[q]
+            left = row_id[a]
+            for x in range(q):
+                lhs = left[x]
+                if lhs is None:
+                    lhs = left[x] = first(pick[x](outer[a]), len(distinct))
+                b = ip[x]
+                rhs = row_id[b][q]
+                if rhs is None:
+                    rhs = row_id[b][q] = first(pick[q](outer[b]), len(distinct))
+                if lhs != rhs:
                     return False
     return True
 
@@ -455,12 +545,8 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> Classifica
         A.cup1(x, y) == A.cup1(y, x) and A.cup2(x, y) == A.cup2(y, x)
         for block in brs.values() for x in block for y in block)
 
-    is_medial_arrow = all(
-        arrow[squig[p][q]][squig[x][y]] == arrow[squig[p][x]][squig[q][y]]
-        for p in rng for q in rng for x in rng for y in rng)
-    is_medial_squig = all(
-        squig[arrow[p][q]][arrow[x][y]] == squig[arrow[p][x]][arrow[q][y]]
-        for p in rng for q in rng for x in rng for y in rng)
+    is_medial_arrow = _is_medial(arrow, squig)
+    is_medial_squig = _is_medial(squig, arrow)
 
     if is_commutative != is_branchwise:
         raise InternalInconsistencyError(

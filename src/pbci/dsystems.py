@@ -9,7 +9,9 @@ of detachment selects the same subsets (a theorem), which enumeration
 asserts by running NextClosure under both forms.  ``brute_force_ds`` is the
 independent oracle: a scan of every subset holding the unit.  Compatible means
 both implications detect membership identically; closed means the subset is
-a subalgebra.  Quotients exist exactly for compatible closed systems.
+a subalgebra.  Quotients exist exactly for compatible closed systems; the
+congruence of a system is built once as bitmask rows and checked for
+reflexivity and transitivity a row at a time.
 """
 
 from __future__ import annotations
@@ -208,33 +210,42 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
     """Blocks of x ~ y iff x->y and y->x both lie in D, ordered by least index.
 
     Verifies that ~ is an equivalence compatible with both operations;
-    violations raise CongruenceError with a witness.
+    violations raise CongruenceError with a witness.  The relation is built
+    once as bitmask rows, so transitivity is one mask test per related pair
+    (x, y): every z related to y must be related to x, and the least z that
+    is not, for the least such x and y, is the witness.
     """
     if not (D.compatible and D.closed):
         raise NotCompatibleOrClosedError(
             "quotients require a compatible closed deductive system")
     n = A.size
-    members = D.members
     names = A.names
+    inside = [v in D.members for v in range(n)]
 
-    def related(x: int, y: int) -> bool:
-        return A.arrow[x][y] in members and A.arrow[y][x] in members
+    def mask(values: Iterable[int]) -> int:
+        return sum(1 << i for i, v in enumerate(values) if inside[v])
 
-    for x in range(n):
-        if not related(x, x):
+    # related[x]: the y with x -> y and y -> x both in D
+    related = [mask(row) & mask(col) for row, col in zip(A.arrow, zip(*A.arrow))]
+    for x, rx in enumerate(related):
+        if not rx >> x & 1:
             raise CongruenceError(f"relation not reflexive at {names[x]}")
-        for y in range(n):
-            for z in range(n):
-                if related(x, y) and related(y, z) and not related(x, z):
-                    raise CongruenceError(
-                        f"relation not transitive at ({names[x]}, {names[y]}, {names[z]})")
+        pending = rx
+        while pending:
+            low = pending & -pending
+            y = low.bit_length() - 1
+            missing = related[y] & ~rx
+            if missing:
+                z = (missing & -missing).bit_length() - 1
+                raise CongruenceError(
+                    f"relation not transitive at ({names[x]}, {names[y]}, {names[z]})")
+            pending ^= low
 
     rep = list(range(n))
     for x in range(n):
-        for y in range(x):
-            if related(x, y):
-                rep[x] = rep[y]
-                break
+        below = related[x] & ((1 << x) - 1)
+        if below:
+            rep[x] = rep[(below & -below).bit_length() - 1]
     blocks: dict[int, list[int]] = {}
     for x in range(n):
         blocks.setdefault(rep[x], []).append(x)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from pbci import (
+    CongruenceError,
     EnumerationCapExceeded,
     InternalInconsistencyError,
     NotCompatibleOrClosedError,
@@ -12,6 +13,7 @@ from pbci import (
 )
 from pbci.derivations import DerivationClass as C, enumerate_derivations, identity_map
 from pbci.dsystems import (
+    DeductiveSystem,
     as_deductive_system,
     bck_part_system,
     brute_force_ds,
@@ -145,6 +147,36 @@ def test_is_invariant_golden(proper5):
 def test_congruence_classes_golden(proper5):
     K = bck_part_system(proper5)
     assert congruence_classes(proper5, K) == [(0, 1, 2, 4), (3,)]
+
+
+def _unit_system_of(names, arrow):
+    """The tables bypass validate; D = {1} is declared compatible and closed
+    so that congruence_classes reaches its own checks."""
+    n = len(names)
+    unit = n - 1
+    leq = tuple(tuple(arrow[x][y] == unit for y in range(n)) for x in range(n))
+    algebra = PseudoBciAlgebra(names=names, unit=unit, arrow=arrow,
+                               squig=arrow, leq=leq)
+    return algebra, DeductiveSystem(members=frozenset({unit}),
+                                    compatible=True, closed=True)
+
+
+@pytest.mark.parametrize("names, arrow, message", [
+    # a ~ 1 and 1 ~ b but a -> b = a: the least witness is (a, 1, b)
+    (("a", "b", "1"), ((2, 0, 2), (1, 2, 2), (2, 2, 2)),
+     "relation not transitive at (a, 1, b)"),
+    # b -> b = b lies outside D
+    (("a", "b", "1"), ((2, 2, 2), (2, 1, 2), (2, 2, 2)),
+     "relation not reflexive at b"),
+    # classes {a, b} and {c, 1}; a -> c = c but b -> c = 1
+    (("a", "b", "c", "1"), ((3, 3, 2, 1), (3, 3, 1, 2), (0, 1, 3, 3), (1, 0, 3, 3)),
+     "operation not constant on classes [a] op [c]"),
+])
+def test_congruence_error_witness(names, arrow, message):
+    algebra, D = _unit_system_of(names, arrow)
+    with pytest.raises(CongruenceError) as excinfo:
+        congruence_classes(algebra, D)
+    assert str(excinfo.value) == message
 
 
 def test_quotient_by_bck_part(proper5):

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -106,7 +108,7 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
 
         monkeypatch.setattr(module, fn, counted)
 
-    count(core, "_atom_characterizations", lambda A, a: (A.names, a))
+    count(core, "_atom_characterizations", lambda A, a, tables: (A.names, a))
     count(derivations, "_solve", None)
     count(dsystems, "_closed_sets", None)
     # bck_part is imported by name, so count it in every module holding it
@@ -205,10 +207,22 @@ def test_cli_atom_crosscheck_counts(runner, monkeypatch, args, checks):
     checked = []
     original = core._atom_characterizations
     monkeypatch.setattr(core, "_atom_characterizations",
-                        lambda A, a: checked.append(a) or original(A, a))
+                        lambda A, a, tables: checked.append(a)
+                        or original(A, a, tables))
     args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
     assert runner.invoke(main, args).exit_code == 0
     assert len(checked) == checks
+
+
+def test_cli_import_does_not_load_numpy():
+    # the scans are pure Python: numpy would add about 0.13 s to every
+    # cold start of the CLI
+    code = "import sys, pbci.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src},
+                            check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_derivations_golden(runner):
