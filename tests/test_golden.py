@@ -7,8 +7,8 @@ a refactor that changes any output fails here.
   `analyze --json` and `verify` stdout as sha256 digests.
 - The four products of ``conftest.LARGE_PRODUCT_LABELS`` (n = 25 to 36):
   `check` and `quotient --by K` stdout as sha256 digests.
-- Three corrupted fixtures: `check` stdout in full, with exit code 1, which
-  pins every violation line and its order.
+- Three corrupted fixtures and one corrupted large product: `check` stdout
+  in full, with exit code 1, which pins every violation line and its order.
 
 After an intended output change, record them again with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -41,7 +41,8 @@ LARGE_COMMANDS = ("check", "quotient")
 PRODUCT_ENV = {"PBCI_MAX_SIZE": "16"}
 LARGE_ENV = {"PBCI_MAX_SIZE": "36"}
 
-# label: (fixture, text replaced once, replacement); each breaks the axioms
+# label: (fixture or large product, text replaced once, replacement); each
+# breaks the axioms
 CORRUPTIONS = {
     # 1 -> a = b: psBCI3
     "proper5-unit-row": ("proper5", "a b c d 1\nsquig:", "b b c d 1\nsquig:"),
@@ -51,6 +52,10 @@ CORRUPTIONS = {
     # a ~> b and a ~> c swapped: psBCI1 and psBCI2
     "group6-swapped-squig": ("group6", "squig:\n1 c b e d a",
                              "squig:\n1 b c e d a"),
+    # a.a ~> a.b and a.a ~> a.c swapped (n = 36): psBCI1 and psBCI2, where
+    # many z share one composed row
+    "group6^2-swapped-squig": ("group6^2", "squig:\n1.1 1.c 1.b",
+                               "squig:\n1.1 1.b 1.c"),
 }
 
 
@@ -61,11 +66,19 @@ def stdout_of(command: str, path: str, env=None) -> str:
     return result.stdout
 
 
+def source_text(name: str) -> str:
+    """A fixture's text, or a large product's serialized tables."""
+    if name in FIXTURE_NAMES:
+        return fixture_text(name)
+    return serialize_spec(make_large_products()[name].to_spec())
+
+
 def corrupted_check_stdout(label: str, directory: Path) -> str:
-    """`check` stdout on a corrupted fixture, written as <label>.pbci in
-    directory and named by that relative path; exit code 1 is asserted."""
+    """`check` stdout on a corrupted fixture or large product, written as
+    <label>.pbci in directory and named by that relative path; exit code 1
+    is asserted."""
     name, old, new = CORRUPTIONS[label]
-    text = fixture_text(name)
+    text = source_text(name)
     assert text.count(old) == 1, label
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=directory):
