@@ -7,6 +7,16 @@ it checks the five defining axioms, precomputes the order relation and runs
 a suite of theorem-backed sanity checks whose failure can only mean a bug
 in this package, never bad input.
 
+``validate`` reads and checks the tables in one pass and builds their
+columns once.  The axiom scan and the sanity suite then decide every
+instance of every law in fast passes that walk whole rows and columns
+instead of subscripting both tables per instance: sanity laws (4) and (8)
+compare two picker rows over z per pair (x, y), and (5), (6) and (10) run
+only over the pairs x <= y.  Only when a fast pass finds a failure does the
+element-by-element loop run, so every violation (and every sanity
+witness) is reported with the same text and in the same order as an
+instance-by-instance scan.
+
 The classification crosschecks keep every quantifier of the laws they test,
 but evaluate the inner one a row at a time: the medial laws, the atom
 characterizations and group associativity compare whole rows of composed
@@ -56,26 +66,7 @@ class AlgebraSpec:
 
     def check_structure(self) -> None:
         """Raise StructuralError unless names/unit/tables are well-formed."""
-        n = len(self.names)
-        if n == 0:
-            raise StructuralError("empty universe")
-        if len(set(self.names)) != n:
-            raise StructuralError("element names are not pairwise distinct")
-        if self.unit not in self.names:
-            raise StructuralError(f"unit {self.unit!r} is not a declared element")
-        for label, table in (("arrow", self.arrow), ("squig", self.squig)):
-            if len(table) != n:
-                raise StructuralError(f"{label} table has {len(table)} rows, expected {n}")
-            for i, row in enumerate(table):
-                if len(row) != n:
-                    raise StructuralError(
-                        f"{label} table row {i} has {len(row)} entries, expected {n}"
-                    )
-                for entry in row:
-                    if entry not in self.names:
-                        raise StructuralError(
-                            f"{label} table entry {entry!r} is not a declared element"
-                        )
+        _index_tables(self)
 
 
 @dataclass(frozen=True)
@@ -156,21 +147,75 @@ class PseudoBciAlgebra:
 
 
 def _index_tables(spec: AlgebraSpec) -> tuple[int, Table, Table]:
-    pos = {name: i for i, name in enumerate(spec.names)}
-    arrow = tuple(tuple(pos[v] for v in row) for row in spec.arrow)
-    squig = tuple(tuple(pos[v] for v in row) for row in spec.squig)
-    return pos[spec.unit], arrow, squig
-
-
-def collect_violations(spec: AlgebraSpec) -> list[Violation]:
-    """Every failed axiom instance of psBCI1..psBCI5, in scan order.
-
-    Structural problems raise StructuralError instead of being reported as
-    violations.
-    """
-    spec.check_structure()
-    unit, arrow, squig = _index_tables(spec)
+    """The unit and both tables as element indices, read in one pass that
+    raises StructuralError unless names, unit and tables are well-formed."""
     names = spec.names
+    n = len(names)
+    if n == 0:
+        raise StructuralError("empty universe")
+    pos = {name: i for i, name in enumerate(names)}
+    if len(pos) != n:
+        raise StructuralError("element names are not pairwise distinct")
+    if spec.unit not in names:
+        raise StructuralError(f"unit {spec.unit!r} is not a declared element")
+    index = pos.__getitem__
+    tables = []
+    for label, table in (("arrow", spec.arrow), ("squig", spec.squig)):
+        if len(table) != n:
+            raise StructuralError(f"{label} table has {len(table)} rows, expected {n}")
+        rows = []
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise StructuralError(
+                    f"{label} table row {i} has {len(row)} entries, expected {n}")
+            try:
+                rows.append(tuple(map(index, row)))
+            except (KeyError, TypeError):
+                entry = next(e for e in row if e not in names)
+                raise StructuralError(
+                    f"{label} table entry {entry!r} is not a declared element") from None
+        tables.append(tuple(rows))
+    return pos[spec.unit], tables[0], tables[1]
+
+
+def _columns(arrow: Table, squig: Table) -> tuple[Table, Table]:
+    """Both tables by column: [0][y][x] = x -> y and [1][y][x] = x ~> y."""
+    return tuple(zip(*arrow)), tuple(zip(*squig))
+
+
+def _axioms_hold(unit: int, arrow: Table, squig: Table,
+                 cols: tuple[Table, Table]) -> bool:
+    """Whether psBCI1..psBCI5 hold, every instance decided.
+
+    psBCI1 is (x->y) ~> [(y->z) ~> (x->z)] = 1 and psBCI2 the same with the
+    tables swapped.  For fixed x and y the scan over z reads each bracket
+    (y->z) ~> (x->z) from the column of squig at x->z, and looks it up in
+    the one row squig[x->y]; psBCI2 reads the other tables.
+    """
+    n = len(arrow)
+    rng = range(n)
+    if arrow[unit] != tuple(rng) or squig[unit] != tuple(rng):       # psBCI3, 4
+        return False
+    if any(arrow[x][y] == unit and arrow[y][x] == unit
+           for x in rng for y in range(x + 1, n)):                   # psBCI5
+        return False
+    arrow_cols, squig_cols = cols
+    for ax, sx in zip(arrow, squig):
+        # entry z of each list: the column ? ~> (x->z), resp. ? -> (x~>z)
+        sq_cols = [squig_cols[c] for c in ax]
+        ar_cols = [arrow_cols[c] for c in sx]
+        for ay, sy, axy, sxy in zip(arrow, squig, ax, sx):
+            s_row, a_row = squig[axy], arrow[sxy]   # (x->y) ~> ?, (x~>y) -> ?
+            for s_col, a, a_col, b in zip(sq_cols, ay, ar_cols, sy):
+                if s_row[s_col[a]] != unit or a_row[a_col[b]] != unit:
+                    return False
+    return True
+
+
+def _violations(names: tuple[str, ...], unit: int, arrow: Table,
+                squig: Table) -> list[Violation]:
+    """Every failed instance of psBCI1..psBCI5, one instance at a time, in
+    scan order; run once _axioms_hold has found that one fails."""
     n = len(names)
     out: list[Violation] = []
 
@@ -211,6 +256,18 @@ def collect_violations(spec: AlgebraSpec) -> list[Violation]:
     return out
 
 
+def collect_violations(spec: AlgebraSpec) -> list[Violation]:
+    """Every failed axiom instance of psBCI1..psBCI5, in scan order.
+
+    Structural problems raise StructuralError instead of being reported as
+    violations.
+    """
+    unit, arrow, squig = _index_tables(spec)
+    if _axioms_hold(unit, arrow, squig, _columns(arrow, squig)):
+        return []
+    return _violations(spec.names, unit, arrow, squig)
+
+
 def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlgebra:
     """Check the axioms and build the immutable algebra.
 
@@ -220,21 +277,19 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
     sanity suite does not (an implementation bug, by Lemma-level results
     that hold in every pseudo-BCI algebra).
     """
-    spec.check_structure()
+    unit, arrow, squig = _index_tables(spec)
     cap = effective_cap(UNIVERSE_CAP) if max_size is None else max_size
     if len(spec.names) > cap:
         raise StructuralError(
             f"universe size {len(spec.names)} exceeds cap {cap}; "
             "pass max_size or set PBCI_MAX_SIZE to opt in")
-    violations = collect_violations(spec)
-    if violations:
-        raise ValidationError(violations)
-    unit, arrow, squig = _index_tables(spec)
-    n = len(spec.names)
-    leq = tuple(tuple(arrow[x][y] == unit for y in range(n)) for x in range(n))
+    cols = _columns(arrow, squig)
+    if not _axioms_hold(unit, arrow, squig, cols):
+        raise ValidationError(_violations(spec.names, unit, arrow, squig))
+    leq = tuple(tuple(map(unit.__eq__, row)) for row in arrow)
     alg = PseudoBciAlgebra(names=spec.names, unit=unit, arrow=arrow,
                            squig=squig, leq=leq)
-    failures = _sanity_failures(alg)
+    failures = _sanity_failures(alg, cols)
     if failures:
         raise InternalInconsistencyError(
             "axioms hold but derived laws fail (package bug): "
@@ -242,12 +297,78 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
     return alg
 
 
-def _sanity_failures(A: PseudoBciAlgebra) -> list[str]:
+def _failed_laws(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> set[str]:
+    """The laws of the sanity suite that fail somewhere, every instance
+    decided.
+
+    For each pair (x, y): (4) and (8) compare two whole rows over z built by
+    _pickers; (5), (6) and (10) run over z only when x <= y; (7) reads
+    (z->x) -> (z->y) from the rows (z->x) -> and the column y of arrow, and
+    likewise for ~>; the rest are single entries.
+    """
+    n = A.size
+    u = A.unit
+    arrow, squig, leq = A.arrow, A.squig, A.leq
+    rng = range(n)
+    arrow_cols, squig_cols = cols
+    pa, ps = _pickers(arrow), _pickers(squig)
+    to_u, sq_to_u = arrow_cols[u], squig_cols[u]      # x -> 1, x ~> 1
+    failed: set[str] = set()
+
+    for x, ax, sx, lx in zip(rng, arrow, squig, leq):
+        axu, sxu = ax[u], sx[u]
+        if ax[x] != u or sx[x] != u:                                         # (1)
+            failed.add("x->x=1")
+        if leq[u][x] and x != u:                                             # (9)
+            failed.add("1<=x implies x=1")
+        if axu != sxu:                                                       # (11)
+            failed.add("x->1=x~>1")
+        pax, psx = pa[x], ps[x]
+        acx, scx = arrow_cols[x], squig_cols[x]
+        # entry z of each list: the row (z -> x) ->, resp. (z ~> x) ~>
+        ar_zx = [arrow[c] for c in acx]
+        sq_zx = [squig[c] for c in scx]
+        for y, ay, sy, ly in zip(rng, arrow, squig, leq):
+            axy, sxy = ax[y], sx[y]
+            if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:               # (2)
+                failed.add("x<=(x->y)~>y")
+            if (axy == u) != (sxy == u):                                     # (3)
+                failed.add("x->y=1 iff x~>y=1")
+            if arrow[axy][u] != squig[axu][to_u[y]]:                        # (12)
+                failed.add("(x->y)->1=(x->1)~>(y->1)")
+            if squig[sxy][u] != arrow[sxu][sq_to_u[y]]:
+                failed.add("(x~>y)~>1=(x~>1)->(y~>1)")
+            if pa[y](lx) != psx(ly):                                         # (4)
+                failed.add("x<=y->z iff y<=x~>z")
+            if ps[y](ax) != pax(sy):                                         # (8)
+                failed.add("x->(y~>z)=y~>(x->z)")
+            acy, scy = arrow_cols[y], squig_cols[y]
+            la, ls = leq[axy], leq[sxy]
+            for a_row, a, s_row, b in zip(ar_zx, acy, sq_zx, scy):
+                if not la[a_row[a]] or not ls[s_row[b]]:                     # (7)
+                    failed.add("x->y<=(z->x)->(z->y)")
+                    break
+            if lx[y]:                                                        # x <= y
+                for z in rng:
+                    if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:      # (5)
+                        failed.add("x<=y implies y->z<=x->z")
+                    if not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]:  # (6)
+                        failed.add("x<=y implies z->x<=z->y")
+                    if ly[z] and not lx[z]:                                  # (10)
+                        failed.add("transitivity")
+    return failed
+
+
+def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str]:
     """First witness for each violated law of the twelve-law sanity suite.
 
     Every law is a theorem of the five axioms, so any failure here means a
-    bug in the validator or in these very loops, not bad input.
+    bug in the validator or in these very loops, not bad input.  The laws
+    are decided by _failed_laws; only when one fails does the loop below
+    look for the first witness of each, one instance at a time.
     """
+    if not _failed_laws(A, cols):
+        return []
     n = A.size
     u = A.unit
     arrow, squig, leq = A.arrow, A.squig, A.leq

@@ -1,12 +1,14 @@
 """The row-at-a-time scans against their quantifier-by-quantifier oracles.
 
-Each oracle below is the literal generator form of the law, one element
-tuple at a time: the medial flags, the ten atom characterizations, the group
-axioms of a p-semisimple algebra, and the congruence of a deductive system.
-The scans in ``pbci.core`` and ``pbci.dsystems`` evaluate the same laws a
-whole row or bitmask at a time; both must give the same answer, and the
-same witness, on every valid algebra of the pool and on hand-corrupted
-tables, which bypass ``validate``, where the oracle answers False.
+Each oracle below is the literal loop or generator form of the law, one
+element tuple at a time: the five axioms with every violation, the
+twelve-law sanity suite with its first witnesses, the medial flags, the ten
+atom characterizations, the group axioms of a p-semisimple algebra, and the
+congruence of a deductive system.  The scans in ``pbci.core`` and
+``pbci.dsystems`` evaluate the same laws a row, column or bitmask at a time;
+both must give the same answer, and the same witnesses in the same order,
+on every valid algebra of the pool and on hand-corrupted tables, which
+bypass ``validate``, where the oracle answers False.
 """
 
 import random
@@ -21,6 +23,100 @@ from conftest import flat, make_products
 
 
 # --- oracles ----------------------------------------------------------------
+
+
+def axiom_oracle(A):
+    """collect_violations one (x, y, z) at a time, as printed lines."""
+    names, unit, arrow, squig = A.names, A.unit, A.arrow, A.squig
+    n = A.size
+    out = []
+    for x in range(n):
+        if arrow[unit][x] != x:
+            out.append(core.Violation(
+                "psBCI3", (names[x],),
+                f"1 -> {names[x]} = {names[arrow[unit][x]]}, expected {names[x]}"))
+        if squig[unit][x] != x:
+            out.append(core.Violation(
+                "psBCI4", (names[x],),
+                f"1 ~> {names[x]} = {names[squig[unit][x]]}, expected {names[x]}"))
+    for x in range(n):
+        for y in range(x + 1, n):
+            if arrow[x][y] == unit and arrow[y][x] == unit:
+                out.append(core.Violation(
+                    "psBCI5", (names[x], names[y]),
+                    "both implications equal 1 for distinct elements"))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                v = squig[arrow[x][y]][squig[arrow[y][z]][arrow[x][z]]]
+                if v != unit:
+                    out.append(core.Violation(
+                        "psBCI1", (names[x], names[y], names[z]),
+                        f"(x->y) ~> [(y->z) ~> (x->z)] = {names[v]}"))
+                w = arrow[squig[x][y]][arrow[squig[y][z]][squig[x][z]]]
+                if w != unit:
+                    out.append(core.Violation(
+                        "psBCI2", (names[x], names[y], names[z]),
+                        f"(x~>y) -> [(y~>z) -> (x~>z)] = {names[w]}"))
+    return [str(v) for v in out]
+
+
+# the laws in the order the suite states them
+SANITY_LAWS = (
+    "x->x=1", "1<=x implies x=1", "x->1=x~>1", "x<=(x->y)~>y",
+    "x->y=1 iff x~>y=1", "(x->y)->1=(x->1)~>(y->1)", "(x~>y)~>1=(x~>1)->(y~>1)",
+    "x<=y->z iff y<=x~>z", "x<=y implies y->z<=x->z", "x<=y implies z->x<=z->y",
+    "transitivity", "x->y<=(z->x)->(z->y)", "x->(y~>z)=y~>(x->z)",
+)
+
+
+def sanity_oracle(A):
+    """The twelve-law sanity suite one (x, y, z) at a time: the first
+    witness of each failing law, in the order first seen."""
+    n = A.size
+    u = A.unit
+    arrow, squig, leq = A.arrow, A.squig, A.leq
+    fails = {}
+
+    def report(law, *xs):
+        if law not in fails:
+            fails[law] = f"{law} at ({', '.join(A.names[i] for i in xs)})"
+
+    for x in range(n):
+        if arrow[x][x] != u or squig[x][x] != u:
+            report("x->x=1", x)
+        if leq[u][x] and x != u:
+            report("1<=x implies x=1", x)
+        if arrow[x][u] != squig[x][u]:
+            report("x->1=x~>1", x)
+    for x in range(n):
+        for y in range(n):
+            if not leq[x][A.cup1(x, y)] or not leq[x][A.cup2(x, y)]:
+                report("x<=(x->y)~>y", x, y)
+            if (arrow[x][y] == u) != (squig[x][y] == u):
+                report("x->y=1 iff x~>y=1", x, y)
+            if arrow[arrow[x][y]][u] != squig[arrow[x][u]][arrow[y][u]]:
+                report("(x->y)->1=(x->1)~>(y->1)", x, y)
+            if squig[squig[x][y]][u] != arrow[squig[x][u]][squig[y][u]]:
+                report("(x~>y)~>1=(x~>1)->(y~>1)", x, y)
+            for z in range(n):
+                if leq[x][arrow[y][z]] != leq[y][squig[x][z]]:
+                    report("x<=y->z iff y<=x~>z", x, y, z)
+                if leq[x][y]:
+                    if not leq[arrow[y][z]][arrow[x][z]] or \
+                            not leq[squig[y][z]][squig[x][z]]:
+                        report("x<=y implies y->z<=x->z", x, y, z)
+                    if not leq[arrow[z][x]][arrow[z][y]] or \
+                            not leq[squig[z][x]][squig[z][y]]:
+                        report("x<=y implies z->x<=z->y", x, y, z)
+                    if leq[y][z] and not leq[x][z]:
+                        report("transitivity", x, y, z)
+                if not leq[arrow[x][y]][arrow[arrow[z][x]][arrow[z][y]]] or \
+                        not leq[squig[x][y]][squig[squig[z][x]][squig[z][y]]]:
+                    report("x->y<=(z->x)->(z->y)", x, y, z)
+                if arrow[x][squig[y][z]] != squig[y][arrow[x][z]]:
+                    report("x->(y~>z)=y~>(x->z)", x, y, z)
+    return list(fails.values())
 
 
 def medial_arrow_oracle(A):
@@ -186,6 +282,138 @@ def valid_pool(small_pool, large_products):
 @pytest.fixture(scope="module")
 def p_semisimple_pool(small_pool):
     return [A for A in small_pool if core.classify(A).is_p_semisimple]
+
+
+# --- axiom scan and sanity suite ---------------------------------------------
+
+
+def axiom_lines(A):
+    return [str(v) for v in core.collect_violations(A.to_spec())]
+
+
+def axioms_hold(A):
+    return core._axioms_hold(A.unit, A.arrow, A.squig, core._columns(A.arrow, A.squig))
+
+
+def sanity_lines(A):
+    return core._sanity_failures(A, core._columns(A.arrow, A.squig))
+
+
+def failed_laws(A):
+    return core._failed_laws(A, core._columns(A.arrow, A.squig))
+
+
+def laws_of(lines):
+    return {line.split(" at ")[0] for line in lines}
+
+
+def shared_failing_rows(A):
+    """How many (x, z) fail psBCI1 or psBCI2 with a bracket row over y,
+    (y->z) ~> (x->z) or its dual, that an earlier z gave for the same x."""
+    rng = A.elements()
+    shared = 0
+    for inner, outer in ((A.arrow, A.squig), (A.squig, A.arrow)):
+        for x in rng:
+            seen = set()
+            for z in rng:
+                row = tuple(outer[inner[y][z]][inner[x][z]] for y in rng)
+                if row in seen and any(outer[inner[x][y]][row[y]] != A.unit
+                                       for y in rng):
+                    shared += 1
+                seen.add(row)
+    return shared
+
+
+def random_tables(seed, count):
+    """count seeded random algebras of n = 1..5, each table row a random
+    choice of entries with the unit over-represented."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        unit = rng.randrange(n)
+        names = tuple(f"e{i}" if i != unit else "1" for i in range(n))
+        dense = rng.choice((0.2, 0.5, 0.8))
+        tables = [tuple(tuple(unit if rng.random() < dense else rng.randrange(n)
+                              for _ in range(n)) for _ in range(n))
+                  for _ in range(2)]
+        yield raw(names, unit, *tables)
+
+
+def test_axiom_scan_and_sanity_suite_match_oracles_on_valid_pool(valid_pool):
+    for A in valid_pool:
+        assert axioms_hold(A)
+        assert axiom_lines(A) == axiom_oracle(A) == [], A.names
+        assert failed_laws(A) == set()
+        assert sanity_lines(A) == sanity_oracle(A) == [], A.names
+
+
+def test_axiom_scan_matches_oracle_on_corrupted_tables(all_fixtures, large_products):
+    sources = [all_fixtures[name] for name in ("proper5", "cyclic3", "bck5")]
+    sources += list(large_products.values())
+    alone: set[str] = set()
+    shared = 0
+    for A in sources:
+        for B in corruptions(A) if A.size <= 5 else sampled(A, 12):
+            expected = axiom_oracle(B)
+            assert axiom_lines(B) == expected
+            assert not axioms_hold(B)
+            failing = {line.split("[")[0] for line in expected}
+            if len(failing) == 1:
+                alone |= failing
+            shared += shared_failing_rows(B)
+    # each axiom but psBCI5 is the only one to fail somewhere, so a scan
+    # that skipped it would pass a table
+    assert alone == {"psBCI1", "psBCI2", "psBCI3", "psBCI4"}
+    # rows that repeat across z, where a scan that checked each distinct
+    # row once would still have to report every z
+    assert shared > 2000
+
+
+def test_axiom_scan_sees_antisymmetry_alone():
+    # a and b below 1 and each below the other, x -> y = 1 if x <= y else y:
+    # only psBCI5 fails
+    B = raw(("a", "b", "1"), 2, ((2, 2, 2), (2, 2, 2), (0, 1, 2)))
+    assert axiom_oracle(B) == ["psBCI5[a, b]: both implications equal 1 for distinct elements"]
+    assert not axioms_hold(B)
+    assert axiom_lines(B) == axiom_oracle(B)
+
+
+def test_axiom_scan_keeps_every_z_of_a_shared_row(large_products):
+    # group6^2 with a.a ~> a.b and a.a ~> a.c swapped, as in the golden
+    # file: many z give one failing bracket row for the same x, and each
+    # of them is a violation of its own
+    A = large_products["group6^2"]
+    x = A.index_of("a.a")
+    B = corrupted(corrupted(A, "squig", x, 1, A.squig[x][2]), "squig", x, 2, A.squig[x][1])
+    expected = axiom_oracle(B)
+    assert len(expected) == 276
+    assert shared_failing_rows(B) > 50
+    assert axiom_lines(B) == expected
+
+
+def test_sanity_suite_matches_oracle_on_corrupted_tables(all_fixtures, large_products):
+    laws: set[str] = set()
+    reordered = 0
+    for A in list(all_fixtures.values()) + [large_products["bck5^2"]]:
+        for B in corruptions(A) if A.size <= 6 else sampled(A, 40):
+            expected = sanity_oracle(B)
+            assert sanity_lines(B) == expected
+            assert failed_laws(B) == laws_of(expected)
+            found = [line.split(" at ")[0] for line in expected]
+            laws.update(found)
+            reordered += found != sorted(found, key=SANITY_LAWS.index)
+    assert laws == set(SANITY_LAWS)   # every law fails somewhere
+    assert reordered > 0              # and not always in statement order
+
+
+def test_both_scans_match_oracles_on_random_tables():
+    for B in random_tables(11, 1500):
+        expected = axiom_oracle(B)
+        assert axioms_hold(B) == (expected == [])
+        assert axiom_lines(B) == expected
+        expected = sanity_oracle(B)
+        assert failed_laws(B) == laws_of(expected)
+        assert sanity_lines(B) == expected
 
 
 # --- medial -----------------------------------------------------------------
