@@ -8,14 +8,15 @@ a suite of theorem-backed sanity checks whose failure can only mean a bug
 in this package, never bad input.
 
 ``validate`` reads and checks the tables in one pass and builds their
-columns once.  The axiom scan and the sanity suite then decide every
-instance of every law in fast passes that walk whole rows and columns
-instead of subscripting both tables per instance: sanity laws (4) and (8)
-compare two picker rows over z per pair (x, y), and (5), (6) and (10) run
-only over the pairs x <= y.  Only when a fast pass finds a failure does the
-element-by-element loop run, so every violation (and every sanity
-witness) is reported with the same text and in the same order as an
-instance-by-instance scan.
+columns once.  The axiom scan (``collect_violations``) and the sanity suite
+then decide every instance of every law in fast passes that walk whole rows
+and columns instead of subscripting both tables per instance: sanity laws
+(4) and (8) compare two picker rows over z per pair (x, y), and (5), (6)
+and (10) run only over the pairs x <= y.  Where a pass finds a failure, the
+instances are scanned one at a time: the axiom scan does so for each pair
+(x, y) with a failing z, the sanity suite for the whole table.  So every
+violation (and every sanity witness) is reported with the same text and in
+the same order as an instance-by-instance scan.
 
 The classification crosschecks keep every quantifier of the laws they test,
 but evaluate the inner one a row at a time: the medial laws, the atom
@@ -183,89 +184,74 @@ def _columns(arrow: Table, squig: Table) -> tuple[Table, Table]:
     return tuple(zip(*arrow)), tuple(zip(*squig))
 
 
-def _axioms_hold(unit: int, arrow: Table, squig: Table,
-                 cols: tuple[Table, Table]) -> bool:
-    """Whether psBCI1..psBCI5 hold, every instance decided.
-
-    psBCI1 is (x->y) ~> [(y->z) ~> (x->z)] = 1 and psBCI2 the same with the
-    tables swapped.  For fixed x and y the scan over z reads each bracket
-    (y->z) ~> (x->z) from the column of squig at x->z, and looks it up in
-    the one row squig[x->y]; psBCI2 reads the other tables.
-    """
-    n = len(arrow)
-    rng = range(n)
-    if arrow[unit] != tuple(rng) or squig[unit] != tuple(rng):       # psBCI3, 4
-        return False
-    if any(arrow[x][y] == unit and arrow[y][x] == unit
-           for x in rng for y in range(x + 1, n)):                   # psBCI5
-        return False
-    arrow_cols, squig_cols = cols
-    for ax, sx in zip(arrow, squig):
-        # entry z of each list: the column ? ~> (x->z), resp. ? -> (x~>z)
-        sq_cols = [squig_cols[c] for c in ax]
-        ar_cols = [arrow_cols[c] for c in sx]
-        for ay, sy, axy, sxy in zip(arrow, squig, ax, sx):
-            s_row, a_row = squig[axy], arrow[sxy]   # (x->y) ~> ?, (x~>y) -> ?
-            for s_col, a, a_col, b in zip(sq_cols, ay, ar_cols, sy):
-                if s_row[s_col[a]] != unit or a_row[a_col[b]] != unit:
-                    return False
-    return True
-
-
-def _violations(names: tuple[str, ...], unit: int, arrow: Table,
-                squig: Table) -> list[Violation]:
-    """Every failed instance of psBCI1..psBCI5, one instance at a time, in
-    scan order; run once _axioms_hold has found that one fails."""
-    n = len(names)
-    out: list[Violation] = []
-
-    for x in range(n):
-        if arrow[unit][x] != x:
-            out.append(Violation(
-                "psBCI3", (names[x],),
-                f"1 -> {names[x]} = {names[arrow[unit][x]]}, expected {names[x]}"))
-        if squig[unit][x] != x:
-            out.append(Violation(
-                "psBCI4", (names[x],),
-                f"1 ~> {names[x]} = {names[squig[unit][x]]}, expected {names[x]}"))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if arrow[x][y] == unit and arrow[y][x] == unit:
-                out.append(Violation(
-                    "psBCI5", (names[x], names[y]),
-                    "both implications equal 1 for distinct elements"))
-    for x in range(n):
-        ax = arrow[x]
-        sx = squig[x]
-        for y in range(n):
-            axy = ax[y]
-            sxy = sx[y]
-            ay = arrow[y]
-            sy = squig[y]
-            for z in range(n):
-                v = squig[ay[z]][ax[z]]          # (y->z) ~> (x->z)
-                if squig[axy][v] != unit:
-                    out.append(Violation(
-                        "psBCI1", (names[x], names[y], names[z]),
-                        f"(x->y) ~> [(y->z) ~> (x->z)] = {names[squig[axy][v]]}"))
-                w = arrow[sy[z]][sx[z]]          # (y~>z) -> (x~>z)
-                if arrow[sxy][w] != unit:
-                    out.append(Violation(
-                        "psBCI2", (names[x], names[y], names[z]),
-                        f"(x~>y) -> [(y~>z) -> (x~>z)] = {names[arrow[sxy][w]]}"))
-    return out
-
-
-def collect_violations(spec: AlgebraSpec) -> list[Violation]:
+def collect_violations(
+        spec: AlgebraSpec, *,
+        indexed: tuple[int, Table, Table, tuple[Table, Table]] | None = None,
+) -> list[Violation]:
     """Every failed axiom instance of psBCI1..psBCI5, in scan order.
 
     Structural problems raise StructuralError instead of being reported as
-    violations.
+    violations.  ``validate`` passes the unit, both tables and their
+    columns, already read, as ``indexed``.
+
+    psBCI1 is (x->y) ~> [(y->z) ~> (x->z)] = 1 and psBCI2 the same with the
+    tables swapped.  For fixed x and y the pass over z reads each bracket
+    (y->z) ~> (x->z) from the column of squig at x->z and looks it up in
+    the one row squig[x->y]; psBCI2 reads the other tables.  Only a pair
+    (x, y) at which some z fails is scanned again, one z at a time, to list
+    its violations.
     """
-    unit, arrow, squig = _index_tables(spec)
-    if _axioms_hold(unit, arrow, squig, _columns(arrow, squig)):
-        return []
-    return _violations(spec.names, unit, arrow, squig)
+    if indexed is None:
+        unit, arrow, squig = _index_tables(spec)
+        cols = _columns(arrow, squig)
+    else:
+        unit, arrow, squig, cols = indexed
+    names = spec.names
+    n = len(names)
+    rng = range(n)
+    out: list[Violation] = []
+
+    au, su = arrow[unit], squig[unit]
+    if au != tuple(rng) or su != tuple(rng):
+        for x in rng:
+            if au[x] != x:
+                out.append(Violation(
+                    "psBCI3", (names[x],),
+                    f"1 -> {names[x]} = {names[au[x]]}, expected {names[x]}"))
+            if su[x] != x:
+                out.append(Violation(
+                    "psBCI4", (names[x],),
+                    f"1 ~> {names[x]} = {names[su[x]]}, expected {names[x]}"))
+    arrow_cols, squig_cols = cols
+    for x, ax, to_x in zip(rng, arrow, arrow_cols):
+        for y in range(x + 1, n):
+            if ax[y] == unit and to_x[y] == unit:
+                out.append(Violation(
+                    "psBCI5", (names[x], names[y]),
+                    "both implications equal 1 for distinct elements"))
+    for x, ax, sx in zip(rng, arrow, squig):
+        # entry z of each list: the column ? ~> (x->z), resp. ? -> (x~>z)
+        sq_cols = [squig_cols[c] for c in ax]
+        ar_cols = [arrow_cols[c] for c in sx]
+        for y, ay, sy, axy, sxy in zip(rng, arrow, squig, ax, sx):
+            s_row, a_row = squig[axy], arrow[sxy]   # (x->y) ~> ?, (x~>y) -> ?
+            for s_col, a, a_col, b in zip(sq_cols, ay, ar_cols, sy):
+                if s_row[s_col[a]] != unit or a_row[a_col[b]] != unit:
+                    break
+            else:
+                continue                            # no z fails at (x, y)
+            for z in rng:                           # list the failing z
+                v = s_row[squig[ay[z]][ax[z]]]
+                if v != unit:
+                    out.append(Violation(
+                        "psBCI1", (names[x], names[y], names[z]),
+                        f"(x->y) ~> [(y->z) ~> (x->z)] = {names[v]}"))
+                w = a_row[arrow[sy[z]][sx[z]]]
+                if w != unit:
+                    out.append(Violation(
+                        "psBCI2", (names[x], names[y], names[z]),
+                        f"(x~>y) -> [(y~>z) -> (x~>z)] = {names[w]}"))
+    return out
 
 
 def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlgebra:
@@ -284,8 +270,9 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
             f"universe size {len(spec.names)} exceeds cap {cap}; "
             "pass max_size or set PBCI_MAX_SIZE to opt in")
     cols = _columns(arrow, squig)
-    if not _axioms_hold(unit, arrow, squig, cols):
-        raise ValidationError(_violations(spec.names, unit, arrow, squig))
+    violations = collect_violations(spec, indexed=(unit, arrow, squig, cols))
+    if violations:
+        raise ValidationError(violations)
     leq = tuple(tuple(map(unit.__eq__, row)) for row in arrow)
     alg = PseudoBciAlgebra(names=spec.names, unit=unit, arrow=arrow,
                            squig=squig, leq=leq)
@@ -297,8 +284,27 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
     return alg
 
 
+# The sanity suite: each derived law by its label, in the order the
+# witness scan of _sanity_failures states them, with the name it reports.
+SANITY_LAWS = {
+    "(1)": "x->x=1",
+    "(9)": "1<=x implies x=1",
+    "(11)": "x->1=x~>1",
+    "(2)": "x<=(x->y)~>y",
+    "(3)": "x->y=1 iff x~>y=1",
+    "(12)": "(x->y)->1=(x->1)~>(y->1)",
+    "(12')": "(x~>y)~>1=(x~>1)->(y~>1)",
+    "(4)": "x<=y->z iff y<=x~>z",
+    "(5)": "x<=y implies y->z<=x->z",
+    "(6)": "x<=y implies z->x<=z->y",
+    "(10)": "transitivity",
+    "(7)": "x->y<=(z->x)->(z->y)",
+    "(8)": "x->(y~>z)=y~>(x->z)",
+}
+
+
 def _failed_laws(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> set[str]:
-    """The laws of the sanity suite that fail somewhere, every instance
+    """The labels of the sanity laws that fail somewhere, every instance
     decided.
 
     For each pair (x, y): (4) and (8) compare two whole rows over z built by
@@ -317,12 +323,12 @@ def _failed_laws(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> set[str]:
 
     for x, ax, sx, lx in zip(rng, arrow, squig, leq):
         axu, sxu = ax[u], sx[u]
-        if ax[x] != u or sx[x] != u:                                         # (1)
-            failed.add("x->x=1")
-        if leq[u][x] and x != u:                                             # (9)
-            failed.add("1<=x implies x=1")
-        if axu != sxu:                                                       # (11)
-            failed.add("x->1=x~>1")
+        if ax[x] != u or sx[x] != u:
+            failed.add("(1)")
+        if leq[u][x] and x != u:
+            failed.add("(9)")
+        if axu != sxu:
+            failed.add("(11)")
         pax, psx = pa[x], ps[x]
         acx, scx = arrow_cols[x], squig_cols[x]
         # entry z of each list: the row (z -> x) ->, resp. (z ~> x) ~>
@@ -330,37 +336,38 @@ def _failed_laws(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> set[str]:
         sq_zx = [squig[c] for c in scx]
         for y, ay, sy, ly in zip(rng, arrow, squig, leq):
             axy, sxy = ax[y], sx[y]
-            if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:               # (2)
-                failed.add("x<=(x->y)~>y")
-            if (axy == u) != (sxy == u):                                     # (3)
-                failed.add("x->y=1 iff x~>y=1")
-            if arrow[axy][u] != squig[axu][to_u[y]]:                        # (12)
-                failed.add("(x->y)->1=(x->1)~>(y->1)")
+            if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:
+                failed.add("(2)")
+            if (axy == u) != (sxy == u):
+                failed.add("(3)")
+            if arrow[axy][u] != squig[axu][to_u[y]]:
+                failed.add("(12)")
             if squig[sxy][u] != arrow[sxu][sq_to_u[y]]:
-                failed.add("(x~>y)~>1=(x~>1)->(y~>1)")
-            if pa[y](lx) != psx(ly):                                         # (4)
-                failed.add("x<=y->z iff y<=x~>z")
-            if ps[y](ax) != pax(sy):                                         # (8)
-                failed.add("x->(y~>z)=y~>(x->z)")
+                failed.add("(12')")
+            if pa[y](lx) != psx(ly):
+                failed.add("(4)")
+            if ps[y](ax) != pax(sy):
+                failed.add("(8)")
             acy, scy = arrow_cols[y], squig_cols[y]
             la, ls = leq[axy], leq[sxy]
             for a_row, a, s_row, b in zip(ar_zx, acy, sq_zx, scy):
-                if not la[a_row[a]] or not ls[s_row[b]]:                     # (7)
-                    failed.add("x->y<=(z->x)->(z->y)")
+                if not la[a_row[a]] or not ls[s_row[b]]:
+                    failed.add("(7)")
                     break
             if lx[y]:                                                        # x <= y
                 for z in rng:
-                    if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:      # (5)
-                        failed.add("x<=y implies y->z<=x->z")
-                    if not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]:  # (6)
-                        failed.add("x<=y implies z->x<=z->y")
-                    if ly[z] and not lx[z]:                                  # (10)
-                        failed.add("transitivity")
+                    if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:
+                        failed.add("(5)")
+                    if not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]:
+                        failed.add("(6)")
+                    if ly[z] and not lx[z]:
+                        failed.add("(10)")
     return failed
 
 
 def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str]:
-    """First witness for each violated law of the twelve-law sanity suite.
+    """First witness for each violated law of the twelve-law sanity suite,
+    in the order first seen.
 
     Every law is a theorem of the five axioms, so any failure here means a
     bug in the validator or in these very loops, not bad input.  The laws
@@ -377,42 +384,42 @@ def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str
 
     def report(law: str, *xs: int) -> None:
         if law not in fails:
-            fails[law] = f"{law} at ({', '.join(names[i] for i in xs)})"
+            fails[law] = f"{SANITY_LAWS[law]} at ({', '.join(names[i] for i in xs)})"
 
     for x in range(n):
-        if arrow[x][x] != u or squig[x][x] != u:                       # (1)
-            report("x->x=1", x)
-        if leq[u][x] and x != u:                                       # (9)
-            report("1<=x implies x=1", x)
-        if arrow[x][u] != squig[x][u]:                                 # (11)
-            report("x->1=x~>1", x)
+        if arrow[x][x] != u or squig[x][x] != u:
+            report("(1)", x)
+        if leq[u][x] and x != u:
+            report("(9)", x)
+        if arrow[x][u] != squig[x][u]:
+            report("(11)", x)
     for x in range(n):
         for y in range(n):
-            if not leq[x][A.cup1(x, y)] or not leq[x][A.cup2(x, y)]:   # (2)
-                report("x<=(x->y)~>y", x, y)
-            if (arrow[x][y] == u) != (squig[x][y] == u):               # (3)
-                report("x->y=1 iff x~>y=1", x, y)
-            if arrow[arrow[x][y]][u] != squig[arrow[x][u]][arrow[y][u]]:   # (12)
-                report("(x->y)->1=(x->1)~>(y->1)", x, y)
+            if not leq[x][A.cup1(x, y)] or not leq[x][A.cup2(x, y)]:
+                report("(2)", x, y)
+            if (arrow[x][y] == u) != (squig[x][y] == u):
+                report("(3)", x, y)
+            if arrow[arrow[x][y]][u] != squig[arrow[x][u]][arrow[y][u]]:
+                report("(12)", x, y)
             if squig[squig[x][y]][u] != arrow[squig[x][u]][squig[y][u]]:
-                report("(x~>y)~>1=(x~>1)->(y~>1)", x, y)
+                report("(12')", x, y)
             for z in range(n):
-                if leq[x][arrow[y][z]] != leq[y][squig[x][z]]:         # (4)
-                    report("x<=y->z iff y<=x~>z", x, y, z)
+                if leq[x][arrow[y][z]] != leq[y][squig[x][z]]:
+                    report("(4)", x, y, z)
                 if leq[x][y]:
                     if not leq[arrow[y][z]][arrow[x][z]] or \
-                            not leq[squig[y][z]][squig[x][z]]:         # (5)
-                        report("x<=y implies y->z<=x->z", x, y, z)
+                            not leq[squig[y][z]][squig[x][z]]:
+                        report("(5)", x, y, z)
                     if not leq[arrow[z][x]][arrow[z][y]] or \
-                            not leq[squig[z][x]][squig[z][y]]:         # (6)
-                        report("x<=y implies z->x<=z->y", x, y, z)
-                    if leq[y][z] and not leq[x][z]:                    # (10)
-                        report("transitivity", x, y, z)
+                            not leq[squig[z][x]][squig[z][y]]:
+                        report("(6)", x, y, z)
+                    if leq[y][z] and not leq[x][z]:
+                        report("(10)", x, y, z)
                 if not leq[arrow[x][y]][arrow[arrow[z][x]][arrow[z][y]]] or \
-                        not leq[squig[x][y]][squig[squig[z][x]][squig[z][y]]]:  # (7)
-                    report("x->y<=(z->x)->(z->y)", x, y, z)
-                if arrow[x][squig[y][z]] != squig[y][arrow[x][z]]:     # (8)
-                    report("x->(y~>z)=y~>(x->z)", x, y, z)
+                        not leq[squig[x][y]][squig[squig[z][x]][squig[z][y]]]:
+                    report("(7)", x, y, z)
+                if arrow[x][squig[y][z]] != squig[y][arrow[x][z]]:
+                    report("(8)", x, y, z)
     return list(fails.values())
 
 
@@ -441,8 +448,7 @@ class _AtomTables:
 def _atom_tables(A: PseudoBciAlgebra) -> _AtomTables:
     arrow, squig = A.arrow, A.squig
     rng = A.elements()
-    arrow_cols = tuple(zip(*arrow))
-    squig_cols = tuple(zip(*squig))
+    arrow_cols, squig_cols = _columns(arrow, squig)
     return _AtomTables(
         arrow_cols=arrow_cols,
         squig_cols=squig_cols,
