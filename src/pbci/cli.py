@@ -131,11 +131,11 @@ def analyze(file: str, as_json: bool) -> None:
               help="Evaluate types III/IV on non-pseudo-BCK inputs too.")
 def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) -> None:
     """List the derivation operators of one class, one image row per line."""
-    algebra = _load(file)
     try:
         cls = DerivationClass.from_strings(kind, dtype)
     except ValueError as exc:
         _usage_error(str(exc))
+    algebra = _load(file)
     try:
         maps = enumerate_derivations(algebra, cls, regular=regular, force=force)
     except TypeRequiresPseudoBckError:
@@ -171,9 +171,9 @@ def ds(file: str) -> None:
               default=None, help="File listing the members of the system.")
 def quotient_cmd(file: str, by_k: str | None, subset_file: str | None) -> None:
     """Quotient FILE by a compatible closed deductive system."""
-    algebra = _load(file)
     if (by_k is None) == (subset_file is None):
         _usage_error("exactly one of --by K or --by-file is required")
+    algebra = _load(file)
     if by_k:
         system = bck_part_system(algebra)
     else:

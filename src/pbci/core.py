@@ -9,14 +9,14 @@ in this package, never bad input.
 
 ``validate`` reads and checks the tables in one pass and builds their
 columns once.  The axiom scan (``collect_violations``) and the sanity suite
-then decide every instance of every law in fast passes that walk whole rows
-and columns instead of subscripting both tables per instance: sanity laws
-(4) and (8) compare two picker rows over z per pair (x, y), and (5), (6)
-and (10) run only over the pairs x <= y.  Where a pass finds a failure, the
-instances are scanned one at a time: the axiom scan does so for each pair
-(x, y) with a failing z, the sanity suite for the whole table.  So every
-violation (and every sanity witness) is reported with the same text and in
-the same order as an instance-by-instance scan.
+(``_sanity_failures``) then decide every instance of every law in one pass
+each over the pairs (x, y), walking whole rows and columns instead of
+subscripting both tables per instance: sanity laws (4) and (8) compare two
+picker rows over z per pair, and (5), (6) and (10) run only over the pairs
+x <= y.  Both rescan only a pair at which some instance fails, one z at a
+time, to list what fails there.  So every violation (and every sanity
+witness) is reported with the same text and in the same order as an
+instance-by-instance scan.
 
 The classification crosschecks keep every quantifier of the laws they test,
 but evaluate the inner one a row at a time: the medial laws, the atom
@@ -303,32 +303,43 @@ SANITY_LAWS = {
 }
 
 
-def _failed_laws(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> set[str]:
-    """The labels of the sanity laws that fail somewhere, every instance
-    decided.
+def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str]:
+    """First witness for each violated law of the twelve-law sanity suite,
+    in the order first seen.
 
-    For each pair (x, y): (4) and (8) compare two whole rows over z built by
-    _pickers; (5), (6) and (10) run over z only when x <= y; (7) reads
-    (z->x) -> (z->y) from the rows (z->x) -> and the column y of arrow, and
-    likewise for ~>; the rest are single entries.
+    Every law is a theorem of the five axioms, so any failure here means a
+    bug in the validator or in these very loops, not bad input.  Laws (1),
+    (9) and (11) are single entries per x, and (2), (3), (12) and (12')
+    per pair (x, y); each reports its witness where it fails.  The laws
+    over z are decided per pair in one pass: (4) and (8) compare two whole
+    rows over z built by _pickers; (7) reads (z->x) -> (z->y) from the rows
+    (z->x) -> and the column y of arrow, and likewise for ~>; (5), (6) and
+    (10) run over z only when x <= y.  Only a pair at which one of them
+    fails is scanned again, one z at a time, for its witnesses.
     """
     n = A.size
     u = A.unit
     arrow, squig, leq = A.arrow, A.squig, A.leq
+    names = A.names
     rng = range(n)
     arrow_cols, squig_cols = cols
     pa, ps = _pickers(arrow), _pickers(squig)
     to_u, sq_to_u = arrow_cols[u], squig_cols[u]      # x -> 1, x ~> 1
-    failed: set[str] = set()
+    fails: dict[str, str] = {}
 
+    def report(law: str, *xs: int) -> None:
+        if law not in fails:
+            fails[law] = f"{SANITY_LAWS[law]} at ({', '.join(names[i] for i in xs)})"
+
+    for x, ax, sx in zip(rng, arrow, squig):
+        if ax[x] != u or sx[x] != u:
+            report("(1)", x)
+        if leq[u][x] and x != u:
+            report("(9)", x)
+        if ax[u] != sx[u]:
+            report("(11)", x)
     for x, ax, sx, lx in zip(rng, arrow, squig, leq):
         axu, sxu = ax[u], sx[u]
-        if ax[x] != u or sx[x] != u:
-            failed.add("(1)")
-        if leq[u][x] and x != u:
-            failed.add("(9)")
-        if axu != sxu:
-            failed.add("(11)")
         pax, psx = pa[x], ps[x]
         acx, scx = arrow_cols[x], squig_cols[x]
         # entry z of each list: the row (z -> x) ->, resp. (z ~> x) ~>
@@ -337,88 +348,44 @@ def _failed_laws(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> set[str]:
         for y, ay, sy, ly in zip(rng, arrow, squig, leq):
             axy, sxy = ax[y], sx[y]
             if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:
-                failed.add("(2)")
+                report("(2)", x, y)
             if (axy == u) != (sxy == u):
-                failed.add("(3)")
+                report("(3)", x, y)
             if arrow[axy][u] != squig[axu][to_u[y]]:
-                failed.add("(12)")
+                report("(12)", x, y)
             if squig[sxy][u] != arrow[sxu][sq_to_u[y]]:
-                failed.add("(12')")
-            if pa[y](lx) != psx(ly):
-                failed.add("(4)")
-            if ps[y](ax) != pax(sy):
-                failed.add("(8)")
+                report("(12')", x, y)
             acy, scy = arrow_cols[y], squig_cols[y]
             la, ls = leq[axy], leq[sxy]
-            for a_row, a, s_row, b in zip(ar_zx, acy, sq_zx, scy):
-                if not la[a_row[a]] or not ls[s_row[b]]:
-                    failed.add("(7)")
-                    break
-            if lx[y]:                                                        # x <= y
+            holds = pa[y](lx) == psx(ly) and ps[y](ax) == pax(sy)           # (4), (8)
+            if holds:
+                for a_row, a, s_row, b in zip(ar_zx, acy, sq_zx, scy):      # (7)
+                    if not la[a_row[a]] or not ls[s_row[b]]:
+                        holds = False
+                        break
+            if holds and lx[y]:                                # x <= y: (5), (6), (10)
                 for z in rng:
-                    if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:
-                        failed.add("(5)")
-                    if not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]:
-                        failed.add("(6)")
-                    if ly[z] and not lx[z]:
-                        failed.add("(10)")
-    return failed
-
-
-def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str]:
-    """First witness for each violated law of the twelve-law sanity suite,
-    in the order first seen.
-
-    Every law is a theorem of the five axioms, so any failure here means a
-    bug in the validator or in these very loops, not bad input.  The laws
-    are decided by _failed_laws; only when one fails does the loop below
-    look for the first witness of each, one instance at a time.
-    """
-    if not _failed_laws(A, cols):
-        return []
-    n = A.size
-    u = A.unit
-    arrow, squig, leq = A.arrow, A.squig, A.leq
-    names = A.names
-    fails: dict[str, str] = {}
-
-    def report(law: str, *xs: int) -> None:
-        if law not in fails:
-            fails[law] = f"{SANITY_LAWS[law]} at ({', '.join(names[i] for i in xs)})"
-
-    for x in range(n):
-        if arrow[x][x] != u or squig[x][x] != u:
-            report("(1)", x)
-        if leq[u][x] and x != u:
-            report("(9)", x)
-        if arrow[x][u] != squig[x][u]:
-            report("(11)", x)
-    for x in range(n):
-        for y in range(n):
-            if not leq[x][A.cup1(x, y)] or not leq[x][A.cup2(x, y)]:
-                report("(2)", x, y)
-            if (arrow[x][y] == u) != (squig[x][y] == u):
-                report("(3)", x, y)
-            if arrow[arrow[x][y]][u] != squig[arrow[x][u]][arrow[y][u]]:
-                report("(12)", x, y)
-            if squig[squig[x][y]][u] != arrow[squig[x][u]][squig[y][u]]:
-                report("(12')", x, y)
-            for z in range(n):
-                if leq[x][arrow[y][z]] != leq[y][squig[x][z]]:
+                    if (not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]
+                            or not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]
+                            or ly[z] and not lx[z]):
+                        holds = False
+                        break
+            if holds:
+                continue
+            # some law fails at (x, y) for some z: list its first witnesses
+            for z in rng:
+                if lx[ay[z]] != ly[sx[z]]:
                     report("(4)", x, y, z)
-                if leq[x][y]:
-                    if not leq[arrow[y][z]][arrow[x][z]] or \
-                            not leq[squig[y][z]][squig[x][z]]:
+                if lx[y]:
+                    if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:
                         report("(5)", x, y, z)
-                    if not leq[arrow[z][x]][arrow[z][y]] or \
-                            not leq[squig[z][x]][squig[z][y]]:
+                    if not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]:
                         report("(6)", x, y, z)
-                    if leq[y][z] and not leq[x][z]:
+                    if ly[z] and not lx[z]:
                         report("(10)", x, y, z)
-                if not leq[arrow[x][y]][arrow[arrow[z][x]][arrow[z][y]]] or \
-                        not leq[squig[x][y]][squig[squig[z][x]][squig[z][y]]]:
+                if not la[ar_zx[z][acy[z]]] or not ls[sq_zx[z][scy[z]]]:
                     report("(7)", x, y, z)
-                if arrow[x][squig[y][z]] != squig[y][arrow[x][z]]:
+                if ax[sy[z]] != sy[ax[z]]:
                     report("(8)", x, y, z)
     return list(fails.values())
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (ClassificationReport, PseudoBciAlgebra, _branches, _classify,
-                   atoms, classify)
+                   atoms, classify, is_subalgebra)
 from .derivations import (
     CLASS_ORDER,
     DerivationClass,
@@ -242,8 +242,7 @@ def _chk_regular_type2_basics(c: Analysis):
                                   or squig[d[x]][d[y]] not in c.K):
                     return f"{tag}: image gap escapes BCK part at ({c.name(x)}, {c.name(y)})"
         ker = c.kernel(d)
-        if c.unit not in ker or not all(
-                arrow[x][y] in ker and squig[x][y] in ker for x in ker for y in ker):
+        if not is_subalgebra(A, ker):
             return f"{tag}: kernel not a subalgebra"
         if not ker <= c.K:
             return f"{tag}: kernel escapes the BCK part"

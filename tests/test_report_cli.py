@@ -147,6 +147,12 @@ def test_cli_check_violations_exit_1(runner, tmp_path):
     result = runner.invoke(main, ["check", str(path)])
     assert result.exit_code == 1
     assert "psBCI3" in result.output
+    # a bad command line is a usage error before the file is validated
+    _one_line_error(runner.invoke(main, ["quotient", str(path)]),
+                    "exactly one of --by K or --by-file")
+    _one_line_error(runner.invoke(main, ["derivations", str(path), "--kind",
+                                         "symmetric", "--type", "iii"]),
+                    "no derivation class", "'symmetric'")
 
 
 def test_cli_parse_error_exit_2(runner, tmp_path):
