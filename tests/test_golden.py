@@ -9,6 +9,9 @@ a refactor that changes any output fails here.
   `check` and `quotient --by K` stdout as sha256 digests.
 - Three corrupted fixtures and one corrupted large product: `check` stdout
   in full, with exit code 1, which pins every violation line and its order.
+- `search --size N` for N = 1 to 4, and for N = 3 and 4 the benchmark's
+  search variants: stdout as sha256 digests, which pins every model and
+  its order.
 
 After an intended output change, record them again with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -32,6 +35,7 @@ from conftest import (FIXTURE_DIR, FIXTURE_NAMES, LARGE_PRODUCT_LABELS,
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PRODUCT_DIGESTS = GOLDEN_DIR / "products.sha256.json"
 LARGE_DIGESTS = GOLDEN_DIR / "large.sha256.json"
+SEARCH_DIGESTS = GOLDEN_DIR / "search.sha256.json"
 COMMANDS = {"analyze": ("analyze", "--json"), "verify": ("verify",),
             "check": ("check",), "quotient": ("quotient", "--by", "K")}
 SUFFIX = {"analyze": "analyze.json", "verify": "verify.txt",
@@ -40,6 +44,11 @@ PRODUCT_COMMANDS = ("analyze", "verify")
 LARGE_COMMANDS = ("check", "quotient")
 PRODUCT_ENV = {"PBCI_MAX_SIZE": "16"}
 LARGE_ENV = {"PBCI_MAX_SIZE": "36"}
+SEARCH_VARIANTS = (("--modulo-iso",), ("--pred", "p_semisimple=false", "--modulo-iso"),
+                   ("--pred", "proper"))
+SEARCH_ARGS = ([("search", "--size", str(n)) for n in (1, 2, 3, 4)]
+               + [("search", "--size", str(n)) + variant
+                  for n in (3, 4) for variant in SEARCH_VARIANTS])
 
 # label: (fixture or large product, text replaced once, replacement); each
 # breaks the axioms
@@ -107,6 +116,16 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def search_digests() -> dict[str, str]:
+    """sha256 of `search` stdout, keyed by the argument list."""
+    digests = {}
+    for args in SEARCH_ARGS:
+        result = CliRunner().invoke(main, list(args))
+        assert result.exit_code == 0, result.output
+        digests[" ".join(args)] = digest(result.stdout)
+    return digests
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_stdout_matches_golden(name, command):
@@ -128,6 +147,11 @@ def test_large_product_stdout_matches_golden_digests(tmp_path):
     for label, command, text in product_stdouts(
             tmp_path, make_large_products(), LARGE_COMMANDS, LARGE_ENV):
         assert digest(text) == expected[label][command], (label, command)
+
+
+def test_search_stdout_matches_golden_digests():
+    expected = json.loads(SEARCH_DIGESTS.read_text(encoding="utf-8"))
+    assert search_digests() == expected
 
 
 @pytest.mark.parametrize("label", CORRUPTIONS)
@@ -157,6 +181,8 @@ def record() -> None:
             fixture_golden(label, "check").write_text(text, encoding="utf-8")
     write_digests(PRODUCT_DIGESTS, make_products(), PRODUCT_COMMANDS, PRODUCT_ENV)
     write_digests(LARGE_DIGESTS, make_large_products(), LARGE_COMMANDS, LARGE_ENV)
+    SEARCH_DIGESTS.write_text(json.dumps(search_digests(), indent=2) + "\n",
+                              encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -48,6 +48,12 @@ def test_search_matches_brute_force_oracle():
         assert got == brute_force_search(n)
 
 
+@pytest.mark.parametrize("n, labelled, classes", [(3, 8, 5), (4, 119, 25)])
+def test_model_counts(n, labelled, classes):
+    assert len(search(SearchQuery(size=n))) == labelled
+    assert len(search(SearchQuery(size=n, modulo_iso=True))) == classes
+
+
 def test_output_sorted_by_flattened_pair():
     specs = search(SearchQuery(size=3))
     keys = [_flat_key(*index_tables(spec)) for spec in specs]
