@@ -274,7 +274,9 @@ def _parse_predicate(raw: str) -> tuple[str, bool]:
 @click.option("--pred", "preds", multiple=True,
               help=f"Predicate (repeatable): one of {', '.join(PREDICATE_NAMES)}, "
                    "optionally =true/=false.")
-@click.option("--limit", type=int, default=None)
+@click.option("--limit", type=int, default=None,
+              help="Print only the first M matches in output order; the "
+                   "whole enumeration still runs.")
 @click.option("--modulo-iso", is_flag=True,
               help="Only the least representative of each isomorphism class.")
 def search_cmd(size: int, preds: tuple[str, ...], limit: int | None,

@@ -2,10 +2,15 @@
 
 The generator fixes the unit as the last element, forces the cells the
 axioms force directly (unit rows are identity rows, the diagonal is the
-unit, and x -> y = 1 iff x ~> y = 1 couples the two tables), assigns the
-remaining cells in interleaved row-major order (arrow cell, then its squig
-partner), and tests every axiom instance as soon as all entries it touches
-are assigned.  Every emitted spec additionally passes the full validator.
+unit, and x -> y = 1 iff x ~> y = 1 couples the two tables), and assigns
+the remaining cells one step at a time, unit column first, each arrow cell
+together with its squig partner.  Every psBCI1/psBCI2 instance waits in the
+bucket of one step: first the step of the last of its three outer cells,
+then the step of the inner cell its value reads next.  A step evaluates
+only its own bucket, moves each instance it cannot decide to a later one
+and undoes those moves on backtrack, so each instance is decided at the
+first step that knows every cell it touches.  Every emitted spec
+additionally passes the full validator.
 
 ``brute_force_search`` is the independent oracle for small sizes: a plain
 scan of all table pairs (with only the axiom-forced unit rows fixed) that
@@ -103,19 +108,13 @@ def _search_tables(n: int):
     # every axiom instance with z = 1, so they prune hardest
     cells = [(i, unit) for i in range(n - 1)]
     cells += [(i, j) for i in range(n - 1) for j in range(n - 1) if j != i]
-    pos = {}
-    for step, cell in enumerate(cells):
-        pos[cell] = step
-    forced = -1
+    pos = {cell: step for step, cell in enumerate(cells)}
+    done = len(cells)
 
-    def cell_pos(x: int, y: int) -> int:
-        return pos.get((x, y), forced)
-
-    # psBCI1 instances keyed by the step at which their three arrow cells
-    # are known; psBCI2 mirrors with squig cells (same positions, since the
-    # two halves of a cell are assigned together).
-    schedule: list[list[tuple[int, int, int, bool]]] = [[] for _ in cells]
-    initial: list[tuple[int, int, int, bool]] = []
+    # waiting[s]: the psBCI1 (on_arrow) and psBCI2 instances that step s may
+    # decide.  Each starts at the step of its last outer cell; (x, y) is
+    # forced only for x = 1 and (y, z) only for y = 1, so one of them is free.
+    waiting: list[list[tuple[int, int, int, bool]]] = [[] for _ in cells]
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -123,42 +122,25 @@ def _search_tables(n: int):
                     # identically true given the forced diagonal and unit
                     # rows: the instance reduces to squig[1][1] or squig[u][u]
                     continue
-                s = max(cell_pos(x, y), cell_pos(y, z), cell_pos(x, z))
-                for on_arrow in (True, False):
-                    inst = (x, y, z, on_arrow)
-                    if s == forced:
-                        initial.append(inst)
-                    else:
-                        schedule[s].append(inst)
+                s = max(pos.get(cell, -1) for cell in ((x, y), (y, z), (x, z)))
+                waiting[s] += ((x, y, z, True), (x, y, z, False))
 
-    def evaluate(inst) -> bool | None:
-        """True/False when decidable under the partial assignment."""
+    def evaluate(inst) -> int:
+        """-1 if the instance fails, ``done`` if it holds, else the step of
+        the inner cell it waits on; its outer cells are assigned."""
         x, y, z, on_arrow = inst
         outer, inner = (arrow, squig) if on_arrow else (squig, arrow)
-        u = outer[x][y]
-        v = outer[y][z]
-        w = outer[x][z]
-        if u is None or v is None or w is None:
-            return None
+        u, v, w = outer[x][y], outer[y][z], outer[x][z]
         t = inner[v][w]
         if t is None:
-            return None
+            return pos[v, w]
         r = inner[u][t]
         if r is None:
-            return None
-        return r == unit
+            return pos[u, t]
+        return done if r == unit else -1
 
-    pending0 = []
-    for inst in initial:
-        verdict = evaluate(inst)
-        if verdict is False:
-            return
-        if verdict is None:
-            pending0.append(inst)
-
-    def extend(step: int, pending: list):
-        if step == len(cells):
-            assert not pending
+    def extend(step: int):
+        if step == done:
             yield (tuple(tuple(r) for r in arrow), tuple(tuple(r) for r in squig))
             return
         i, j = cells[step]
@@ -175,21 +157,22 @@ def _search_tables(n: int):
                 if (va == unit) != (vs == unit):   # 1-coupling of the tables
                     continue
                 squig[i][j] = vs
-                nxt = []
-                ok = True
-                for inst in itertools.chain(pending, schedule[step]):
-                    verdict = evaluate(inst)
-                    if verdict is False:
-                        ok = False
+                moved = []
+                for inst in waiting[step]:
+                    s = evaluate(inst)
+                    if s < 0:
                         break
-                    if verdict is None:
-                        nxt.append(inst)
-                if ok:
-                    yield from extend(step + 1, nxt)
+                    if s < done:
+                        waiting[s].append(inst)
+                        moved.append(s)
+                else:
+                    yield from extend(step + 1)
+                for s in moved:
+                    waiting[s].pop()
             squig[i][j] = None
         arrow[i][j] = None
 
-    yield from extend(0, pending0)
+    yield from extend(0)
 
 
 def search(query: SearchQuery) -> list[AlgebraSpec]:
@@ -198,6 +181,8 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     Output order is lexicographic by the flattened (arrow, squig) index
     pair; with modulo_iso only the least representative of each unit-fixing
     isomorphism class is kept.  Every result passes the full validator.
+    The DFS does not meet the models in that order, so ``limit`` cuts the
+    sorted list of all matches: the whole enumeration runs either way.
     """
     query.check()
     limit_cap = effective_cap(SEARCH_CAP)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from pbci import SearchCapExceeded, collect_violations, validate
@@ -8,6 +10,7 @@ from pbci.search import (
     is_lex_least_rep,
     search,
     _flat_key,
+    _search_tables,
     _transport,
     _unit_fixing_perms,
 )
@@ -52,6 +55,33 @@ def test_search_matches_brute_force_oracle():
 def test_model_counts(n, labelled, classes):
     assert len(search(SearchQuery(size=n))) == labelled
     assert len(search(SearchQuery(size=n, modulo_iso=True))) == classes
+
+
+def evaluations(n: int) -> int:
+    """Axiom-instance evaluations the DFS makes while it enumerates size n."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "evaluate":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for _ in _search_tables(n):
+            pass
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_dfs_evaluates_instances_only_where_they_wait():
+    # an instance is evaluated at the step of its last outer cell and then
+    # only at the step of each inner cell it waits on; putting it in a later
+    # bucket, or keeping the moves of a finished branch, changes no output
+    # but shows here
+    assert evaluations(3) == 374
+    assert evaluations(4) == 104_074
 
 
 def test_output_sorted_by_flattened_pair():
