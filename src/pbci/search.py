@@ -158,7 +158,9 @@ def _search_tables(n: int):
                     continue
                 squig[i][j] = vs
                 moved = []
-                for inst in waiting[step]:
+                # newest first: the instances that waited on this cell fail
+                # more often than those whose outer cells it completes
+                for inst in reversed(waiting[step]):
                     s = evaluate(inst)
                     if s < 0:
                         break

@@ -80,8 +80,8 @@ def test_dfs_evaluates_instances_only_where_they_wait():
     # only at the step of each inner cell it waits on; putting it in a later
     # bucket, or keeping the moves of a finished branch, changes no output
     # but shows here
-    assert evaluations(3) == 374
-    assert evaluations(4) == 104_074
+    assert evaluations(3) == 295
+    assert evaluations(4) == 68_859
 
 
 def test_output_sorted_by_flattened_pair():
