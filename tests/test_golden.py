@@ -44,7 +44,8 @@ PRODUCT_COMMANDS = ("analyze", "verify")
 LARGE_COMMANDS = ("check", "quotient")
 PRODUCT_ENV = {"PBCI_MAX_SIZE": "16"}
 LARGE_ENV = {"PBCI_MAX_SIZE": "36"}
-SEARCH_VARIANTS = (("--modulo-iso",), ("--pred", "p_semisimple=false", "--modulo-iso"),
+SEARCH_VARIANTS = (("--modulo-iso",),
+                   ("--pred", "p_semisimple=false", "--modulo-iso"),
                    ("--pred", "proper"))
 SEARCH_ARGS = ([("search", "--size", str(n)) for n in (1, 2, 3, 4)]
                + [("search", "--size", str(n)) + variant
