@@ -12,6 +12,9 @@ a refactor that changes any output fails here.
 - `search --size N` for N = 1 to 4, and for N = 3 and 4 the benchmark's
   search variants: stdout as sha256 digests, which pins every model and
   its order.
+- `search --size 5` and `search --size 5 --modulo-iso`: stdout as sha256
+  digests, recorded from the labelled DFS that preceded the isomorph-free
+  one; their headers pin 3,747 models in 181 classes.
 
 After an intended output change, record them again with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -36,6 +39,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 PRODUCT_DIGESTS = GOLDEN_DIR / "products.sha256.json"
 LARGE_DIGESTS = GOLDEN_DIR / "large.sha256.json"
 SEARCH_DIGESTS = GOLDEN_DIR / "search.sha256.json"
+SEARCH5_DIGESTS = GOLDEN_DIR / "search5.sha256.json"
 COMMANDS = {"analyze": ("analyze", "--json"), "verify": ("verify",),
             "check": ("check",), "quotient": ("quotient", "--by", "K")}
 SUFFIX = {"analyze": "analyze.json", "verify": "verify.txt",
@@ -50,6 +54,7 @@ SEARCH_VARIANTS = (("--modulo-iso",),
 SEARCH_ARGS = ([("search", "--size", str(n)) for n in (1, 2, 3, 4)]
                + [("search", "--size", str(n)) + variant
                   for n in (3, 4) for variant in SEARCH_VARIANTS])
+SEARCH5_ARGS = [("search", "--size", "5"), ("search", "--size", "5", "--modulo-iso")]
 
 # label: (fixture or large product, text replaced once, replacement); each
 # breaks the axioms
@@ -117,10 +122,10 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def search_digests() -> dict[str, str]:
+def search_digests(arg_lists) -> dict[str, str]:
     """sha256 of `search` stdout, keyed by the argument list."""
     digests = {}
-    for args in SEARCH_ARGS:
+    for args in arg_lists:
         result = CliRunner().invoke(main, list(args))
         assert result.exit_code == 0, result.output
         digests[" ".join(args)] = digest(result.stdout)
@@ -152,7 +157,12 @@ def test_large_product_stdout_matches_golden_digests(tmp_path):
 
 def test_search_stdout_matches_golden_digests():
     expected = json.loads(SEARCH_DIGESTS.read_text(encoding="utf-8"))
-    assert search_digests() == expected
+    assert search_digests(SEARCH_ARGS) == expected
+
+
+def test_size5_search_stdout_matches_golden_digests():
+    expected = json.loads(SEARCH5_DIGESTS.read_text(encoding="utf-8"))
+    assert search_digests(SEARCH5_ARGS) == expected
 
 
 @pytest.mark.parametrize("label", CORRUPTIONS)
@@ -182,8 +192,10 @@ def record() -> None:
             fixture_golden(label, "check").write_text(text, encoding="utf-8")
     write_digests(PRODUCT_DIGESTS, make_products(), PRODUCT_COMMANDS, PRODUCT_ENV)
     write_digests(LARGE_DIGESTS, make_large_products(), LARGE_COMMANDS, LARGE_ENV)
-    SEARCH_DIGESTS.write_text(json.dumps(search_digests(), indent=2) + "\n",
-                              encoding="utf-8")
+    for path, arg_lists in ((SEARCH_DIGESTS, SEARCH_ARGS),
+                            (SEARCH5_DIGESTS, SEARCH5_ARGS)):
+        path.write_text(json.dumps(search_digests(arg_lists), indent=2) + "\n",
+                        encoding="utf-8")
 
 
 if __name__ == "__main__":
