@@ -190,20 +190,14 @@ def test_modulo_iso_no_two_isomorphic():
     reps = [index_tables(spec) for spec in
             search(SearchQuery(size=3, modulo_iso=True))]
     assert all(is_lex_least_rep(a, s) for a, s in reps)
-    n = 3
     seen = set()
-    for arrow, squig in reps:
-        orbit = frozenset(
-            (_transport(arrow, p), _transport(squig, p))
-            for p in _unit_fixing_perms(n))
-        assert orbit not in seen
-        seen.add(orbit)
+    for model in reps:
+        members = frozenset(orbit(*model))
+        assert members not in seen
+        seen.add(members)
     # and the representatives cover every labeled algebra
     labeled = [index_tables(spec) for spec in search(SearchQuery(size=3))]
-    covered = set()
-    for orbit in seen:
-        covered |= orbit
-    assert set(labeled) <= covered
+    assert set(labeled) <= set().union(*seen)
 
 
 def test_p_semisimple_size3_is_the_cyclic_group(cyclic3):
