@@ -33,7 +33,9 @@ oracle for the ``modulo_iso`` representatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .core import AlgebraSpec, classify, validate
@@ -111,9 +113,9 @@ def is_lex_least_rep(arrow, squig) -> bool:
 
 
 def _canonical_tables(n: int):
-    """Yield the (arrow, squig) index tables of the canonical member of
-    every unit-fixing isomorphism class of table pairs with unit n-1 that
-    pass the incrementally checked axioms, in DFS order."""
+    """Yield the flat key of the canonical member of every unit-fixing
+    isomorphism class of index-table pairs with unit n-1 that pass the
+    incrementally checked axioms, in DFS order."""
     unit = n - 1
     arrow = [[None] * n for _ in range(n)]
     squig = [[None] * n for _ in range(n)]
@@ -196,7 +198,7 @@ def _canonical_tables(n: int):
 
     def extend(step: int):
         if step == done:
-            yield tuple(map(tuple, arrow)), tuple(map(tuple, squig))
+            yield _flat_key(arrow, squig)
             return
         i, j = cells[step]
         partner_set = (j, i) in pos and pos[(j, i)] < step
@@ -237,11 +239,29 @@ def _canonical_tables(n: int):
     yield from extend(0)
 
 
-def _orbit_keys(arrow, squig) -> list[tuple[int, ...]]:
-    """The distinct flat keys of the unit-fixing transports of the pair,
-    sorted."""
-    return sorted({_flat_key(_transport(arrow, p), _transport(squig, p))
-                   for p in _unit_fixing_perms(len(arrow))})
+@functools.cache
+def _transports(n: int):
+    """(table, gather) for every unit-fixing permutation p: the transport by
+    p of the model with flat key k has flat key
+    ``gather(bytes(k).translate(table))``, p applied to every entry and the
+    entries then moved to their images' cells.  ``_transport`` stays the
+    plain form for the oracle and the tests; built from it, the orbits made
+    the size 3 and 4 searches about 17% slower (CPython 3.11, 2-core host)."""
+    out = []
+    for perm in _unit_fixing_perms(n):
+        inv = sorted(range(n), key=perm.__getitem__)
+        cell = [inv[x] * n + inv[y] for x in range(n) for y in range(n)]
+        out.append((bytes(perm) + bytes(256 - n),
+                    operator.itemgetter(*cell, *(n * n + c for c in cell))))
+    return tuple(out)
+
+
+def _orbit_keys(flat: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The distinct flat keys of the unit-fixing transports of the model
+    with flat key ``flat``, sorted."""
+    data = bytes(flat)
+    return sorted({gather(data.translate(table))
+                   for table, gather in _transports(n)})
 
 
 def search(query: SearchQuery) -> list[AlgebraSpec]:
@@ -272,8 +292,8 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
                            arrow=rows[:n], squig=rows[n:])
 
     matches = []
-    for arrow, squig in _canonical_tables(n):
-        keys = _orbit_keys(arrow, squig)
+    for canonical in _canonical_tables(n):
+        keys = _orbit_keys(canonical, n)
         if query.modulo_iso:
             keys = keys[:1]
         specs = [to_spec(flat) for flat in keys]

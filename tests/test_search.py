@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 
 import pytest
@@ -25,8 +26,15 @@ def index_tables(spec):
     return arrow, squig
 
 
+def unflatten(flat):
+    """The (arrow, squig) pair of a flat key."""
+    n = math.isqrt(len(flat) // 2)
+    rows = tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n))
+    return rows[:n], rows[n:]
+
+
 def canonical_models(n):
-    return list(_canonical_tables(n))
+    return [unflatten(flat) for flat in _canonical_tables(n)]
 
 
 def orbit(arrow, squig):
