@@ -1,8 +1,13 @@
 """Golden outputs: CLI stdout compared byte for byte with recorded copies, so
 a refactor that changes any output fails here.
 
-- The five fixtures: `analyze --json`, `verify`, `check` and
-  `quotient --by K` stdout, stored in full under ``tests/golden/``.
+- The five fixtures: `analyze --json`, `verify`, `check`, `quotient --by K`
+  and `ds` stdout, stored in full under ``tests/golden/``.
+- The five fixtures: `derivations` for every class that applies, without
+  and with `--regular`, plus `--force` for types III/IV where the fixture
+  is not pseudo-BCK; and `map` with the phi map and the identity map.  Each
+  is one transcript per fixture and command: every invocation's arguments
+  on a `$` line, then its stdout.
 - The four products of ``conftest.PRODUCT_LABELS`` (n = 9 to 15):
   `analyze --json` and `verify` stdout as sha256 digests.
 - The four products of ``conftest.LARGE_PRODUCT_LABELS`` (n = 25 to 36):
@@ -22,6 +27,7 @@ After an intended output change, record them again with
 
 import hashlib
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -32,8 +38,8 @@ from pbci import serialize_spec
 from pbci.cli import main
 
 from conftest import (FIXTURE_DIR, FIXTURE_NAMES, LARGE_PRODUCT_LABELS,
-                      PRODUCT_LABELS, fixture_text, make_large_products,
-                      make_products)
+                      PRODUCT_LABELS, fixture_text, load_algebra,
+                      make_large_products, make_products)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PRODUCT_DIGESTS = GOLDEN_DIR / "products.sha256.json"
@@ -41,9 +47,15 @@ LARGE_DIGESTS = GOLDEN_DIR / "large.sha256.json"
 SEARCH_DIGESTS = GOLDEN_DIR / "search.sha256.json"
 SEARCH5_DIGESTS = GOLDEN_DIR / "search5.sha256.json"
 COMMANDS = {"analyze": ("analyze", "--json"), "verify": ("verify",),
-            "check": ("check",), "quotient": ("quotient", "--by", "K")}
+            "check": ("check",), "quotient": ("quotient", "--by", "K"),
+            "ds": ("ds",)}
 SUFFIX = {"analyze": "analyze.json", "verify": "verify.txt",
-          "check": "check.txt", "quotient": "quotient.txt"}
+          "check": "check.txt", "quotient": "quotient.txt", "ds": "ds.txt",
+          "derivations": "derivations.txt", "map": "map.txt"}
+TRANSCRIPTS = ("derivations", "map")
+PSEUDO_BCK_FIXTURES = ("bck5",)
+CLASS_FLAGS = ([("implicative", t) for t in ("i", "ii", "iii", "iv")]
+               + [("symmetric", t) for t in ("i", "ii")])
 PRODUCT_COMMANDS = ("analyze", "verify")
 LARGE_COMMANDS = ("check", "quotient")
 PRODUCT_ENV = {"PBCI_MAX_SIZE": "16"}
@@ -79,6 +91,35 @@ def stdout_of(command: str, path: str, env=None) -> str:
     result = CliRunner().invoke(main, [verb, path, *flags], env=env)
     assert result.exit_code == 0, result.output
     return result.stdout
+
+
+def transcript_args(name: str, command: str) -> list[tuple[str, ...]]:
+    """The flag lists of one fixture's transcript for derivations or map."""
+    if command == "map":
+        A = load_algebra(name)
+        phi = " ".join(A.names[A.phi(x)] for x in A.elements())
+        return [("--map", phi), ("--map", " ".join(A.names))]
+    args = []
+    for kind, dtype in CLASS_FLAGS:
+        scope = ()
+        if dtype in ("iii", "iv") and name not in PSEUDO_BCK_FIXTURES:
+            scope = ("--force",)
+        for regular in ((), ("--regular",)):
+            args.append(("--kind", kind, "--type", dtype, *regular, *scope))
+    return args
+
+
+def transcript(name: str, command: str) -> str:
+    """Every invocation of one fixture's transcript: a `$` line naming it,
+    then its stdout; each must exit 0."""
+    file = f"{name}.pbci"
+    parts = []
+    for flags in transcript_args(name, command):
+        result = CliRunner().invoke(main, [command, str(FIXTURE_DIR / file), *flags])
+        assert result.exit_code == 0, result.output
+        parts.append(f"$ {shlex.join(('pbci', command, file, *flags))}\n"
+                     f"{result.stdout}")
+    return "".join(parts)
 
 
 def source_text(name: str) -> str:
@@ -139,6 +180,13 @@ def test_fixture_stdout_matches_golden(name, command):
     assert stdout_of(command, str(FIXTURE_DIR / f"{name}.pbci")) == expected
 
 
+@pytest.mark.parametrize("command", TRANSCRIPTS)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_transcript_matches_golden(name, command):
+    expected = fixture_golden(name, command).read_text(encoding="utf-8")
+    assert transcript(name, command) == expected
+
+
 def test_product_stdout_matches_golden_digests(tmp_path):
     expected = json.loads(PRODUCT_DIGESTS.read_text(encoding="utf-8"))
     assert sorted(expected) == sorted(PRODUCT_LABELS)
@@ -186,6 +234,9 @@ def record() -> None:
         for command in COMMANDS:
             text = stdout_of(command, str(FIXTURE_DIR / f"{name}.pbci"))
             fixture_golden(name, command).write_text(text, encoding="utf-8")
+        for command in TRANSCRIPTS:
+            fixture_golden(name, command).write_text(transcript(name, command),
+                                                     encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         for label in CORRUPTIONS:
             text = corrupted_check_stdout(label, Path(tmp))
