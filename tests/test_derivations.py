@@ -313,3 +313,15 @@ def test_regular_translation_route(proper5, bck5, group6):
     for algebra in (proper5, bck5, group6):
         direct = enumerate_derivations(algebra, C.IMPLICATIVE_II, regular=True)
         assert sorted(regular_translation_maps(algebra)) == direct
+
+
+def test_regular_translation_maps_match_docstring_filter(small_pool):
+    # d(1) = 1, d(x -> y) = x -> d(y) and d(x ~> y) = x ~> d(y), as a plain
+    # filter over all n^n maps
+    for algebra in small_pool:
+        n, unit, ar, sq = algebra.size, algebra.unit, algebra.arrow, algebra.squig
+        expected = [d for d in itertools.product(range(n), repeat=n)
+                    if d[unit] == unit
+                    and all(d[ar[x][y]] == ar[x][d[y]] and d[sq[x][y]] == sq[x][d[y]]
+                            for x in range(n) for y in range(n))]
+        assert regular_translation_maps(algebra) == expected
