@@ -54,14 +54,23 @@ def _flags(A: PseudoBciAlgebra, members: frozenset[int]) -> DeductiveSystem:
                            closed=is_subalgebra(A, members))
 
 
+def _member_set(A: PseudoBciAlgebra, members: Iterable[int]) -> frozenset[int]:
+    ms = frozenset(members)
+    for x in sorted(ms):
+        if not 0 <= x < A.size:
+            raise ValueError(f"element index {x} is outside a universe of size {A.size}")
+    return ms
+
+
 def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> DeductiveSystem:
     """Wrap a subset after checking the deductive-system axioms.
 
-    Raises ValueError when the subset is not a deductive system.  The two
-    detachment forms select the same subsets (a theorem), so disagreement
-    between them is an internal bug, not bad input.
+    Raises ValueError when the subset is not a deductive system or names an
+    index outside the universe.  The two detachment forms select the same
+    subsets (a theorem), so disagreement between them is an internal bug,
+    not bad input.
     """
-    ms = frozenset(members)
+    ms = _member_set(A, members)
     if A.unit not in ms:
         raise ValueError("a deductive system must contain the unit")
     by_arrow = _detachment_closed(A, ms, A.arrow)
@@ -187,10 +196,11 @@ def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSyst
     """The least deductive system containing the generators.
 
     Closure under arrow-detachment from the generators plus the unit; usable
-    above the enumeration cap.
+    above the enumeration cap.  An index outside the universe is a
+    ValueError.
     """
     close = _closure(A, A.arrow)
-    return _flags(A, _members(close(sum(1 << x for x in set(generators)))))
+    return _flags(A, _members(close(sum(1 << x for x in _member_set(A, generators)))))
 
 
 def bck_part_system(A: PseudoBciAlgebra) -> DeductiveSystem:

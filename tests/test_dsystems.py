@@ -131,6 +131,14 @@ def test_as_deductive_system_rejects(proper5):
         as_deductive_system(proper5, {1, 4})        # b -> a = b forces a
 
 
+@pytest.mark.parametrize("members", [{-1, 4}, {7, 4}, {7}, {-1}])
+def test_out_of_range_members_rejected(proper5, members):
+    bad = min(members) if min(members) < 0 else max(members)
+    for build in (as_deductive_system, generate_ds):
+        with pytest.raises(ValueError, match=rf"element index {bad}\b"):
+            build(proper5, members)
+
+
 def test_is_invariant_golden(proper5):
     systems = enumerate_ds(proper5)
     D = systems[1]
