@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .core import PseudoBciAlgebra, classify, is_pseudo_bck, validate
+from .core import PseudoBciAlgebra, classify, validate
 from .derivations import (DerivationClass, enumerate_derivations, map_properties,
                           satisfies)
 from .dsystems import as_deductive_system, bck_part_system, enumerate_ds, quotient
@@ -141,7 +141,7 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
     except TypeRequiresPseudoBckError:
         _usage_error(f"{cls} is defined only on pseudo-BCK algebras; "
                      "pass --force to evaluate the identities anyway")
-    if force and cls.requires_pseudo_bck and not is_pseudo_bck(algebra):
+    if not cls.applies_to(algebra):
         click.echo("# forced evaluation outside the defined scope of types III/IV")
     click.echo(f"# {cls}{' regular' if regular else ''}: {len(maps)} map(s)")
     for d in maps:
@@ -225,11 +225,8 @@ def map_cmd(file: str, map_spec: str) -> None:
     click.echo(f"  maps atoms into atoms: "
                f"{'yes' if props.maps_atoms_into_atoms else 'no'}")
     for cls in DerivationClass:
-        try:
-            holds = satisfies(algebra, d, cls)
-        except TypeRequiresPseudoBckError:
-            continue
-        click.echo(f"  {cls}: {'yes' if holds else 'no'}")
+        if cls.applies_to(algebra):
+            click.echo(f"  {cls}: {'yes' if satisfies(algebra, d, cls) else 'no'}")
 
 
 @main.command()

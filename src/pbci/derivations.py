@@ -2,7 +2,9 @@
 
 A self-map is a plain tuple ``d`` with ``d[i]`` the image of element ``i``.
 Each derivation class is a pair of defining identities, one per implication
-table, written once as a row of the ``_RHS`` table.  Every identity
+table, written once as a row of the ``DerivationClass`` table, which also
+holds the class's kind, type and scope; the translation route is one more
+such row, ``_TRANSLATION``.  Every identity
 instance says that d(x op y) is fixed by x, y and the images its right side
 reads.  ``satisfies`` checks every instance of both identities;
 ``enumerate_derivations`` and ``regular_translation_maps`` share one
@@ -22,35 +24,39 @@ from .errors import InternalInconsistencyError, TypeRequiresPseudoBckError
 from .limits import ENUM_CAP, check_enumeration_cap
 
 SelfMap = tuple[int, ...]
+Rhs = tuple[int, tuple[str, str], tuple[str, str]]
 
 
 class DerivationClass(Enum):
-    """The six derivation-operator classes, (kind, type)."""
+    r"""The six derivation-operator classes in report order, one row each:
+    kind, type, the right side of the arrow identity d(x -> y) = s \/k t as
+    (k, s, t) with each term a pair of operands of ->, and whether the class
+    is defined only on pseudo-BCK algebras.  The squig identity reads the
+    same row with ~> in place of -> and the other join: \/2 for \/1 and \/1
+    for \/2.  Join order is kept exactly as defined, since the joins are not
+    commutative in general."""
 
-    IMPLICATIVE_I = ("implicative", "I")
-    IMPLICATIVE_II = ("implicative", "II")
-    IMPLICATIVE_III = ("implicative", "III")
-    IMPLICATIVE_IV = ("implicative", "IV")
-    SYMMETRIC_I = ("symmetric", "I")
-    SYMMETRIC_II = ("symmetric", "II")
+    IMPLICATIVE_I = ("implicative", "I", (2, ("x", "dy"), ("dx", "y")), False)
+    IMPLICATIVE_II = ("implicative", "II", (2, ("dx", "y"), ("x", "dy")), False)
+    IMPLICATIVE_III = ("implicative", "III", (1, ("x", "dy"), ("dx", "y")), True)
+    IMPLICATIVE_IV = ("implicative", "IV", (1, ("dx", "y"), ("x", "dy")), True)
+    SYMMETRIC_I = ("symmetric", "I", (2, ("x", "dy"), ("y", "dx")), False)
+    SYMMETRIC_II = ("symmetric", "II", (2, ("dx", "y"), ("dy", "x")), False)
 
-    @property
-    def kind(self) -> str:
-        return self.value[0]
+    def __init__(self, kind: str, dtype: str, rhs: Rhs, pseudo_bck_only: bool):
+        self.kind = kind
+        self.dtype = dtype
+        self.rhs = rhs
+        self.pseudo_bck_only = pseudo_bck_only
 
-    @property
-    def dtype(self) -> str:
-        return self.value[1]
-
-    @property
-    def requires_pseudo_bck(self) -> bool:
-        """Types III/IV are defined only when 1 is the greatest element."""
-        return self in (DerivationClass.IMPLICATIVE_III, DerivationClass.IMPLICATIVE_IV)
+    def applies_to(self, A: PseudoBciAlgebra) -> bool:
+        """Whether the class is defined on A: types III/IV need 1 to be the
+        greatest element."""
+        return not self.pseudo_bck_only or is_pseudo_bck(A)
 
     @classmethod
     def from_strings(cls, kind: str, dtype: str) -> "DerivationClass":
-        kind = kind.lower()
-        dtype = dtype.upper()
+        kind, dtype = kind.lower(), dtype.upper()
         for member in cls:
             if member.kind == kind and member.dtype == dtype:
                 return member
@@ -60,37 +66,13 @@ class DerivationClass(Enum):
         return f"{self.kind}-{self.dtype}"
 
 
-CLASS_ORDER = (
-    DerivationClass.IMPLICATIVE_I,
-    DerivationClass.IMPLICATIVE_II,
-    DerivationClass.IMPLICATIVE_III,
-    DerivationClass.IMPLICATIVE_IV,
-    DerivationClass.SYMMETRIC_I,
-    DerivationClass.SYMMETRIC_II,
-)
-
-
 def identity_map(A: PseudoBciAlgebra) -> SelfMap:
     return tuple(range(A.size))
 
 
-# Right-hand side of each class's arrow identity d(x -> y) = s \/k t, as
-# (k, s, t) with each term a pair of operands of ->.  The squig identity reads
-# the same row with ~> in place of -> and the other join: \/2 for \/1 and
-# \/1 for \/2.  Join order is kept exactly as defined, since the joins are
-# not commutative in general.
-Rhs = tuple[int | None, tuple[str, str], tuple[str, str]]
-_RHS: dict[DerivationClass, Rhs] = {
-    DerivationClass.IMPLICATIVE_I: (2, ("x", "dy"), ("dx", "y")),
-    DerivationClass.IMPLICATIVE_II: (2, ("dx", "y"), ("x", "dy")),
-    DerivationClass.IMPLICATIVE_III: (1, ("x", "dy"), ("dx", "y")),
-    DerivationClass.IMPLICATIVE_IV: (1, ("dx", "y"), ("x", "dy")),
-    DerivationClass.SYMMETRIC_I: (2, ("x", "dy"), ("y", "dx")),
-    DerivationClass.SYMMETRIC_II: (2, ("dx", "y"), ("dy", "x")),
-}
-# d(x -> y) = x -> dy and d(x ~> y) = x ~> dy: no join (k = None) keeps the
-# first term alone.
-_TRANSLATION: Rhs = (None, ("x", "dy"), ("x", "dy"))
+# d(x -> y) = x -> dy and d(x ~> y) = x ~> dy, as a row whose two terms are
+# equal: u \/2 u = (u ~> u) -> u = 1 -> u = u, and likewise u \/1 u = u.
+_TRANSLATION: Rhs = (2, ("x", "dy"), ("x", "dy"))
 
 # One identity instance (t, a, s, b, u, join), read as
 # d(t) = join[s[d(a)]][u[d(b)]]: t = x op y, a and b are the elements whose
@@ -113,16 +95,11 @@ def _instances(A: PseudoBciAlgebra, rhs: Rhs) -> list[Instance]:
     """Both identities of one right-hand side, instantiated at every pair."""
     k, first, second = rhs
     (ra, col_s, at_s), (rb, col_u, at_u) = _term(*first), _term(*second)
-    n = A.size
-    rng = range(n)
+    rng = range(A.size)
     arrow, squig = A.arrow, A.squig
-    if k is None:
-        keep_first = tuple((u,) * n for u in rng)
-        joins = (keep_first, keep_first)
-    else:
-        cup1 = tuple(tuple(squig[arrow[u][v]][v] for v in rng) for u in rng)
-        cup2 = tuple(tuple(arrow[squig[u][v]][v] for v in rng) for u in rng)
-        joins = (cup1, cup2) if k == 1 else (cup2, cup1)
+    cup1 = tuple(tuple(squig[arrow[u][v]][v] for v in rng) for u in rng)
+    cup2 = tuple(tuple(arrow[squig[u][v]][v] for v in rng) for u in rng)
+    joins = (cup1, cup2) if k == 1 else (cup2, cup1)
     found: list[Instance] = []
     for table, join in zip((arrow, squig), joins):
         cols = tuple(zip(*table))
@@ -138,7 +115,7 @@ def _holds(d: SelfMap, instances: list[Instance]) -> bool:
 
 
 def _gate_class(A: PseudoBciAlgebra, cls: DerivationClass, force: bool) -> None:
-    if cls.requires_pseudo_bck and not force and not is_pseudo_bck(A):
+    if not (force or cls.applies_to(A)):
         raise TypeRequiresPseudoBckError(
             f"{cls} is defined only on pseudo-BCK algebras; "
             "pass force=True to evaluate the identities anyway")
@@ -155,7 +132,7 @@ def satisfies(A: PseudoBciAlgebra, d: SelfMap, cls: DerivationClass, *,
     """True iff both defining identities of the class hold for all pairs."""
     _check_map(A, d)
     _gate_class(A, cls, force)
-    return _holds(d, _instances(A, _RHS[cls]))
+    return _holds(d, _instances(A, cls.rhs))
 
 
 def _solve(A: PseudoBciAlgebra, instances: list[Instance], *,
@@ -230,7 +207,7 @@ def enumerate_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     """
     _gate_class(A, cls, force)
     check_enumeration_cap(A.size, ENUM_CAP, "enumeration")
-    return _solve(A, _instances(A, _RHS[cls]), regular=regular)
+    return _solve(A, _instances(A, cls.rhs), regular=regular)
 
 
 def brute_force_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
@@ -241,7 +218,7 @@ def brute_force_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     enumerator at small sizes.
     """
     _gate_class(A, cls, force)
-    instances = _instances(A, _RHS[cls])
+    instances = _instances(A, cls.rhs)
     unit = A.unit
     return [d for d in itertools.product(range(A.size), repeat=A.size)
             if not (regular and d[unit] != unit) and _holds(d, instances)]

@@ -65,10 +65,9 @@ def _member_set(A: PseudoBciAlgebra, members: Iterable[int]) -> frozenset[int]:
 def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> DeductiveSystem:
     """Wrap a subset after checking the deductive-system axioms.
 
-    Raises ValueError when the subset is not a deductive system or names an
-    index outside the universe.  The two detachment forms select the same
-    subsets (a theorem), so disagreement between them is an internal bug,
-    not bad input.
+    Raises ValueError when the subset is not a deductive system.  The two
+    detachment forms select the same subsets (a theorem), so disagreement
+    between them is an internal bug, not bad input.
     """
     ms = _member_set(A, members)
     if A.unit not in ms:
@@ -196,8 +195,7 @@ def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSyst
     """The least deductive system containing the generators.
 
     Closure under arrow-detachment from the generators plus the unit; usable
-    above the enumeration cap.  An index outside the universe is a
-    ValueError.
+    above the enumeration cap.
     """
     close = _closure(A, A.arrow)
     return _flags(A, _members(close(sum(1 << x for x in _member_set(A, generators)))))

@@ -28,7 +28,6 @@ from functools import cached_property
 from .core import (ClassificationReport, PseudoBciAlgebra, _branches, _classify,
                    atoms, classify, is_subalgebra)
 from .derivations import (
-    CLASS_ORDER,
     DerivationClass,
     MonoidReport,
     SelfMap,
@@ -115,11 +114,10 @@ class Analysis:
 
     @cached_property
     def derivations(self) -> dict[DerivationClass, list[SelfMap]]:
-        """Each applicable class's maps, in CLASS_ORDER: implicative I/II and
-        symmetric I/II everywhere, III/IV on pseudo-BCK algebras."""
-        bck = self.classification.is_pseudo_bck
+        """The maps of each class that applies to A, in DerivationClass
+        order; DerivationClass.applies_to decides the scope."""
         return {cls: enumerate_derivations(self.A, cls)
-                for cls in CLASS_ORDER if bck or not cls.requires_pseudo_bck}
+                for cls in DerivationClass if cls.applies_to(self.A)}
 
     idop1 = _maps_of(DerivationClass.IMPLICATIVE_I)
     idop2 = _maps_of(DerivationClass.IMPLICATIVE_II)

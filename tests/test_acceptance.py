@@ -26,7 +26,6 @@ from click.testing import CliRunner
 
 from pbci import classify, collect_violations, validate
 from pbci.derivations import (
-    CLASS_ORDER,
     DerivationClass as C,
     brute_force_derivations,
     compose,
@@ -215,7 +214,7 @@ def test_criterion_08_oracle_equivalence(all_fixtures):
     for name, algebra in all_fixtures.items():
         if algebra.size > 5:
             continue
-        for cls in CLASS_ORDER:
+        for cls in C:
             fast = enumerate_derivations(algebra, cls, force=True)
             slow = brute_force_derivations(algebra, cls, force=True)
             ok &= fast == slow

@@ -5,7 +5,6 @@ import pytest
 
 from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds
 from pbci.derivations import (
-    CLASS_ORDER,
     DerivationClass as C,
     brute_force_derivations,
     compose,
@@ -103,6 +102,16 @@ def test_types_three_four_gated(proper5):
     assert satisfies(proper5, identity_map(proper5), C.IMPLICATIVE_III, force=True)
 
 
+def test_applies_to_scopes_types_three_four(all_fixtures):
+    for name, algebra in all_fixtures.items():
+        scope = [str(cls) for cls in C if cls.applies_to(algebra)]
+        if name == "bck5":
+            assert scope == [str(cls) for cls in C]
+        else:
+            assert scope == ["implicative-I", "implicative-II",
+                             "symmetric-I", "symmetric-II"]
+
+
 def test_enumeration_cap(proper5, monkeypatch):
     monkeypatch.setenv("PBCI_MAX_SIZE", "4")
     with pytest.raises(EnumerationCapExceeded):
@@ -121,7 +130,7 @@ def test_bad_map_rejected(proper5):
 @pytest.mark.parametrize("name", ["proper5", "cyclic3", "bck5", "flat5", "flat6"])
 def test_oracle_equivalence_all_classes(name, request):
     algebra = request.getfixturevalue(name)
-    for cls in CLASS_ORDER:
+    for cls in C:
         for regular in (False, True):
             fast = enumerate_derivations(algebra, cls, regular=regular, force=True)
             slow = brute_force_derivations(algebra, cls, regular=regular, force=True)
@@ -135,7 +144,7 @@ def test_flat_family_counts(n):
     # class: the size caps bound work that doubles with every element
     algebra = flat(n)
     assert len(enumerate_ds(algebra)) == 2 ** (n - 1)
-    for cls in CLASS_ORDER[:4]:  # implicative I-IV
+    for cls in (C.IMPLICATIVE_I, C.IMPLICATIVE_II, C.IMPLICATIVE_III, C.IMPLICATIVE_IV):
         assert len(enumerate_derivations(algebra, cls)) == 2 ** (n - 1)
     assert enumerate_derivations(algebra, C.SYMMETRIC_I) == [(algebra.unit,) * n]
     assert phi_map(algebra) == (algebra.unit,) * n
@@ -144,7 +153,7 @@ def test_flat_family_counts(n):
 
 def test_oracle_equivalence_on_small_pool(small_pool):
     for algebra in small_pool:
-        for cls in CLASS_ORDER:
+        for cls in C:
             for regular in (False, True):
                 assert (enumerate_derivations(algebra, cls, regular=regular, force=True)
                         == brute_force_derivations(algebra, cls, regular=regular,
@@ -182,11 +191,11 @@ def test_satisfies_matches_written_out_identities(all_fixtures, cyclic3):
         n = algebra.size
         cases += [(algebra, tuple(rng.randrange(n) for _ in range(n)))
                   for _ in range(200)]
-        cases += [(algebra, d) for cls in CLASS_ORDER
+        cases += [(algebra, d) for cls in C
                   for d in enumerate_derivations(algebra, cls, force=True)]
     for algebra, d in cases:
         pairs = [(x, y) for x in algebra.elements() for y in algebra.elements()]
-        for cls in CLASS_ORDER:
+        for cls in C:
             expected = all(_readme_identities(algebra, cls, d, x, y) for x, y in pairs)
             assert satisfies(algebra, d, cls, force=True) == expected
 
@@ -203,11 +212,11 @@ def test_enumeration_invariant_under_declaration_order(label, products, monkeypa
     n = algebra.size
     monkeypatch.setenv("PBCI_MAX_SIZE", str(n))
     base = {cls: enumerate_derivations(algebra, cls, force=True)
-            for cls in CLASS_ORDER}
+            for cls in C}
     translations = regular_translation_maps(algebra)
     for order in seeded_orders(n):
         moved = permuted(algebra, order)
-        for cls in CLASS_ORDER:
+        for cls in C:
             got = enumerate_derivations(moved, cls, force=True)
             assert got == sorted(_transport(d, order) for d in base[cls])
         assert (regular_translation_maps(moved)

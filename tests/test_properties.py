@@ -13,7 +13,6 @@ from pbci import (
     validate,
 )
 from pbci.derivations import (
-    CLASS_ORDER,
     DerivationClass as C,
     brute_force_derivations,
     enumerate_derivations,
@@ -91,7 +90,7 @@ def test_enumerator_equals_oracle_on_small_pool():
     for A in SMALL:
         if A.size > 3:
             continue
-        for cls in CLASS_ORDER:
+        for cls in C:
             assert (enumerate_derivations(A, cls, force=True)
                     == brute_force_derivations(A, cls, force=True))
 
