@@ -170,3 +170,14 @@ def make_large_products():
 @pytest.fixture(scope="session")
 def large_products():
     return make_large_products()
+
+
+N90_LABEL = "proper5*group6*cyclic3"
+
+
+def make_n90_product():
+    """proper5 x group6 x cyclic3, n = 90.  K has 4 elements, so the
+    quotient by K has 36 classes."""
+    proper5, group6, cyclic3 = (load_algebra(name)
+                                for name in ("proper5", "group6", "cyclic3"))
+    return product(product(proper5, group6), cyclic3)

@@ -1,8 +1,9 @@
 """Golden outputs: CLI stdout compared byte for byte with recorded copies, so
 a refactor that changes any output fails here.
 
-- The five fixtures: `analyze --json`, `verify`, `check`, `quotient --by K`
-  and `ds` stdout, stored in full under ``tests/golden/``.
+- The five fixtures: `analyze --json`, `verify`, `check`, `quotient --by K`,
+  `quotient --by-file` with a subset file that lists the unit alone, and
+  `ds` stdout, stored in full under ``tests/golden/``.
 - The five fixtures: `derivations` for every class that applies, without
   and with `--regular`, plus `--force` for types III/IV where the fixture
   is not pseudo-BCK; and `map` with the phi map and the identity map.  Each
@@ -11,7 +12,10 @@ a refactor that changes any output fails here.
 - The four products of ``conftest.PRODUCT_LABELS`` (n = 9 to 15):
   `analyze --json` and `verify` stdout as sha256 digests.
 - The four products of ``conftest.LARGE_PRODUCT_LABELS`` (n = 25 to 36):
-  `check` and `quotient --by K` stdout as sha256 digests.
+  `check`, `quotient --by K`, `quotient --by-file` with the unit alone,
+  `analyze --json` and `verify` stdout as sha256 digests.
+- The product ``conftest.N90_LABEL`` (n = 90): `check`, `quotient --by K`,
+  `analyze --json` and `verify` stdout as sha256 digests, in the same file.
 - Three corrupted fixtures and one corrupted large product: `check` stdout
   in full, with exit code 1, which pins every violation line and its order.
 - `search --size N` for N = 1 to 4, and for N = 3 and 4 the benchmark's
@@ -34,12 +38,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pbci import serialize_spec
+from pbci import parse_algebra, serialize_spec
 from pbci.cli import main
 
 from conftest import (FIXTURE_DIR, FIXTURE_NAMES, LARGE_PRODUCT_LABELS,
-                      PRODUCT_LABELS, fixture_text, load_algebra,
-                      make_large_products, make_products)
+                      N90_LABEL, PRODUCT_LABELS, fixture_text, load_algebra,
+                      make_large_products, make_n90_product, make_products)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PRODUCT_DIGESTS = GOLDEN_DIR / "products.sha256.json"
@@ -48,18 +52,21 @@ SEARCH_DIGESTS = GOLDEN_DIR / "search.sha256.json"
 SEARCH5_DIGESTS = GOLDEN_DIR / "search5.sha256.json"
 COMMANDS = {"analyze": ("analyze", "--json"), "verify": ("verify",),
             "check": ("check",), "quotient": ("quotient", "--by", "K"),
-            "ds": ("ds",)}
+            "quotient-unit": ("quotient", "--by-file"), "ds": ("ds",)}
 SUFFIX = {"analyze": "analyze.json", "verify": "verify.txt",
-          "check": "check.txt", "quotient": "quotient.txt", "ds": "ds.txt",
+          "check": "check.txt", "quotient": "quotient.txt",
+          "quotient-unit": "quotient-unit.txt", "ds": "ds.txt",
           "derivations": "derivations.txt", "map": "map.txt"}
 TRANSCRIPTS = ("derivations", "map")
 PSEUDO_BCK_FIXTURES = ("bck5",)
 CLASS_FLAGS = ([("implicative", t) for t in ("i", "ii", "iii", "iv")]
                + [("symmetric", t) for t in ("i", "ii")])
 PRODUCT_COMMANDS = ("analyze", "verify")
-LARGE_COMMANDS = ("check", "quotient")
+LARGE_COMMANDS = ("check", "quotient", "quotient-unit", "analyze", "verify")
+N90_COMMANDS = ("check", "quotient", "analyze", "verify")
 PRODUCT_ENV = {"PBCI_MAX_SIZE": "16"}
 LARGE_ENV = {"PBCI_MAX_SIZE": "36"}
+N90_ENV = {"PBCI_MAX_SIZE": "90"}
 SEARCH_VARIANTS = (("--modulo-iso",),
                    ("--pred", "p_semisimple=false", "--modulo-iso"),
                    ("--pred", "proper"))
@@ -87,8 +94,16 @@ CORRUPTIONS = {
 
 
 def stdout_of(command: str, path: str, env=None) -> str:
+    """stdout of one command on the algebra file at path; exit code 0 is
+    asserted.  `quotient-unit` names a subset file that lists the unit."""
     verb, *flags = COMMANDS[command]
-    result = CliRunner().invoke(main, [verb, path, *flags], env=env)
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "quotient-unit":
+            subset = Path(tmp) / "unit.txt"
+            text = Path(path).read_text(encoding="utf-8")
+            subset.write_text(parse_algebra(text).unit + "\n", encoding="utf-8")
+            flags.append(str(subset))
+        result = CliRunner().invoke(main, [verb, path, *flags], env=env)
     assert result.exit_code == 0, result.output
     return result.stdout
 
@@ -195,12 +210,19 @@ def test_product_stdout_matches_golden_digests(tmp_path):
         assert digest(text) == expected[label][command], (label, command)
 
 
+def large_groups():
+    """(algebras, commands, env) for each group of large.sha256.json."""
+    return ((make_large_products(), LARGE_COMMANDS, LARGE_ENV),
+            ({N90_LABEL: make_n90_product()}, N90_COMMANDS, N90_ENV))
+
+
 def test_large_product_stdout_matches_golden_digests(tmp_path):
     expected = json.loads(LARGE_DIGESTS.read_text(encoding="utf-8"))
-    assert sorted(expected) == sorted(LARGE_PRODUCT_LABELS)
-    for label, command, text in product_stdouts(
-            tmp_path, make_large_products(), LARGE_COMMANDS, LARGE_ENV):
-        assert digest(text) == expected[label][command], (label, command)
+    assert sorted(expected) == sorted(LARGE_PRODUCT_LABELS + (N90_LABEL,))
+    for algebras, commands, env in large_groups():
+        for label, command, text in product_stdouts(tmp_path, algebras,
+                                                    commands, env):
+            assert digest(text) == expected[label][command], (label, command)
 
 
 def test_search_stdout_matches_golden_digests():
@@ -219,12 +241,14 @@ def test_corrupted_check_stdout_matches_golden(label, tmp_path):
     assert corrupted_check_stdout(label, tmp_path) == expected
 
 
-def write_digests(path: Path, algebras, commands, env) -> None:
+def write_digests(path: Path, groups) -> None:
+    """One digest file for the (algebras, commands, env) groups."""
     digests: dict[str, dict[str, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, command, text in product_stdouts(Path(tmp), algebras,
-                                                    commands, env):
-            digests.setdefault(label, {})[command] = digest(text)
+        for algebras, commands, env in groups:
+            for label, command, text in product_stdouts(Path(tmp), algebras,
+                                                        commands, env):
+                digests.setdefault(label, {})[command] = digest(text)
     path.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
 
 
@@ -241,8 +265,8 @@ def record() -> None:
         for label in CORRUPTIONS:
             text = corrupted_check_stdout(label, Path(tmp))
             fixture_golden(label, "check").write_text(text, encoding="utf-8")
-    write_digests(PRODUCT_DIGESTS, make_products(), PRODUCT_COMMANDS, PRODUCT_ENV)
-    write_digests(LARGE_DIGESTS, make_large_products(), LARGE_COMMANDS, LARGE_ENV)
+    write_digests(PRODUCT_DIGESTS, [(make_products(), PRODUCT_COMMANDS, PRODUCT_ENV)])
+    write_digests(LARGE_DIGESTS, large_groups())
     for path, arg_lists in ((SEARCH_DIGESTS, SEARCH_ARGS),
                             (SEARCH5_DIGESTS, SEARCH5_ARGS)):
         path.write_text(json.dumps(search_digests(arg_lists), indent=2) + "\n",
