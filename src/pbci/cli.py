@@ -179,11 +179,14 @@ def quotient_cmd(file: str, by_k: str | None, subset_file: str | None) -> None:
     else:
         text = _read(subset_file)
         members = []
-        for token in text.replace(",", " ").split():
-            try:
-                members.append(algebra.index_of(token))
-            except KeyError:
-                _usage_error(f"{subset_file}: unknown element {token!r}")
+        for token in text.split():
+            # a declared name is taken whole, even when it holds a comma
+            parts = [token] if token in algebra.names else token.split(",")
+            for name in filter(None, parts):
+                try:
+                    members.append(algebra.index_of(name))
+                except KeyError:
+                    _usage_error(f"{subset_file}: unknown element {name!r}")
         try:
             system = as_deductive_system(algebra, members)
         except ValueError as exc:

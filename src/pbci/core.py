@@ -2,10 +2,13 @@
 
 An algebra lives on indices 0..n-1 with display names attached; both
 implication tables are dense tuples so every operation is a table lookup.
-``validate`` is the only intended constructor of :class:`PseudoBciAlgebra`:
-it checks the five defining axioms, precomputes the order relation and runs
-a suite of theorem-backed sanity checks whose failure can only mean a bug
-in this package, never bad input.
+``validate`` is the first of two intended constructors of
+:class:`PseudoBciAlgebra`: it checks the five defining axioms, precomputes
+the order relation and runs a suite of theorem-backed sanity checks whose
+failure can only mean a bug in this package, never bad input.  The second
+is renaming a validated algebra (``dataclasses.replace`` with new names),
+which keeps the tables ``validate`` accepted; ``dsystems.quotient`` does it
+when every congruence class is a singleton.
 
 ``validate`` reads and checks the tables in one pass and builds their
 columns once.  The axiom scan (``collect_violations``) and the sanity suite

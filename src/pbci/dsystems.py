@@ -11,12 +11,15 @@ independent oracle: a scan of every subset holding the unit.  Compatible means
 both implications detect membership identically; closed means the subset is
 a subalgebra.  Quotients exist exactly for compatible closed systems; the
 congruence of a system is built once as bitmask rows and checked for
-reflexivity and transitivity a row at a time.
+reflexivity and transitivity a row at a time.  A quotient is re-validated
+through the full axiom checker unless every class is a singleton; then its
+tables are the algebra's own, already validated, and the quotient is the
+algebra renamed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .core import AlgebraSpec, PseudoBciAlgebra, bck_part, is_subalgebra, validate
@@ -221,7 +224,9 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
     violations raise CongruenceError with a witness.  The relation is built
     once as bitmask rows, so transitivity is one mask test per related pair
     (x, y): every z related to y must be related to x, and the least z that
-    is not, for the least such x and y, is the witness.
+    is not, for the least such x and y, is the witness.  Compatibility is
+    tested on every pair of classes but two singletons, whose 1 x 1 block
+    holds one value.
     """
     if not (D.compatible and D.closed):
         raise NotCompatibleOrClosedError(
@@ -261,6 +266,8 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
 
     for bx in classes:
         for by in classes:
+            if len(bx) == len(by) == 1:
+                continue
             for table in (A.arrow, A.squig):
                 results = {rep[table[x][y]] for x in bx for y in by}
                 if len(results) != 1:
@@ -274,16 +281,21 @@ def quotient(A: PseudoBciAlgebra, D: DeductiveSystem) -> PseudoBciAlgebra:
     """The quotient by a compatible closed deductive system.
 
     Classes are named by their lexicographically least member in brackets
-    and ordered by least member index; the result is re-validated through
-    the full axiom checker rather than trusting the correspondence theorem.
+    and ordered by least member index.  When every class is a singleton,
+    class i is {i}, so the quotient's tables and order are A's own, which
+    ``validate`` has accepted; the result is A under the bracketed names.
+    Otherwise the result is re-validated through the full axiom checker
+    rather than trusting the correspondence theorem.
     """
     classes = congruence_classes(A, D)
+    names = tuple("[" + min(A.names[x] for x in block) + "]" for block in classes)
     n = A.size
+    if len(classes) == n:
+        return replace(A, names=names)
     rep_of = [0] * n
     for ci, block in enumerate(classes):
         for x in block:
             rep_of[x] = ci
-    names = tuple("[" + min(A.names[x] for x in block) + "]" for block in classes)
     unit_name = names[rep_of[A.unit]]
     arrow = tuple(
         tuple(names[rep_of[A.arrow[bx[0]][by[0]]]] for by in classes)

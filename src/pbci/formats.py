@@ -132,6 +132,8 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
     Image-row form lists one image per element in declaration order
     ("d d d 1 d"); pair form assigns images by name ("a=d,b=d,..."), comma
     or whitespace separated.  Every element must receive exactly one image.
+    Text whose whitespace tokens are n declared names is an image row, even
+    when a name holds '='; other text holding '=' is read as pairs.
     """
     n = algebra.size
     names = algebra.names
@@ -139,8 +141,10 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
     stripped = text.strip()
     if not stripped:
         raise IncompleteMapError("empty self-map description", line=1)
+    tokens = stripped.split()
 
-    if "=" in stripped:
+    if "=" in stripped and not (len(tokens) == n
+                                and all(tok in index for tok in tokens)):
         images: list[int | None] = [None] * n
         for part in re.split(r"[,\s]+", stripped):
             if not part:
@@ -161,7 +165,6 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
                 "missing image for " + ", ".join(missing), line=1)
         return tuple(images)  # type: ignore[arg-type]
 
-    tokens = stripped.split()
     if len(tokens) != n:
         raise IncompleteMapError(
             f"image row has {len(tokens)} entries, expected {n}", line=1)

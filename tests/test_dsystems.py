@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
+import pbci.dsystems
 from pbci import (
+    AlgebraSpec,
     CongruenceError,
     EnumerationCapExceeded,
     InternalInconsistencyError,
@@ -10,6 +13,7 @@ from pbci import (
     PseudoBciAlgebra,
     classify,
     group_view,
+    validate,
 )
 from pbci.derivations import DerivationClass as C, enumerate_derivations, identity_map
 from pbci.dsystems import (
@@ -24,7 +28,7 @@ from pbci.dsystems import (
     quotient,
 )
 
-from conftest import PRODUCT_LABELS, m, permuted, seeded_orders
+from conftest import FIXTURE_NAMES, PRODUCT_LABELS, m, permuted, seeded_orders
 
 
 def member_names(algebra, systems):
@@ -179,6 +183,9 @@ def _unit_system_of(names, arrow):
     # classes {a, b} and {c, 1}; a -> c = c but b -> c = 1
     (("a", "b", "c", "1"), ((3, 3, 2, 1), (3, 3, 1, 2), (0, 1, 3, 3), (1, 0, 3, 3)),
      "operation not constant on classes [a] op [c]"),
+    # classes {a, b}, {c} and {1}; a -> c = c but b -> c = 1
+    (("a", "b", "c", "1"), ((3, 3, 2, 3), (3, 3, 3, 3), (2, 2, 3, 2), (0, 1, 2, 3)),
+     "operation not constant on classes [a] op [c]"),
 ])
 def test_congruence_error_witness(names, arrow, message):
     algebra, D = _unit_system_of(names, arrow)
@@ -204,6 +211,75 @@ def test_quotient_by_unit_is_isomorphic(proper5, group6):
         assert Q.arrow == algebra.arrow and Q.squig == algebra.squig
         assert Q.names == tuple(f"[{name}]" for name in algebra.names)
         assert Q.unit == algebra.unit
+
+
+def renamed_spec(A, classes):
+    """The quotient's tables by class, with each class named by its least
+    member in brackets: the spec the re-validating route builds."""
+    rep_of = {x: ci for ci, block in enumerate(classes) for x in block}
+    names = tuple("[" + min(A.names[x] for x in block) + "]" for block in classes)
+
+    def table(t):
+        return tuple(tuple(names[rep_of[t[bx[0]][by[0]]]] for by in classes)
+                     for bx in classes)
+
+    return AlgebraSpec(names=names, unit=names[rep_of[A.unit]],
+                       arrow=table(A.arrow), squig=table(A.squig))
+
+
+def field_values(algebra):
+    return {f.name: getattr(algebra, f.name) for f in dataclasses.fields(algebra)}
+
+
+def assert_quotient_matches_oracle(A, D):
+    oracle = validate(renamed_spec(A, congruence_classes(A, D)), max_size=A.size)
+    assert field_values(quotient(A, D)) == field_values(oracle)
+
+
+def test_singleton_class_quotients_match_validated_renaming(
+        small_pool, products, large_products):
+    for A in small_pool + list(products.values()) + list(large_products.values()):
+        assert_quotient_matches_oracle(A, as_deductive_system(A, {A.unit}))
+        K = bck_part_system(A)
+        if K.members == {A.unit}:
+            assert_quotient_matches_oracle(A, K)
+
+
+def test_every_quotient_matches_validated_spec(small_pool, products):
+    for A in small_pool + list(products.values()):
+        for D in enumerate_ds(A):
+            if D.compatible and D.closed:
+                assert_quotient_matches_oracle(A, D)
+
+
+def count_validate_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(pbci.dsystems, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["proper5", "mixed6", "bck5"])
+def test_quotient_with_a_larger_class_is_validated_again(name, all_fixtures,
+                                                         monkeypatch):
+    A = all_fixtures[name]
+    K = bck_part_system(A)
+    assert len(K.members) > 1
+    calls = count_validate_calls(monkeypatch)
+    quotient(A, K)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_singleton_class_quotient_skips_validate(name, all_fixtures, monkeypatch):
+    A = all_fixtures[name]
+    calls = count_validate_calls(monkeypatch)
+    quotient(A, as_deductive_system(A, {A.unit}))
+    assert calls == []
 
 
 def test_quotient_by_everything(proper5):

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from pbci import (
+    AlgebraSpec,
     EnumerationCapExceeded,
     bck_part_system,
     core,
@@ -18,6 +19,7 @@ from pbci import (
     dsystems,
     parse_algebra,
     quotient,
+    serialize_spec,
     validate,
 )
 from pbci.cli import main
@@ -293,6 +295,46 @@ def test_cli_quotient_by_file(runner, tmp_path):
 
     result = runner.invoke(main, ["quotient", fixture_path("proper5")])
     assert result.exit_code == 2      # neither --by nor --by-file
+
+
+def renamed_fixture(directory: Path, name: str, old: str, new: str) -> str:
+    """A fixture with element old renamed new, written to directory."""
+    spec = parse_algebra(fixture_text(name))
+
+    def swap(symbol):
+        return new if symbol == old else symbol
+
+    renamed = AlgebraSpec(
+        names=tuple(map(swap, spec.names)), unit=swap(spec.unit),
+        arrow=tuple(tuple(map(swap, row)) for row in spec.arrow),
+        squig=tuple(tuple(map(swap, row)) for row in spec.squig))
+    path = directory / f"{name}.pbci"
+    path.write_text(serialize_spec(renamed), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_quotient_by_file_names_holding_commas(runner, tmp_path):
+    subset = tmp_path / "subset.txt"
+    path = renamed_fixture(tmp_path, "proper5", "d", "d,e")
+    subset.write_text("1 d,e\n")
+    result = runner.invoke(main, ["quotient", path, "--by-file", str(subset)])
+    assert result.exit_code == 1      # {d,e 1} is read, but is no system
+    assert result.stderr == "error: subset is not closed under detachment\n"
+
+    path = renamed_fixture(tmp_path, "proper5", "a", "a,e")
+    subset.write_text("a,e b,c,1\n")  # a name whole, then a comma list
+    result = runner.invoke(main, ["quotient", path, "--by-file", str(subset)])
+    assert result.exit_code == 0, result.output
+    by_k = runner.invoke(main, ["quotient", path, "--by", "K"])
+    assert result.stdout == by_k.stdout
+    assert result.stdout.startswith("# quotient by {a,e b c 1}: 2 class(es)\n")
+
+
+def test_cli_map_image_row_with_names_holding_equals(runner, tmp_path):
+    path = renamed_fixture(tmp_path, "proper5", "d", "x=y")
+    result = runner.invoke(main, ["map", path, "--map", "x=y x=y x=y 1 x=y"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("map: x=y x=y x=y 1 x=y\n")
 
 
 def test_cli_map(runner):
