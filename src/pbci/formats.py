@@ -133,7 +133,8 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
     ("d d d 1 d"); pair form assigns images by name ("a=d,b=d,..."), comma
     or whitespace separated.  Every element must receive exactly one image.
     Text whose whitespace tokens are n declared names is an image row, even
-    when a name holds '='; other text holding '=' is read as pairs.
+    when a name holds '='; other text holding '=' is read as pairs, each
+    split at the one '=' that leaves a declared name on both sides.
     """
     n = algebra.size
     names = algebra.names
@@ -151,7 +152,16 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
                 continue
             if "=" not in part:
                 raise ParseError(f"expected 'name=image', got {part!r}", line=1)
-            src, _, dst = part.partition("=")
+            # a name may hold '=': split at the one '=' that leaves a
+            # declared name on both sides, else report the first split
+            splits = [(part[:k], part[k + 1:])
+                      for k, char in enumerate(part) if char == "="]
+            named = [pair for pair in splits
+                     if pair[0] in index and pair[1] in index]
+            if len(named) > 1:
+                raise ParseError(f"ambiguous pair {part!r}: more than one '=' "
+                                 "splits it into declared names", line=1)
+            src, dst = named[0] if named else splits[0]
             if src not in index:
                 raise SymbolError(f"unknown element {src!r}", line=1)
             if dst not in index:

@@ -9,7 +9,11 @@ bucket of one step: first the step of the last of its three outer cells,
 then the step of the inner cell its value reads next.  A step evaluates
 only its own bucket, moves each instance it cannot decide to a later one
 and undoes those moves on backtrack, so each instance is decided at the
-first step that knows every cell it touches.
+first step that knows every cell it touches.  The instances of the
+exchange law (8), x -> (y ~> z) = y ~> (x -> z), wait in the same buckets.
+The law is a theorem of the axioms, which the validator's sanity suite
+asserts on every algebra, so pruning with it loses no model.  At size 5 the
+DFS visits 4,940 inner nodes with it and 35,985 with the axioms alone.
 
 The DFS visits one model per isomorphism class that fixes the unit: the
 canonical one, whose key (each cell's arrow and then squig value, in DFS
@@ -27,8 +31,8 @@ Every emitted spec additionally passes the full validator.
 
 ``brute_force_search`` is the independent oracle for small sizes: a plain
 scan of all table pairs (with only the axiom-forced unit rows fixed) that
-shares none of the search's propagation.  ``is_lex_least_rep`` is the
-oracle for the ``modulo_iso`` representatives.
+checks the axioms alone and shares none of the search's propagation.
+``is_lex_least_rep`` is the oracle for the ``modulo_iso`` representatives.
 """
 
 from __future__ import annotations
@@ -133,10 +137,11 @@ def _canonical_tables(n: int):
     pos = {cell: step for step, cell in enumerate(cells)}
     done = len(cells)
 
-    # waiting[s]: the psBCI1 (on_arrow) and psBCI2 instances that step s may
-    # decide.  Each starts at the step of its last outer cell; (x, y) is
-    # forced only for x = 1 and (y, z) only for y = 1, so one of them is free.
-    waiting: list[list[tuple[int, int, int, bool]]] = [[] for _ in cells]
+    # waiting[s]: the instances that step s may decide.  A psBCI1 (on_arrow
+    # True) or psBCI2 (False) instance starts at the step of its last outer
+    # cell; (x, y) is forced only for x = 1 and (y, z) only for y = 1, so
+    # one of them is free.
+    waiting: list[list[tuple[int, int, int, bool | None]]] = [[] for _ in cells]
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -146,6 +151,15 @@ def _canonical_tables(n: int):
                     continue
                 s = max(pos.get(cell, -1) for cell in ((x, y), (y, z), (x, z)))
                 waiting[s] += ((x, y, z, True), (x, y, z, False))
+    # A law (8) instance (on_arrow None) starts at the step of y ~> z or
+    # x -> z, whichever comes last.  x = 1 or y = 1 makes it an identity,
+    # and so does x = y = z, given x -> 1 = x ~> 1.
+    for x in range(unit):
+        for y in range(unit):
+            for z in range(n):
+                if not x == y == z:
+                    s = max(pos.get((y, z), -1), pos.get((x, z), -1))
+                    waiting[s].append((x, y, z, None))
 
     # key[t]: the code arrow * n + squig of the cell assigned at step t, so
     # that codes compare as the key does.  A permutation p maps the model to
@@ -168,6 +182,16 @@ def _canonical_tables(n: int):
         """-1 if the instance fails, ``done`` if it holds, else the step of
         the inner cell it waits on; its outer cells are assigned."""
         x, y, z, on_arrow = inst
+        if on_arrow is None:
+            # law (8): x -> (y ~> z) = y ~> (x -> z)
+            v, w = squig[y][z], arrow[x][z]
+            left = arrow[x][v]
+            if left is None:
+                return pos[x, v]
+            right = squig[y][w]
+            if right is None:
+                return pos[y, w]
+            return done if left == right else -1
         outer, inner = (arrow, squig) if on_arrow else (squig, arrow)
         u, v, w = outer[x][y], outer[y][z], outer[x][z]
         t = inner[v][w]
@@ -196,45 +220,52 @@ def _canonical_tables(n: int):
                     moved.append(s)
         return True
 
+    # the (arrow, squig) values a cell may take, in key order: x -> 1 =
+    # x ~> 1 holds in every pseudo-BCI algebra, so a unit-column cell takes
+    # equal values; elsewhere the two tables are 1-coupled, and when the
+    # transposed cell already holds 1 antisymmetry leaves no value 1 (an
+    # unassigned cell holds None)
+    unit_pairs = [(v, v) for v in range(n)]
+    coupled_pairs = [(va, vs) for va in range(n) for vs in range(n)
+                     if (va == unit) == (vs == unit)]
+    below_pairs = [(va, vs) for va, vs in coupled_pairs if va != unit]
+
     def extend(step: int):
         if step == done:
             yield _flat_key(arrow, squig)
             return
         i, j = cells[step]
-        partner_set = (j, i) in pos and pos[(j, i)] < step
-        for va in range(n):
-            # antisymmetry: both of x->y, y->x equal 1 only on the diagonal
-            if va == unit and partner_set and arrow[j][i] == unit:
-                continue
-            arrow[i][j] = va
-            # x -> 1 = x ~> 1 holds in every pseudo-BCI algebra, so the
-            # unit column admits a single squig value
-            squig_domain = (va,) if j == unit else range(n)
-            for vs in squig_domain:
-                if (va == unit) != (vs == unit):   # 1-coupling of the tables
-                    continue
-                squig[i][j] = vs
-                key[step] = va * n + vs
-                moved, moved_perms = [], []
-                if least_so_far(step, moved_perms):
-                    # newest first: the instances that waited on this cell
-                    # fail more often than those whose outer cells it
-                    # completes
-                    for inst in reversed(waiting[step]):
-                        s = evaluate(inst)
-                        if s < 0:
-                            break
-                        if s < done:
-                            waiting[s].append(inst)
-                            moved.append(s)
-                    else:
-                        yield from extend(step + 1)
-                for s in moved:
-                    waiting[s].pop()
-                for s in moved_perms:
-                    waiting_perms[s].pop()
-            squig[i][j] = None
-        arrow[i][j] = None
+        if j == unit:
+            pairs = unit_pairs
+        elif arrow[j][i] == unit:
+            pairs = below_pairs
+        else:
+            pairs = coupled_pairs
+        # newest first: the instances that waited on this cell fail more
+        # often than those whose outer cells it completes
+        bucket = waiting[step][::-1]
+        perms = waiting_perms[step]
+        arrow_row, squig_row = arrow[i], squig[i]
+        for va, vs in pairs:
+            arrow_row[j] = va
+            squig_row[j] = vs
+            key[step] = va * n + vs
+            moved, moved_perms = [], []
+            if not perms or least_so_far(step, moved_perms):
+                for inst in bucket:
+                    s = evaluate(inst)
+                    if s < 0:
+                        break
+                    if s < done:
+                        waiting[s].append(inst)
+                        moved.append(s)
+                else:
+                    yield from extend(step + 1)
+            for s in moved:
+                waiting[s].pop()
+            for s in moved_perms:
+                waiting_perms[s].pop()
+        arrow_row[j] = squig_row[j] = None
 
     yield from extend(0)
 

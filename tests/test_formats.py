@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbci import (
+    AlgebraSpec,
     IncompleteMapError,
     ParseError,
     ShapeError,
@@ -112,6 +113,25 @@ def test_selfmap_unknown_symbol(proper5):
 def test_selfmap_duplicate_assignment(proper5):
     with pytest.raises(ParseError):
         parse_selfmap("a=d,a=b,b=b,c=c,d=d,1=1", proper5)
+
+
+def test_selfmap_pairs_split_where_both_sides_are_names(proper5):
+    # proper5 with a named "x", b named "y=1" and d named "x=y"
+    renames = {"a": "x", "b": "y=1", "d": "x=y"}
+    spec = proper5.to_spec()
+
+    def swap(symbol):
+        return renames.get(symbol, symbol)
+
+    renamed = validate(AlgebraSpec(
+        names=tuple(map(swap, spec.names)), unit=spec.unit,
+        arrow=tuple(tuple(map(swap, row)) for row in spec.arrow),
+        squig=tuple(tuple(map(swap, row)) for row in spec.squig)))
+    assert parse_selfmap("x=x=y y=1=1 c=x=y x=y=x 1=1", renamed) == (
+        3, 4, 3, 0, 4)
+    # "x=y=1" reads as x -> y=1 and as x=y -> 1
+    with pytest.raises(ParseError, match="ambiguous pair 'x=y=1'"):
+        parse_selfmap("x=y=1 y=1=1 c=c x=y=x=y 1=1", renamed)
 
 
 def test_format_selfmap_round_trip(proper5):

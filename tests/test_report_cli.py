@@ -337,6 +337,14 @@ def test_cli_map_image_row_with_names_holding_equals(runner, tmp_path):
     assert result.stdout.startswith("map: x=y x=y x=y 1 x=y\n")
 
 
+def test_cli_map_pairs_with_names_holding_equals(runner, tmp_path):
+    path = renamed_fixture(tmp_path, "proper5", "d", "x=y")
+    result = runner.invoke(main, [
+        "map", path, "--map", "a=x=y b=x=y c=x=y x=y=1 1=x=y"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("map: x=y x=y x=y 1 x=y\n")
+
+
 def test_cli_map(runner):
     result = runner.invoke(main, [
         "map", fixture_path("proper5"), "--map", "d d d 1 d"])

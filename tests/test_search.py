@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 
@@ -140,7 +141,8 @@ def test_predicate_filters_like_classify_on_each_model(n, name, value):
         search(SearchQuery(size=n, modulo_iso=True)))
 
 
-@pytest.mark.parametrize("n, labelled, classes", [(3, 8, 5), (4, 119, 25)])
+@pytest.mark.parametrize("n, labelled, classes",
+                         [(3, 8, 5), (4, 119, 25), (5, 3747, 181)])
 def test_model_counts(n, labelled, classes):
     assert len(search(SearchQuery(size=n))) == labelled
     assert len(search(SearchQuery(size=n, modulo_iso=True))) == classes
@@ -169,9 +171,33 @@ def test_dfs_evaluates_instances_only_where_they_wait():
     # only at the step of each inner cell it waits on; putting it in a later
     # bucket, or keeping the moves of a finished branch, changes no output
     # but shows here.  The counts cover only the branches that the
-    # symmetry check leaves, so a weaker check shows here as well.
-    assert evaluations(3) == 196
-    assert evaluations(4) == 5_991
+    # symmetry check and the law (8) instances leave, so a weaker check
+    # shows here as well.
+    assert evaluations(3) == 269
+    assert evaluations(4) == 5_594
+    assert evaluations(5) == 199_717
+
+
+def product_tables(first, second):
+    """Index tables of the direct product of two (arrow, squig) pairs, with
+    (x, y) numbered x * m + y for m elements in the second factor, so that
+    the unit (1, 1) comes last."""
+    m = len(second[0])
+    pairs = list(itertools.product(range(len(first[0])), range(m)))
+    return tuple(
+        tuple(tuple(f[x1][x2] * m + s[y1][y2] for x2, y2 in pairs)
+              for x1, y1 in pairs)
+        for f, s in zip(first, second))
+
+
+def test_modulo_iso_size4_holds_every_product_of_size2_models():
+    # a product of pseudo-BCI algebras is one, built here from the oracle's
+    # models without the DFS, so it checks the pruning for lost models
+    reps = {index_tables(spec)
+            for spec in search(SearchQuery(size=4, modulo_iso=True))}
+    for first, second in itertools.product(brute_force(2), repeat=2):
+        model = product_tables(first, second)
+        assert any(image in reps for image in orbit(*model))
 
 
 def test_output_sorted_by_flattened_pair():
