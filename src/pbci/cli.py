@@ -41,8 +41,9 @@ def _usage_error(message: str):
 
 
 def _read(path: str) -> str:
+    """The text of an input file; a UTF-8 byte-order mark is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         _usage_error(str(exc))
     except UnicodeDecodeError as exc:

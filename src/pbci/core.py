@@ -2,6 +2,8 @@
 
 An algebra lives on indices 0..n-1 with display names attached; both
 implication tables are dense tuples so every operation is a table lookup.
+The tables derived from them are cached properties of the algebra, each
+built on first use and then kept.
 ``validate`` is the first of two intended constructors of
 :class:`PseudoBciAlgebra`: it checks the five defining axioms, precomputes
 the order relation and runs a suite of theorem-backed sanity checks whose
@@ -10,28 +12,30 @@ is renaming a validated algebra (``dataclasses.replace`` with new names),
 which keeps the tables ``validate`` accepted; ``dsystems.quotient`` does it
 when every congruence class is a singleton.
 
-``validate`` reads and checks the tables in one pass and builds their
-columns once.  The axiom scan (``collect_violations``) and the sanity suite
-(``_sanity_failures``) then decide every instance of every law in one pass
-each over the pairs (x, y), walking whole rows and columns instead of
-subscripting both tables per instance: sanity laws (4) and (8) compare two
-picker rows over z per pair, and (5), (6) and (10) run only over the pairs
-x <= y.  Both rescan only a pair at which some instance fails, one z at a
-time, to list what fails there.  So every violation (and every sanity
-witness) is reported with the same text and in the same order as an
+``validate`` reads the tables in one pass into an unvalidated algebra, and
+the axiom scan (``collect_violations``) and the sanity suite
+(``_sanity_failures``) read that instance, which ``validate`` returns once
+both pass.  Each decides every instance of every law in one pass over the
+pairs (x, y), walking whole rows and columns instead of subscripting both
+tables per instance: sanity laws (4) and (8) compare two picker rows over z
+per pair, and (5), (6) and (10) run only over the pairs x <= y.  Both
+rescan only a pair at which some instance fails, one z at a time, to list
+what fails there.  So every violation (and every sanity witness) is
+reported with the same text and in the same order as an
 instance-by-instance scan.
 
 The classification crosschecks keep every quantifier of the laws they test,
 but evaluate the inner one a row at a time: the medial laws, the atom
 characterizations and group associativity compare whole rows of composed
-tables (``_pickers``), each built at most once per call, and the atom
-tests share what does not depend on the atom.  Everything is pure
-Python; numpy would cost more at start-up than it saves on these tables.
+tables (``_pickers``), and the atom tests share what does not depend on
+the atom.  Everything is pure Python; numpy would cost more at start-up
+than it saves on these tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -88,8 +92,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class PseudoBciAlgebra:
-    """Immutable validated pseudo-BCI algebra with a precomputed order table.
+    """Immutable pseudo-BCI algebra with a precomputed order table.
 
+    The scans in ``validate`` read an unvalidated instance.  The derived
+    tables below are built on first use and kept; they are not fields, so
+    ``==``, ``hash`` and ``dataclasses.replace`` see only the five fields.
     Safe to share between threads; every function in this package treats it
     as read-only.
     """
@@ -119,16 +126,40 @@ class PseudoBciAlgebra:
         """(x ~> y) -> y, the second join-like term."""
         return self.arrow[self.squig[x][y]][y]
 
-    def cup(self, variant: int, x: int, y: int) -> int:
-        if variant == 1:
-            return self.cup1(x, y)
-        if variant == 2:
-            return self.cup2(x, y)
-        raise ValueError(f"cup variant must be 1 or 2, got {variant}")
-
     def phi(self, x: int) -> int:
         """(x -> 1) ~> 1; lands in the atom heading x's branch."""
         return self.squig[self.arrow[x][self.unit]][self.unit]
+
+    @cached_property
+    def columns(self) -> tuple[Table, Table]:
+        """Both tables by column: [0][y][x] = x -> y and [1][y][x] = x ~> y."""
+        return tuple(zip(*self.arrow)), tuple(zip(*self.squig))
+
+    @cached_property
+    def joins(self) -> tuple[Table, Table]:
+        r"""Both join tables: [0][x][y] = x \/1 y = cup1(x, y) and
+        [1][x][y] = x \/2 y = cup2(x, y)."""
+        arrow, squig = self.arrow, self.squig
+        return (tuple(tuple(squig[v][y] for y, v in enumerate(row)) for row in arrow),
+                tuple(tuple(arrow[v][y] for y, v in enumerate(row)) for row in squig))
+
+    @cached_property
+    def product(self) -> Table:
+        """product[x][y] = (x -> 1) ~> y: row x is the squig row at x -> 1.
+        On a p-semisimple algebra it is the group product."""
+        u = self.unit
+        return tuple(self.squig[row[u]] for row in self.arrow)
+
+    @cached_property
+    def pickers(self) -> tuple[list[Picker], list[Picker]]:
+        """_pickers of the arrow and of the squig table."""
+        return _pickers(self.arrow), _pickers(self.squig)
+
+    @cached_property
+    def column_pickers(self) -> tuple[list[Picker], list[Picker]]:
+        """_pickers of both tables by column."""
+        arrow_cols, squig_cols = self.columns
+        return _pickers(arrow_cols), _pickers(squig_cols)
 
     def index_of(self, name: str) -> int:
         try:
@@ -150,9 +181,9 @@ class PseudoBciAlgebra:
         )
 
 
-def _index_tables(spec: AlgebraSpec) -> tuple[int, Table, Table]:
-    """The unit and both tables as element indices, read in one pass that
-    raises StructuralError unless names, unit and tables are well-formed."""
+def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:
+    """The spec as an unvalidated algebra, read in one pass that raises
+    StructuralError unless names, unit and tables are well-formed."""
     names = spec.names
     n = len(names)
     if n == 0:
@@ -179,23 +210,18 @@ def _index_tables(spec: AlgebraSpec) -> tuple[int, Table, Table]:
                 raise StructuralError(
                     f"{label} table entry {entry!r} is not a declared element") from None
         tables.append(tuple(rows))
-    return pos[spec.unit], tables[0], tables[1]
+    unit = pos[spec.unit]
+    arrow, squig = tables
+    leq = tuple(tuple(map(unit.__eq__, row)) for row in arrow)
+    return PseudoBciAlgebra(names=names, unit=unit, arrow=arrow, squig=squig, leq=leq)
 
 
-def _columns(arrow: Table, squig: Table) -> tuple[Table, Table]:
-    """Both tables by column: [0][y][x] = x -> y and [1][y][x] = x ~> y."""
-    return tuple(zip(*arrow)), tuple(zip(*squig))
-
-
-def collect_violations(
-        spec: AlgebraSpec, *,
-        indexed: tuple[int, Table, Table, tuple[Table, Table]] | None = None,
-) -> list[Violation]:
+def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
     """Every failed axiom instance of psBCI1..psBCI5, in scan order.
 
     Structural problems raise StructuralError instead of being reported as
-    violations.  ``validate`` passes the unit, both tables and their
-    columns, already read, as ``indexed``.
+    violations.  ``validate`` passes the unvalidated algebra it has read
+    from the spec, whose columns the sanity suite reuses.
 
     psBCI1 is (x->y) ~> [(y->z) ~> (x->z)] = 1 and psBCI2 the same with the
     tables swapped.  For fixed x and y the pass over z reads each bracket
@@ -204,12 +230,8 @@ def collect_violations(
     (x, y) at which some z fails is scanned again, one z at a time, to list
     its violations.
     """
-    if indexed is None:
-        unit, arrow, squig = _index_tables(spec)
-        cols = _columns(arrow, squig)
-    else:
-        unit, arrow, squig, cols = indexed
-    names = spec.names
+    A = spec if isinstance(spec, PseudoBciAlgebra) else _index_tables(spec)
+    unit, arrow, squig, names = A.unit, A.arrow, A.squig, A.names
     n = len(names)
     rng = range(n)
     out: list[Violation] = []
@@ -225,7 +247,7 @@ def collect_violations(
                 out.append(Violation(
                     "psBCI4", (names[x],),
                     f"1 ~> {names[x]} = {names[su[x]]}, expected {names[x]}"))
-    arrow_cols, squig_cols = cols
+    arrow_cols, squig_cols = A.columns
     for x, ax, to_x in zip(rng, arrow, arrow_cols):
         for y in range(x + 1, n):
             if ax[y] == unit and to_x[y] == unit:
@@ -266,25 +288,21 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
     sanity suite does not (an implementation bug, by Lemma-level results
     that hold in every pseudo-BCI algebra).
     """
-    unit, arrow, squig = _index_tables(spec)
+    A = _index_tables(spec)
     cap = effective_cap(UNIVERSE_CAP) if max_size is None else max_size
-    if len(spec.names) > cap:
+    if A.size > cap:
         raise StructuralError(
-            f"universe size {len(spec.names)} exceeds cap {cap}; "
+            f"universe size {A.size} exceeds cap {cap}; "
             "pass max_size or set PBCI_MAX_SIZE to opt in")
-    cols = _columns(arrow, squig)
-    violations = collect_violations(spec, indexed=(unit, arrow, squig, cols))
+    violations = collect_violations(A)
     if violations:
         raise ValidationError(violations)
-    leq = tuple(tuple(map(unit.__eq__, row)) for row in arrow)
-    alg = PseudoBciAlgebra(names=spec.names, unit=unit, arrow=arrow,
-                           squig=squig, leq=leq)
-    failures = _sanity_failures(alg, cols)
+    failures = _sanity_failures(A)
     if failures:
         raise InternalInconsistencyError(
             "axioms hold but derived laws fail (package bug): "
             + "; ".join(failures))
-    return alg
+    return A
 
 
 # The sanity suite: each derived law by its label, in the order the
@@ -306,7 +324,7 @@ SANITY_LAWS = {
 }
 
 
-def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str]:
+def _sanity_failures(A: PseudoBciAlgebra) -> list[str]:
     """First witness for each violated law of the twelve-law sanity suite,
     in the order first seen.
 
@@ -325,8 +343,8 @@ def _sanity_failures(A: PseudoBciAlgebra, cols: tuple[Table, Table]) -> list[str
     arrow, squig, leq = A.arrow, A.squig, A.leq
     names = A.names
     rng = range(n)
-    arrow_cols, squig_cols = cols
-    pa, ps = _pickers(arrow), _pickers(squig)
+    arrow_cols, squig_cols = A.columns
+    pa, ps = A.pickers
     to_u, sq_to_u = arrow_cols[u], squig_cols[u]      # x -> 1, x ~> 1
     fails: dict[str, str] = {}
 
@@ -402,58 +420,40 @@ def _is_atom(A: PseudoBciAlgebra, a: int) -> bool:
     return A.arrow[A.arrow[a][u]][u] == a
 
 
-@dataclass(frozen=True)
-class _AtomTables:
-    """What the atom characterizations share across the elements of one
-    algebra: both tables by column, and the elements fixed by each cup."""
-
-    arrow_cols: Table                # arrow_cols[y][x] = x -> y
-    squig_cols: Table                # squig_cols[y][x] = x ~> y
-    pick_arrow_cols: list[Picker]    # _pickers(arrow_cols)
-    pick_squig_cols: list[Picker]    # _pickers(squig_cols)
-    cup1_fixed: frozenset[int]       # {v | (v -> y) ~> y = v for every y}
-    cup2_fixed: frozenset[int]       # {v | (v ~> y) -> y = v for every y}
-
-
-def _atom_tables(A: PseudoBciAlgebra) -> _AtomTables:
-    arrow, squig = A.arrow, A.squig
-    rng = A.elements()
-    arrow_cols, squig_cols = _columns(arrow, squig)
-    return _AtomTables(
-        arrow_cols=arrow_cols,
-        squig_cols=squig_cols,
-        pick_arrow_cols=_pickers(arrow_cols),
-        pick_squig_cols=_pickers(squig_cols),
-        cup1_fixed=frozenset(
-            v for v in rng if all(squig[arrow[v][y]][y] == v for y in rng)),
-        cup2_fixed=frozenset(
-            v for v in rng if all(arrow[squig[v][y]][y] == v for y in rng)),
-    )
+def _join_fixed(A: PseudoBciAlgebra) -> tuple[frozenset[int], frozenset[int]]:
+    r"""The elements v with v \/k y = v for every y, for k = 1 and 2."""
+    n = A.size
+    return tuple(frozenset(v for v, row in enumerate(join) if row.count(v) == n)
+                 for join in A.joins)
 
 
 def _atom_characterizations(A: PseudoBciAlgebra, a: int,
-                            t: _AtomTables) -> list[tuple[str, bool]]:
+                            fixed: tuple[frozenset[int], frozenset[int]],
+                            ) -> list[tuple[str, bool]]:
     """The ten equivalent membership tests (b)..(k) for a in At(A).
 
     Each test quantifies over x (and y) as in the paper, a whole column at
     a time: (c)-(f), (i) and (j) compare the column x |-> x -> a or
     x |-> x ~> a with a composed row; (g) and (h) ask whether every entry of
-    that column is fixed by a cup, and (b) whether a itself is.
+    that column is fixed by a join, and (b) whether a itself is.  ``fixed``
+    is _join_fixed(A), shared by every a.
     """
     u = A.unit
     arrow, squig = A.arrow, A.squig
-    to_a, sq_to_a = t.arrow_cols[a], t.squig_cols[a]
-    by_arrow_col, by_squig_col = t.pick_arrow_cols, t.pick_squig_cols
+    arrow_cols, squig_cols = A.columns
+    by_arrow_col, by_squig_col = A.column_pickers
+    cup1_fixed, cup2_fixed = fixed
+    to_a, sq_to_a = arrow_cols[a], squig_cols[a]
     return [
-        ("b", a in t.cup1_fixed and a in t.cup2_fixed),
-        ("c", to_a == tuple(map(t.squig_cols[u].__getitem__, arrow[a]))),
-        ("d", sq_to_a == tuple(map(t.arrow_cols[u].__getitem__, squig[a]))),
+        ("b", a in cup1_fixed and a in cup2_fixed),
+        ("c", to_a == tuple(map(squig_cols[u].__getitem__, arrow[a]))),
+        ("d", sq_to_a == tuple(map(arrow_cols[u].__getitem__, squig[a]))),
         ("e", all(to_a == by_arrow_col[y](squig[arrow[a][y]])
                   for y in A.elements())),
         ("f", all(sq_to_a == by_squig_col[y](arrow[squig[a][y]])
                   for y in A.elements())),
-        ("g", t.cup2_fixed.issuperset(to_a)),
-        ("h", t.cup1_fixed.issuperset(sq_to_a)),
+        ("g", cup2_fixed.issuperset(to_a)),
+        ("h", cup1_fixed.issuperset(sq_to_a)),
         ("i", to_a == by_arrow_col[u](squig[arrow[a][u]])),
         ("j", sq_to_a == by_squig_col[u](arrow[squig[a][u]])),
         ("k", squig[arrow[a][u]][u] == a and arrow[squig[a][u]][u] == a),
@@ -468,9 +468,9 @@ def atoms(A: PseudoBciAlgebra) -> frozenset[int]:
     the equivalence is a theorem.
     """
     base = frozenset(x for x in A.elements() if _is_atom(A, x))
-    tables = _atom_tables(A)
+    fixed = _join_fixed(A)
     for x in A.elements():
-        for label, holds in _atom_characterizations(A, x, tables):
+        for label, holds in _atom_characterizations(A, x, fixed):
             if holds != (x in base):
                 raise InternalInconsistencyError(
                     f"atom characterization ({label}) disagrees at {A.names[x]}")
@@ -536,15 +536,16 @@ def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool
     n = A.size
     u = A.unit
     arrow, squig, leq = A.arrow, A.squig, A.leq
+    cup1, cup2 = A.joins
     rng = range(n)
 
     a = all(not leq[x][u] or x == u for x in rng)
     b = all(not leq[x][y] or x == y for x in rng for y in rng)
-    c = all(A.cup1(x, y) == x and A.cup2(x, y) == x for x in rng for y in rng)
+    c = all(cup1[x][y] == x and cup2[x][y] == x for x in rng for y in rng)
     d = all(squig[arrow[x][u]][u] == x and arrow[squig[x][u]][u] == x for x in rng)
     e = all(squig[arrow[x][u]][y] == arrow[squig[y][u]][x] for x in rng for y in rng)
-    f = all(len({arrow[x][col] for x in rng}) == n for col in rng)
-    g = all(len({squig[x][col] for x in rng}) == n for col in rng)
+    f = all(len(set(col)) == n for col in A.columns[0])
+    g = all(len(set(col)) == n for col in A.columns[1])
     h = all(_is_atom(A, x) for x in rng)
     i = _group_axioms_hold(A)
     return [("a", a), ("b", b), ("c", c), ("d", d), ("e", e),
@@ -556,9 +557,8 @@ def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
     both implications; quantified over the full table."""
     n = A.size
     u = A.unit
-    arrow, squig = A.arrow, A.squig
-    inv = [arrow[x][u] for x in range(n)]
-    prod = [squig[i] for i in inv]    # prod[x][y] = (x->1) ~> y
+    arrow, squig, prod = A.arrow, A.squig, A.product
+    inv = A.columns[0][u]             # x -> 1
     for x in range(n):
         px = prod[x]
         if px[u] != x or prod[u][x] != x:
@@ -577,9 +577,9 @@ def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
     return all(prod[px[y]] == pick[y](px) for px in prod for y in range(n))
 
 
-def _is_medial(outer: Table, inner: Table) -> bool:
+def _is_medial(outer: Table, inner: Table, pick: list[Picker]) -> bool:
     """Whether (p * q) . (x * y) = (p * x) . (q * y) for all p, q, x, y,
-    with . the outer and * the inner implication.
+    with . the outer and * the inner implication; pick is _pickers(inner).
 
     Both sides are entries of rows of the composed table
     C(a, b)[y] = outer[a][inner[b][y]], so the law holds iff
@@ -591,7 +591,6 @@ def _is_medial(outer: Table, inner: Table) -> bool:
     """
     n = len(outer)
     rng = range(n)
-    pick = _pickers(inner)
     distinct: dict[tuple[int, ...], int] = {}
     first = distinct.setdefault     # a row's index among the distinct rows
     row_id: list[list[int | None]] = [[None] * n for _ in rng]
@@ -622,6 +621,7 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> Classifica
     """classify() on the already computed branches of A."""
     n = A.size
     arrow, squig, leq = A.arrow, A.squig, A.leq
+    cup1, cup2 = A.joins
     rng = range(n)
 
     is_bci = arrow == squig
@@ -636,14 +636,15 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> Classifica
                 f"p-semisimple characterization ({label}) disagrees")
 
     is_commutative = all(
-        A.cup1(x, y) == x and A.cup2(x, y) == x
+        cup1[x][y] == x and cup2[x][y] == x
         for x in rng for y in rng if leq[y][x])
     is_branchwise = all(
-        A.cup1(x, y) == A.cup1(y, x) and A.cup2(x, y) == A.cup2(y, x)
+        cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]
         for block in brs.values() for x in block for y in block)
 
-    is_medial_arrow = _is_medial(arrow, squig)
-    is_medial_squig = _is_medial(squig, arrow)
+    pick_arrow, pick_squig = A.pickers
+    is_medial_arrow = _is_medial(arrow, squig, pick_squig)
+    is_medial_squig = _is_medial(squig, arrow, pick_arrow)
 
     if is_commutative != is_branchwise:
         raise InternalInconsistencyError(
@@ -694,11 +695,8 @@ def group_view(A: PseudoBciAlgebra) -> GroupView:
     if not _group_axioms_hold(A):
         raise InternalInconsistencyError(
             "group axioms fail on a p-semisimple algebra")
-    n = A.size
-    u = A.unit
-    inv = tuple(A.arrow[x][u] for x in range(n))
-    product = tuple(tuple(A.squig[inv[x]][y] for y in range(n)) for x in range(n))
-    return GroupView(product=product, inverse=inv, identity=u)
+    return GroupView(product=A.product, inverse=A.columns[0][A.unit],
+                     identity=A.unit)
 
 
 def is_subalgebra(A: PseudoBciAlgebra, members: Iterable[int]) -> bool:

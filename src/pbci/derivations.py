@@ -92,17 +92,15 @@ def _term(left: str, right: str) -> tuple[int, bool, int]:
 
 
 def _instances(A: PseudoBciAlgebra, rhs: Rhs) -> list[Instance]:
-    """Both identities of one right-hand side, instantiated at every pair."""
+    """Both identities of one right-hand side, instantiated at every pair
+    from the algebra's tables, their columns and its joins."""
     k, first, second = rhs
     (ra, col_s, at_s), (rb, col_u, at_u) = _term(*first), _term(*second)
     rng = range(A.size)
-    arrow, squig = A.arrow, A.squig
-    cup1 = tuple(tuple(squig[arrow[u][v]][v] for v in rng) for u in rng)
-    cup2 = tuple(tuple(arrow[squig[u][v]][v] for v in rng) for u in rng)
+    cup1, cup2 = A.joins
     joins = (cup1, cup2) if k == 1 else (cup2, cup1)
     found: list[Instance] = []
-    for table, join in zip((arrow, squig), joins):
-        cols = tuple(zip(*table))
+    for table, cols, join in zip((A.arrow, A.squig), A.columns, joins):
         ss = cols if col_s else table
         us = cols if col_u else table
         found += [(table[p[0]][p[1]], p[ra], ss[p[at_s]], p[rb], us[p[at_u]], join)

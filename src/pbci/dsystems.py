@@ -239,7 +239,7 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
         return sum(1 << i for i, v in enumerate(values) if inside[v])
 
     # related[x]: the y with x -> y and y -> x both in D
-    related = [mask(row) & mask(col) for row, col in zip(A.arrow, zip(*A.arrow))]
+    related = [mask(row) & mask(col) for row, col in zip(A.arrow, A.columns[0])]
     for x, rx in enumerate(related):
         if not rx >> x & 1:
             raise CongruenceError(f"relation not reflexive at {names[x]}")

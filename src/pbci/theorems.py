@@ -12,6 +12,7 @@ atoms, K(A), branches, each applicable derivation class, phi and the
 deductive systems of one algebra, each computed on first use and kept for
 the rest of the call.  ``report.build_report`` passes its own analysis to
 ``theorem_suite``, so a report and its theorems share one computation.
+The join and group-product tables the checks index are the algebra's own.
 
 The catalogue is one table, ``_CATALOG``.  Each row names its precondition
 as ClassificationReport flags and its check as a function of the analysis.
@@ -181,10 +182,6 @@ class Analysis:
     def kernel(self, d: SelfMap) -> frozenset[int]:
         return frozenset(x for x in range(self.n) if d[x] == self.unit)
 
-    def prod(self, x: int, y: int) -> int:
-        """(x -> 1) ~> y, the group product usable on atoms."""
-        return self.A.squig[self.A.arrow[x][self.unit]][y]
-
     def invariant_under(self, d: SelfMap) -> bool:
         return all(is_invariant(self.A, D, d) for D in self.systems)
 
@@ -193,19 +190,19 @@ class Analysis:
 
 
 def _chk_join_absorption(c: Analysis, maps: list[SelfMap]):
-    A = c.A
+    cup1, cup2 = c.A.joins
     for d in maps:
         for x in range(c.n):
-            if d[x] != A.cup1(d[x], x) or d[x] != A.cup2(d[x], x):
+            if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
                 return f"d={c.fmt(d)} at x={c.name(x)}"
     return None
 
 
 def _chk_join_absorption_iff_regular(c: Analysis, maps: list[SelfMap]):
-    A = c.A
+    cup1, cup2 = c.A.joins
     for d in maps:
         absorbed = all(
-            d[x] == A.cup1(x, d[x]) and d[x] == A.cup2(x, d[x])
+            d[x] == cup1[x][d[x]] and d[x] == cup2[x][d[x]]
             for x in range(c.n))
         if absorbed != (d[c.unit] == c.unit):
             return f"d={c.fmt(d)}"
@@ -320,6 +317,7 @@ def _chk_type2_unit_translation(c: Analysis):
 
 def _chk_implicative_atom_stability(c: Analysis):
     u = c.unit
+    prod = c.A.product
     for d in sorted(set(c.idop1) | set(c.idop2)):
         tag = f"d={c.fmt(d)}"
         if not all(d[a] in c.atoms for a in c.atoms):
@@ -329,7 +327,7 @@ def _chk_implicative_atom_stability(c: Analysis):
         d1inv = c.A.arrow[d[u]][u]
         for a in c.atoms:
             for b in c.atoms:
-                if d[c.prod(a, b)] != c.prod(c.prod(d[a], d1inv), d[b]):
+                if d[prod[a][b]] != prod[prod[d[a]][d1inv]][d[b]]:
                     return f"{tag}: product rule fails at ({c.name(a)}, {c.name(b)})"
         if all(d[a] == a for a in c.atoms) != (d[u] == u):
             return f"{tag}: atom-fixing vs regularity mismatch"
@@ -441,13 +439,14 @@ def _chk_psemisimple_pointwise_constant(c: Analysis):
 def _chk_sym1_constant_gap(c: Analysis):
     A = c.A
     arrow, squig, leq = A.arrow, A.squig, A.leq
+    cup1, cup2 = A.joins
     for d in c.sdop1:
         tag = f"d={c.fmt(d)}"
         d1 = d[c.unit]
         for x in range(c.n):
             if arrow[x][d[x]] != d1 or squig[x][d[x]] != d1:
                 return f"{tag}: gap x op dx is not d(1) at {c.name(x)}"
-            if d[x] != A.cup1(d[x], d1) or d[x] != A.cup2(d[x], d1):
+            if d[x] != cup1[d[x]][d1] or d[x] != cup2[d[x]][d1]:
                 return f"{tag}: dx join d(1) fails at {c.name(x)}"
         if d1 == c.unit:
             for x in range(c.n):
@@ -456,7 +455,7 @@ def _chk_sym1_constant_gap(c: Analysis):
                 if d[x] not in c.atoms:
                     return f"{tag}: dx not an atom at {c.name(x)}"
                 for y in range(c.n):
-                    if d[x] != A.cup1(d[x], y) or d[x] != A.cup2(d[x], y):
+                    if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
                         return f"{tag}: dx join y fails at ({c.name(x)}, {c.name(y)})"
     return None
 
@@ -464,20 +463,21 @@ def _chk_sym1_constant_gap(c: Analysis):
 def _chk_sym2_atom_valued(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
+    cup1, cup2 = A.joins
     for d in c.sdop2:
         tag = f"d={c.fmt(d)}"
         d1 = d[c.unit]
         for x in range(c.n):
             if arrow[d[x]][x] != d1 or squig[d[x]][x] != d1:
                 return f"{tag}: gap dx op x is not d(1) at {c.name(x)}"
-            if d[x] != A.phi(A.cup1(d[x], x)) or d[x] != A.phi(A.cup2(d[x], x)):
+            if d[x] != A.phi(cup1[d[x]][x]) or d[x] != A.phi(cup2[d[x]][x]):
                 return f"{tag}: dx via phi of join fails at {c.name(x)}"
-            if d[x] != A.cup1(d[x], x) or d[x] != A.cup2(d[x], x):
+            if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
                 return f"{tag}: dx join x fails at {c.name(x)}"
             if d[x] not in c.atoms:
                 return f"{tag}: dx not an atom at {c.name(x)}"
             for y in range(c.n):
-                if d[x] != A.cup1(d[x], y) or d[x] != A.cup2(d[x], y):
+                if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
                     return f"{tag}: dx join y fails at ({c.name(x)}, {c.name(y)})"
                 if arrow[x][d[y]] not in c.atoms or squig[x][d[y]] not in c.atoms:
                     return f"{tag}: x op dy not an atom at ({c.name(x)}, {c.name(y)})"
@@ -487,11 +487,12 @@ def _chk_sym2_atom_valued(c: Analysis):
 
 
 def _chk_sym_atom_product_translation(c: Analysis):
+    prod = c.A.product
     for d in sorted(set(c.sdop1) | set(c.sdop2)):
         for x in c.atoms:
             for y in c.atoms:
-                lhs = d[c.prod(x, y)]
-                if lhs != c.prod(d[x], y) or lhs != c.prod(x, d[y]):
+                lhs = d[prod[x][y]]
+                if lhs != prod[d[x]][y] or lhs != prod[x][d[y]]:
                     return f"d={c.fmt(d)} at ({c.name(x)}, {c.name(y)})"
     return None
 

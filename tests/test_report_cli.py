@@ -110,7 +110,7 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
 
         monkeypatch.setattr(module, fn, counted)
 
-    count(core, "_atom_characterizations", lambda A, a, tables: (A.names, a))
+    count(core, "_atom_characterizations", lambda A, a, fixed: (A.names, a))
     count(derivations, "_solve", None)
     count(dsystems, "_closed_sets", None)
     # bck_part is imported by name, so count it in every module holding it
@@ -184,6 +184,26 @@ def test_cli_non_utf8_input_exit_2(runner, tmp_path):
     _one_line_error(runner.invoke(main, ["check", str(path)]), str(path))
 
 
+def test_cli_reads_a_utf8_byte_order_mark(runner, tmp_path):
+    path = tmp_path / "bom.pbci"
+    path.write_bytes(b"\xef\xbb\xbf" + fixture_text("proper5").encode())
+    plain = runner.invoke(main, ["check", fixture_path("proper5")])
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == plain.exit_code == 0
+    assert result.stdout == plain.stdout
+
+
+def test_cli_quotient_subset_file_with_byte_order_mark(runner, tmp_path):
+    subset, bom = tmp_path / "unit.txt", tmp_path / "bom.txt"
+    subset.write_bytes(b"1\n")
+    bom.write_bytes(b"\xef\xbb\xbf1\n")
+    plain, result = (runner.invoke(main, ["quotient", fixture_path("proper5"),
+                                          "--by-file", str(f)])
+                     for f in (subset, bom))
+    assert result.exit_code == plain.exit_code == 0
+    assert result.stdout == plain.stdout
+
+
 def test_cli_quotient_non_utf8_subset_file_exit_2(runner, tmp_path):
     subset = tmp_path / "subset.txt"
     subset.write_bytes(b"a b c \xff 1\n")
@@ -205,6 +225,54 @@ def test_cli_non_integer_cap_exit_2(runner, args):
         _one_line_error(result, "PBCI_MAX_SIZE", "positive integer", repr(value))
 
 
+DERIVED_TABLES = ("columns", "joins", "product", "pickers", "column_pickers")
+
+
+def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
+                                                   monkeypatch):
+    A = products["proper5*cyclic3"]
+    path = tmp_path / "A.pbci"
+    path.write_text(serialize_spec(A.to_spec()))
+    builds: Counter = Counter()
+
+    def counted(name, build):
+        def wrapper(B):
+            if B.names == A.names:
+                builds[name] += 1
+            return build(B)
+        return wrapper
+
+    for name in DERIVED_TABLES:
+        prop = core.PseudoBciAlgebra.__dict__[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    original = core._pickers
+    tables = {A.arrow: "arrow", A.squig: "squig",
+              A.columns[0]: "arrow by column", A.columns[1]: "squig by column"}
+
+    def pickers(table):
+        if table in tables:
+            builds[f"pickers of {tables[table]}"] += 1
+        return original(table)
+
+    monkeypatch.setattr(core, "_pickers", pickers)
+    once = dict.fromkeys(DERIVED_TABLES + tuple(f"pickers of {t}"
+                                                for t in tables.values()), 1)
+    for command in (["analyze", "--json"], ["check"]):
+        builds.clear()
+        result = runner.invoke(main, command + [str(path)],
+                               env={"PBCI_MAX_SIZE": str(A.size)})
+        assert result.exit_code == 0
+        assert dict(builds) == once, command
+
+    # the cached tables are not fields: equality and hash do not see them
+    B = validate(A.to_spec())
+    before = hash(B)
+    for name in DERIVED_TABLES:
+        getattr(B, name)
+    assert hash(B) == before == hash(A)
+    assert B == A == validate(A.to_spec())
+
+
 @pytest.mark.parametrize("args, checks", [
     # the property record needs the atoms once; the class list needs none
     (["map", "FIXTURE", "--map", "d d d 1 d"], 5),
@@ -215,8 +283,8 @@ def test_cli_atom_crosscheck_counts(runner, monkeypatch, args, checks):
     checked = []
     original = core._atom_characterizations
     monkeypatch.setattr(core, "_atom_characterizations",
-                        lambda A, a, tables: checked.append(a)
-                        or original(A, a, tables))
+                        lambda A, a, fixed: checked.append(a)
+                        or original(A, a, fixed))
     args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
     assert runner.invoke(main, args).exit_code == 0
     assert len(checked) == checks

@@ -287,7 +287,7 @@ def axiom_lines(A):
 
 
 def sanity_lines(A):
-    return core._sanity_failures(A, core._columns(A.arrow, A.squig))
+    return core._sanity_failures(A)
 
 
 def shared_failing_rows(A):
@@ -398,8 +398,8 @@ def test_both_scans_match_oracles_on_random_tables():
 def test_medial_matches_oracle_on_valid_pool(valid_pool):
     medial = 0
     for A in valid_pool:
-        arrow_flag = core._is_medial(A.arrow, A.squig)
-        squig_flag = core._is_medial(A.squig, A.arrow)
+        arrow_flag = core._is_medial(A.arrow, A.squig, A.pickers[1])
+        squig_flag = core._is_medial(A.squig, A.arrow, A.pickers[0])
         assert arrow_flag == medial_arrow_oracle(A), A.names
         assert squig_flag == medial_squig_oracle(A), A.names
         medial += arrow_flag
@@ -416,8 +416,8 @@ def test_medial_matches_oracle_on_corrupted_medial_tables(p_semisimple_pool,
             arrow_flag = medial_arrow_oracle(B)
             squig_flag = medial_squig_oracle(B)
             assert not (arrow_flag and squig_flag)
-            assert core._is_medial(B.arrow, B.squig) == arrow_flag
-            assert core._is_medial(B.squig, B.arrow) == squig_flag
+            assert core._is_medial(B.arrow, B.squig, B.pickers[1]) == arrow_flag
+            assert core._is_medial(B.squig, B.arrow, B.pickers[0]) == squig_flag
             checked += 1
     assert checked > 100
 
@@ -426,8 +426,8 @@ def test_medial_matches_oracle_on_corrupted_medial_tables(p_semisimple_pool,
 
 
 def atom_lists(A):
-    tables = core._atom_tables(A)
-    return [core._atom_characterizations(A, a, tables) for a in A.elements()]
+    fixed = core._join_fixed(A)
+    return [core._atom_characterizations(A, a, fixed) for a in A.elements()]
 
 
 def test_atom_characterizations_match_oracle_on_valid_pool(valid_pool):
