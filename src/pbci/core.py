@@ -34,7 +34,7 @@ than it saves on these tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -96,9 +96,9 @@ class PseudoBciAlgebra:
 
     The scans in ``validate`` read an unvalidated instance.  The derived
     tables below are built on first use and kept; they are not fields, so
-    ``==``, ``hash`` and ``dataclasses.replace`` see only the five fields.
-    Safe to share between threads; every function in this package treats it
-    as read-only.
+    ``==``, ``hash`` and ``dataclasses.replace`` see only the five fields,
+    and ``renamed`` hands them on.  Safe to share between threads; every
+    function in this package treats it as read-only.
     """
 
     names: tuple[str, ...]
@@ -161,6 +161,14 @@ class PseudoBciAlgebra:
         arrow_cols, squig_cols = self.columns
         return _pickers(arrow_cols), _pickers(squig_cols)
 
+    def renamed(self, names: tuple[str, ...]) -> PseudoBciAlgebra:
+        """This algebra under other element names, keeping the derived
+        tables built so far: they depend only on the tables and the unit."""
+        out = replace(self, names=names)
+        built = self.__dict__
+        out.__dict__.update((key, built[key]) for key in _NAME_FREE if key in built)
+        return out
+
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -179,6 +187,10 @@ class PseudoBciAlgebra:
             arrow=tuple(tuple(nm[v] for v in row) for row in self.arrow),
             squig=tuple(tuple(nm[v] for v in row) for row in self.squig),
         )
+
+
+# The cached tables of PseudoBciAlgebra, none of which reads names.
+_NAME_FREE = ("columns", "joins", "product", "pickers", "column_pickers")
 
 
 def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:

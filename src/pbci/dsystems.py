@@ -19,7 +19,7 @@ algebra renamed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import AlgebraSpec, PseudoBciAlgebra, bck_part, is_subalgebra, validate
@@ -283,7 +283,8 @@ def quotient(A: PseudoBciAlgebra, D: DeductiveSystem) -> PseudoBciAlgebra:
     Classes are named by their lexicographically least member in brackets
     and ordered by least member index.  When every class is a singleton,
     class i is {i}, so the quotient's tables and order are A's own, which
-    ``validate`` has accepted; the result is A under the bracketed names.
+    ``validate`` has accepted; the result is A under the bracketed names,
+    with every table A has built.
     Otherwise the result is re-validated through the full axiom checker
     rather than trusting the correspondence theorem.
     """
@@ -291,7 +292,7 @@ def quotient(A: PseudoBciAlgebra, D: DeductiveSystem) -> PseudoBciAlgebra:
     names = tuple("[" + min(A.names[x] for x in block) + "]" for block in classes)
     n = A.size
     if len(classes) == n:
-        return replace(A, names=names)
+        return A.renamed(names)
     rep_of = [0] * n
     for ci, block in enumerate(classes):
         for x in block:

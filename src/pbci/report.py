@@ -3,22 +3,25 @@
 ``build_report`` reads every derived object from one ``theorems.Analysis``
 of the algebra and hands the same analysis to ``theorem_suite``, so one
 report enumerates each derivation class and the deductive systems once and
-runs each crosscheck once per algebra.
+runs each crosscheck once per algebra.  A map listed by several classes
+has one property record, ``Analysis.map_records``; each entry of the report
+still holds its own dicts and lists.
 
 Identical inputs produce byte-identical output: every collection is emitted
 in a canonical order (declaration order for element sets, lexicographic
 image tuples for maps, catalogue order for theorems) and the JSON renderer
-preserves construction order.
+preserves construction order.  ``render_json`` writes exactly the bytes of
+``json.dumps(report, indent=2)`` plus a newline, in one pass over the types
+a report holds.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .core import AlgebraSpec, PseudoBciAlgebra
-from .derivations import _map_record
 from .theorems import Analysis, theorem_suite
 
 
@@ -45,7 +48,7 @@ def _map_entry(an: Analysis, d) -> dict:
     A = an.A
     return {
         "images": [A.names[v] for v in d],
-        "properties": _record(A, _map_record(A, d, an.K, an.atoms)),
+        "properties": _record(A, an.map_records[d]),
     }
 
 
@@ -128,8 +131,72 @@ def spec_from_report(report: dict) -> AlgebraSpec:
     )
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _scalar(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
+
+
+def _render(value, indent: str, out: list[str]) -> None:
+    """Append the indented JSON of a dict or list to out.  Scalars are
+    rendered inline and an all-string list in one join."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(value) is dict:
+        if not value:
+            out.append("{}")
+            return
+        lead = "{\n" + inner
+        for key, item in value.items():  # _quote raises TypeError on a non-str key
+            kind = type(item)
+            if kind is dict or kind is list:
+                out.append(lead + _quote(key) + ": ")
+                _render(item, inner, out)
+            else:
+                out.append(lead + _quote(key) + ": " + _scalar(item))
+            lead = sep
+        out.append("\n" + indent + "}")
+        return
+    if not value:
+        out.append("[]")
+        return
+    if type(value[0]) is str:
+        try:
+            out.append("[\n" + inner + sep.join(map(_quote, value)) + "\n" + indent + "]")
+            return
+        except TypeError:  # not every item is a str
+            pass
+    lead = "[\n" + inner
+    for item in value:
+        kind = type(item)
+        if kind is dict or kind is list:
+            out.append(lead)
+            _render(item, inner, out)
+        else:
+            out.append(lead + _scalar(item))
+        lead = sep
+    out.append("\n" + indent + "]")
+
+
+def render_json(report) -> str:
+    """The report as ``json.dumps(report, indent=2)`` plus a newline, ASCII
+    escaped.  It renders dicts with str keys, lists, str, int, bool and None;
+    any other type raises TypeError."""
+    kind = type(report)
+    if kind is not dict and kind is not list:
+        return _scalar(report) + "\n"
+    out: list[str] = []
+    _render(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _flag_phrase(value: bool, name: str) -> str:

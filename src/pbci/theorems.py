@@ -30,8 +30,10 @@ from .core import (ClassificationReport, PseudoBciAlgebra, _branches, _classify,
                    atoms, classify, is_subalgebra)
 from .derivations import (
     DerivationClass,
+    MapPropertyRecord,
     MonoidReport,
     SelfMap,
+    _map_record,
     compose,
     enumerate_derivations,
     identity_map,
@@ -84,7 +86,8 @@ class Analysis:
     Built per call from A alone, so nothing here outlives the build_report
     or theorem_suite call that made it.  Each crosscheck behind these
     objects (atoms, K(A), classification, phi, deductive systems) runs once
-    per algebra.
+    per algebra, and each distinct map of the derivation classes gets one
+    property record however many classes list it.
     """
 
     def __init__(self, A: PseudoBciAlgebra):
@@ -119,6 +122,14 @@ class Analysis:
         order; DerivationClass.applies_to decides the scope."""
         return {cls: enumerate_derivations(self.A, cls)
                 for cls in DerivationClass if cls.applies_to(self.A)}
+
+    @cached_property
+    def map_records(self) -> dict[SelfMap, MapPropertyRecord]:
+        """The property record of each distinct map of the applicable
+        classes, keyed by the map, in first-listed order."""
+        A, K, ats = self.A, self.K, self.atoms
+        distinct = dict.fromkeys(d for maps in self.derivations.values() for d in maps)
+        return {d: _map_record(A, d, K, ats) for d in distinct}
 
     idop1 = _maps_of(DerivationClass.IMPLICATIVE_I)
     idop2 = _maps_of(DerivationClass.IMPLICATIVE_II)

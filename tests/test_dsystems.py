@@ -28,7 +28,8 @@ from pbci.dsystems import (
     quotient,
 )
 
-from conftest import FIXTURE_NAMES, PRODUCT_LABELS, m, permuted, seeded_orders
+from conftest import (FIXTURE_NAMES, PRODUCT_LABELS, load_algebra, m, permuted,
+                      seeded_orders)
 
 
 def member_names(algebra, systems):
@@ -280,6 +281,17 @@ def test_singleton_class_quotient_skips_validate(name, all_fixtures, monkeypatch
     calls = count_validate_calls(monkeypatch)
     quotient(A, as_deductive_system(A, {A.unit}))
     assert calls == []
+
+
+def test_singleton_class_quotient_keeps_the_tables_built():
+    A = load_algebra("group6")
+    classify(A)
+    K = bck_part_system(A)
+    assert K.members == {A.unit}
+    Q = quotient(A, K)
+    assert Q.names == tuple(f"[{name}]" for name in A.names)
+    assert Q.joins is A.joins
+    assert Q.pickers is A.pickers
 
 
 def test_quotient_by_everything(proper5):
