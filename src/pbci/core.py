@@ -8,8 +8,8 @@ built on first use and then kept.
 :class:`PseudoBciAlgebra`: it checks the five defining axioms, precomputes
 the order relation and runs a suite of theorem-backed sanity checks whose
 failure can only mean a bug in this package, never bad input.  The second
-is renaming a validated algebra (``dataclasses.replace`` with new names),
-which keeps the tables ``validate`` accepted; ``dsystems.quotient`` does it
+is ``PseudoBciAlgebra.renamed``, which keeps the tables ``validate``
+accepted and every table built from them; ``dsystems.quotient`` calls it
 when every congruence class is a singleton.
 
 ``validate`` reads the tables in one pass into an unvalidated algebra, and
@@ -45,7 +45,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .limits import UNIVERSE_CAP, effective_cap
+from .limits import check_cap
 
 Table = tuple[tuple[int, ...], ...]
 Picker = Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -294,18 +294,15 @@ def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
 def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlgebra:
     """Check the axioms and build the immutable algebra.
 
-    Raises StructuralError for malformed input, ValidationError carrying the
+    Raises StructuralError for malformed input or a universe above the
+    "universe" cap (``max_size`` if given), ValidationError carrying the
     complete violation list when any axiom fails, and
     InternalInconsistencyError if the axioms pass but the theorem-backed
     sanity suite does not (an implementation bug, by Lemma-level results
     that hold in every pseudo-BCI algebra).
     """
     A = _index_tables(spec)
-    cap = effective_cap(UNIVERSE_CAP) if max_size is None else max_size
-    if A.size > cap:
-        raise StructuralError(
-            f"universe size {A.size} exceeds cap {cap}; "
-            "pass max_size or set PBCI_MAX_SIZE to opt in")
+    check_cap(A.size, "universe", max_size)
     violations = collect_violations(A)
     if violations:
         raise ValidationError(violations)

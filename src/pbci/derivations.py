@@ -21,7 +21,7 @@ from enum import Enum
 
 from .core import PseudoBciAlgebra, atoms, bck_part, is_pseudo_bck, is_subalgebra
 from .errors import InternalInconsistencyError, TypeRequiresPseudoBckError
-from .limits import ENUM_CAP, check_enumeration_cap
+from .limits import check_cap
 
 SelfMap = tuple[int, ...]
 Rhs = tuple[int, tuple[str, str], tuple[str, str]]
@@ -204,7 +204,7 @@ def enumerate_derivations(A: PseudoBciAlgebra, cls: DerivationClass, *,
     (tested for small n).
     """
     _gate_class(A, cls, force)
-    check_enumeration_cap(A.size, ENUM_CAP, "enumeration")
+    check_cap(A.size, "enumeration")
     return _solve(A, _instances(A, cls.rhs), regular=regular)
 
 
@@ -229,7 +229,7 @@ def regular_translation_maps(A: PseudoBciAlgebra) -> list[SelfMap]:
     enumerating it independently lets the theorem suite compare the two
     routes as whole sets.
     """
-    check_enumeration_cap(A.size, ENUM_CAP, "enumeration")
+    check_cap(A.size, "enumeration")
     return _solve(A, _instances(A, _TRANSLATION), regular=True)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 from .core import AlgebraSpec, PseudoBciAlgebra, bck_part, is_subalgebra, validate
 from .errors import (CongruenceError, InternalInconsistencyError,
                      NotCompatibleOrClosedError)
-from .limits import DS_CAP, check_enumeration_cap
+from .limits import check_cap
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def enumerate_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
     asserted.  Only closed sets are visited, not the 2^(n-1) subsets.
     """
     n = A.size
-    check_enumeration_cap(n, DS_CAP, "subset-enumeration")
+    check_cap(n, "subset-enumeration")
     by_arrow = _closed_sets(n, _closure(A, A.arrow))
     by_squig = _closed_sets(n, _closure(A, A.squig))
     if by_arrow != by_squig:

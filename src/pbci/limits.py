@@ -1,24 +1,29 @@
 """Size caps for the exponential workloads.
 
-Every enumeration in this package is exponential in the universe size, so
-each one refuses inputs above a conservative default cap.  Setting the
-environment variable PBCI_MAX_SIZE overrides all defaults at once; it is
-the one override, read by ``effective_cap`` alone.  ``validate`` also takes
-an explicit ``max_size``, which wins over both.
+Every answer of this package comes from an exhaustive enumeration, so each
+exponential entry point refuses inputs above a size cap.  ``CAPS`` holds the whole
+policy, one row per entry point: the name used in errors, the default cap
+and the exception raised.  ``check_cap`` is the one check.  An explicit cap
+wins (``validate`` passes its ``max_size``), then the environment variable
+PBCI_MAX_SIZE, which overrides every default at once, then the row's
+default.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import EnumerationCapExceeded
-
-UNIVERSE_CAP = 64   # validate() refuses larger tables
-ENUM_CAP = 12       # derivation-operator enumeration (search over n^n maps)
-DS_CAP = 16         # deductive-system enumeration (NextClosure over closed subsets)
-SEARCH_CAP = 6      # model search (n^(2(n-1)(n-2)) table pairs)
+from .errors import EnumerationCapExceeded, SearchCapExceeded, StructuralError
 
 ENV_VAR = "PBCI_MAX_SIZE"
+
+# name used in errors: (default cap, exception raised)
+CAPS = {
+    "universe": (64, StructuralError),                   # validate()
+    "enumeration": (12, EnumerationCapExceeded),         # derivations: n^n maps
+    "subset-enumeration": (16, EnumerationCapExceeded),  # deductive systems
+    "search": (6, SearchCapExceeded),                    # model search
+}
 
 
 def env_cap() -> int | None:
@@ -39,16 +44,11 @@ def env_cap() -> int | None:
     return cap
 
 
-def effective_cap(default: int) -> int:
-    """PBCI_MAX_SIZE when it is set, else the default."""
-    env = env_cap()
-    return default if env is None else env
-
-
-def check_enumeration_cap(n: int, default: int, what: str) -> None:
-    """Raise EnumerationCapExceeded when a universe of size n exceeds the
-    cap resolved from default; what names the enumeration in the message."""
-    limit = effective_cap(default)
-    if n > limit:
-        raise EnumerationCapExceeded(
-            f"universe size {n} exceeds {what} cap {limit}")
+def check_cap(n: int, what: str, cap: int | None = None) -> None:
+    """Raise the exception of row ``what`` of CAPS when size n exceeds the
+    cap: the explicit cap if given, else PBCI_MAX_SIZE, else the default."""
+    default, error = CAPS[what]
+    if cap is None:
+        cap = env_cap() or default
+    if n > cap:
+        raise error(f"size {n} exceeds {what} cap {cap}; set {ENV_VAR} to opt in")

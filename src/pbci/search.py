@@ -43,8 +43,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import AlgebraSpec, classify, validate
-from .errors import SearchCapExceeded
-from .limits import SEARCH_CAP, effective_cap
+from .limits import check_cap
 
 PREDICATE_NAMES = (
     "p_semisimple",
@@ -308,10 +307,7 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     sorted list of all matches: the whole enumeration runs either way.
     """
     query.check()
-    limit_cap = effective_cap(SEARCH_CAP)
-    if query.size > limit_cap:
-        raise SearchCapExceeded(
-            f"size {query.size} exceeds search cap {limit_cap}")
+    check_cap(query.size, "search")
     n = query.size
     names = element_names(n)
     wanted = [("is_" + name, value) for name, value in query.predicates]

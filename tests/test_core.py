@@ -68,6 +68,10 @@ def test_structural_errors():
         AlgebraSpec(("a",), "a", (("a", "a"),), (("a",),)).check_structure()
     with pytest.raises(StructuralError):
         AlgebraSpec(("a",), "a", (("z",),), (("a",),)).check_structure()
+    with pytest.raises(StructuralError, match="empty universe"):
+        AlgebraSpec((), "a", (), ()).check_structure()
+    with pytest.raises(StructuralError, match="arrow table has 0 rows, expected 1"):
+        AlgebraSpec(("a",), "a", (), (("a",),)).check_structure()
 
 
 def test_universe_cap(monkeypatch):

@@ -83,6 +83,9 @@ def test_trailing_content_rejected():
     text = fixture_text("cyclic3") + "arrow:\n"
     with pytest.raises(ParseError):
         parse_algebra(text)
+    with pytest.raises(ParseError, match="unexpected tokens after 'arrow:'") as excinfo:
+        parse_algebra("pbci 1\nelements: a 1\nunit: 1\narrow: 1 1\n")
+    assert (excinfo.value.line, excinfo.value.column) == (4, 8)
 
 
 def test_selfmap_image_row(proper5):

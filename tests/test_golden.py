@@ -1,9 +1,9 @@
 """Golden outputs: CLI stdout compared byte for byte with recorded copies, so
 a refactor that changes any output fails here.
 
-- The five fixtures: `analyze --json`, `verify`, `check`, `quotient --by K`,
-  `quotient --by-file` with a subset file that lists the unit alone, and
-  `ds` stdout, stored in full under ``tests/golden/``.
+- The five fixtures: `analyze --json`, `analyze`, `verify`, `check`,
+  `quotient --by K`, `quotient --by-file` with a subset file that lists the
+  unit alone, and `ds` stdout, stored in full under ``tests/golden/``.
 - The five fixtures: `derivations` for every class that applies, without
   and with `--regular`, plus `--force` for types III/IV where the fixture
   is not pseudo-BCK; and `map` with the phi map and the identity map.  Each
@@ -50,13 +50,14 @@ PRODUCT_DIGESTS = GOLDEN_DIR / "products.sha256.json"
 LARGE_DIGESTS = GOLDEN_DIR / "large.sha256.json"
 SEARCH_DIGESTS = GOLDEN_DIR / "search.sha256.json"
 SEARCH5_DIGESTS = GOLDEN_DIR / "search5.sha256.json"
-COMMANDS = {"analyze": ("analyze", "--json"), "verify": ("verify",),
-            "check": ("check",), "quotient": ("quotient", "--by", "K"),
+COMMANDS = {"analyze": ("analyze", "--json"), "analyze-text": ("analyze",),
+            "verify": ("verify",), "check": ("check",),
+            "quotient": ("quotient", "--by", "K"),
             "quotient-unit": ("quotient", "--by-file"), "ds": ("ds",)}
-SUFFIX = {"analyze": "analyze.json", "verify": "verify.txt",
-          "check": "check.txt", "quotient": "quotient.txt",
-          "quotient-unit": "quotient-unit.txt", "ds": "ds.txt",
-          "derivations": "derivations.txt", "map": "map.txt"}
+SUFFIX = {"analyze": "analyze.json", "analyze-text": "analyze.txt",
+          "verify": "verify.txt", "check": "check.txt",
+          "quotient": "quotient.txt", "quotient-unit": "quotient-unit.txt",
+          "ds": "ds.txt", "derivations": "derivations.txt", "map": "map.txt"}
 TRANSCRIPTS = ("derivations", "map")
 PSEUDO_BCK_FIXTURES = ("bck5",)
 CLASS_FLAGS = ([("implicative", t) for t in ("i", "ii", "iii", "iv")]

@@ -20,6 +20,7 @@ from pbci import (
     parse_algebra,
     quotient,
     serialize_spec,
+    theorems,
     validate,
 )
 from pbci.cli import main
@@ -361,6 +362,11 @@ def test_cli_quotient_by_file(runner, tmp_path):
         "quotient", fixture_path("proper5"), "--by-file", str(subset)])
     assert result.exit_code == 1      # not even a deductive system
 
+    subset.write_text("a z 1\n")
+    _one_line_error(runner.invoke(main, [
+        "quotient", fixture_path("proper5"), "--by-file", str(subset)]),
+        str(subset), "unknown element 'z'")
+
     result = runner.invoke(main, ["quotient", fixture_path("proper5")])
     assert result.exit_code == 2      # neither --by nor --by-file
 
@@ -429,6 +435,32 @@ def test_cli_verify_fixtures_pass(runner, name):
     assert result.exit_code == 0, result.output
     assert "0 failed" in result.output
     assert "FAIL" not in result.output
+
+
+def test_cli_theorem_failure_exit_1(runner, monkeypatch):
+    # one catalogue entry made to fail with a fixed witness
+    tid = "type1-join-absorption"
+    monkeypatch.setattr(theorems, "_CATALOG", tuple(
+        (t, s, flags, (lambda c: "x=a") if t == tid else check, note)
+        for t, s, flags, check, note in theorems._CATALOG))
+    path = fixture_path("proper5")
+
+    result = runner.invoke(main, ["verify", path])
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert lines[:2] == [f"FAIL {tid}", "     witness: x=a"]
+    assert lines[-1] == "# 24 applicable, 23 passed, 1 failed, 11 skipped"
+
+    result = runner.invoke(main, ["analyze", path])
+    assert result.exit_code == 1
+    assert result.stdout.endswith(
+        "theorems: 24 applicable, 23 passed, 1 failed, 11 skipped\n"
+        f"  FAIL {tid}: x=a\n")
+
+    result = runner.invoke(main, ["analyze", path, "--json"])
+    assert result.exit_code == 1
+    entry = next(r for r in json.loads(result.stdout)["theorems"] if r["id"] == tid)
+    assert (entry["applicable"], entry["passed"], entry["witness"]) == (True, False, "x=a")
 
 
 def test_cli_analyze_json_byte_identical(runner):

@@ -246,6 +246,8 @@ def test_predicates():
         assert not all(algebra.le(x, algebra.unit) for x in algebra.elements())
     with pytest.raises(ValueError):
         SearchQuery(size=3, predicates=(("shiny", True),)).check()
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        SearchQuery(size=3, limit=-1).check()
 
 
 def test_search_cap(monkeypatch):
