@@ -161,6 +161,22 @@ class PseudoBciAlgebra:
         arrow_cols, squig_cols = self.columns
         return _pickers(arrow_cols), _pickers(squig_cols)
 
+    @cached_property
+    def preimages(self) -> tuple[Table, Table]:
+        """Both tables as preimage masks: bit y of [0][x][v] is set iff
+        x -> y = v, and bit y of [1][x][v] iff x ~> y = v."""
+        n = len(self.names)
+        out = []
+        for table in (self.arrow, self.squig):
+            rows = []
+            for row in table:
+                masks = [0] * n
+                for y, v in enumerate(row):
+                    masks[v] |= 1 << y
+                rows.append(tuple(masks))
+            out.append(tuple(rows))
+        return tuple(out)
+
     def renamed(self, names: tuple[str, ...]) -> PseudoBciAlgebra:
         """This algebra under other element names, keeping the derived
         tables built so far: they depend only on the tables and the unit."""
@@ -190,7 +206,8 @@ class PseudoBciAlgebra:
 
 
 # The cached tables of PseudoBciAlgebra, none of which reads names.
-_NAME_FREE = ("columns", "joins", "product", "pickers", "column_pickers")
+_NAME_FREE = ("columns", "joins", "product", "pickers", "column_pickers",
+              "preimages")
 
 
 def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:

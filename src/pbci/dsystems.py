@@ -4,25 +4,33 @@ A deductive system contains the unit and is closed under detachment:
 x in D and x -> y in D imply y in D.  The deductive systems are closed
 under intersection, so they are the closed sets of one closure operator on
 bitmasks (``_closure``), which ``generate_ds`` applies and ``enumerate_ds``
-walks with Ganter's NextClosure, visiting closed sets only.  The squig form
-of detachment selects the same subsets (a theorem), which enumeration
-asserts by running NextClosure under both forms.  ``brute_force_ds`` is the
-independent oracle: a scan of every subset holding the unit.  Compatible means
-both implications detect membership identically; closed means the subset is
-a subalgebra.  Quotients exist exactly for compatible closed systems; the
-congruence of a system is built once as bitmask rows and checked for
-reflexivity and transitivity a row at a time.  A quotient is re-validated
-through the full axiom checker unless every class is a singleton; then its
-tables are the algebra's own, already validated, and the quotient is the
-algebra renamed.
+walks by Close-by-One: each system found is extended by one element, and
+the closure of the extension starts from the closed system, so it processes
+only the pairs that involve a new element.  The squig form of detachment
+selects the same subsets (a theorem), which enumeration asserts by running
+Close-by-One under both forms.  ``brute_force_ds`` is the independent
+oracle: a scan of every subset holding the unit.
+
+Every bitmask here is read from the algebra's preimage masks
+(``PseudoBciAlgebra.preimages``): bit y of pre[x][v] is set iff x op y = v.
+Compatible means both implications detect membership identically; closed
+means the subset is a subalgebra.  ``_flags`` decides both from the masks
+of the y with x op y in D.  Quotients exist exactly for compatible closed
+systems; the congruence of a system is built once as bitmask rows and
+checked for reflexivity and transitivity a row at a time.  A quotient is
+re-validated through the full axiom checker unless every class is a
+singleton; then its tables are the algebra's own, already validated, and
+the quotient is the algebra renamed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import reduce
+from operator import or_
+from typing import Iterable
 
-from .core import AlgebraSpec, PseudoBciAlgebra, bck_part, is_subalgebra, validate
+from .core import AlgebraSpec, PseudoBciAlgebra, Table, bck_part, validate
 from .errors import (CongruenceError, InternalInconsistencyError,
                      NotCompatibleOrClosedError)
 from .limits import check_cap
@@ -49,12 +57,26 @@ def _detachment_closed(A: PseudoBciAlgebra, members: frozenset[int], table) -> b
 
 
 def _flags(A: PseudoBciAlgebra, members: frozenset[int]) -> DeductiveSystem:
-    n = A.size
-    compatible = all(
-        (A.arrow[x][y] in members) == (A.squig[x][y] in members)
-        for x in range(n) for y in range(n))
-    return DeductiveSystem(members=members, compatible=compatible,
-                           closed=is_subalgebra(A, members))
+    """The system with its two flags, both read from the preimage masks.
+
+    in_op[x], the OR of pre[x][v] over the members v, is the mask of the y
+    with x op y in D.  D is compatible iff in_->[x] = in_~>[x] for every x,
+    and closed (a subalgebra) iff it holds the unit and lies inside
+    in_->[x] & in_~>[x] for every member x.
+    """
+    pre_arrow, pre_squig = A.preimages
+    mask = sum(1 << v for v in members)
+    compatible, closed = True, A.unit in members
+    for x, row_arrow, row_squig in zip(range(A.size), pre_arrow, pre_squig):
+        in_arrow = reduce(or_, map(row_arrow.__getitem__, members), 0)
+        in_squig = reduce(or_, map(row_squig.__getitem__, members), 0)
+        if in_arrow != in_squig:
+            compatible = False
+        if x in members and mask & ~(in_arrow & in_squig):
+            closed = False
+        if not (compatible or closed):
+            break
+    return DeductiveSystem(members=members, compatible=compatible, closed=closed)
 
 
 def _member_set(A: PseudoBciAlgebra, members: Iterable[int]) -> frozenset[int]:
@@ -83,67 +105,78 @@ def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> Deductiv
     return _flags(A, ms)
 
 
-def _closure(A: PseudoBciAlgebra, table) -> Callable[[int], int]:
-    """The closure operator of detachment along one implication table.
+def _closure(pre: Table, m: int, done: list[int], new: int,
+             below: int = 0) -> int | None:
+    """The least bitmask above m | new that is closed under detachment
+    along one implication, whose preimage masks are pre.
 
-    close(m) is the least bitmask above m that holds the unit and is closed
-    under detachment: x in D and x op y in D imply y in D.  Each element is
-    processed once, against the elements processed before it, so every pair
-    (x, x op y) of members is looked at when its later member comes up.
+    Closed means x in D and x op y in D imply y in D: pre[x][v] lies in D
+    for all members x and v.  m must be closed already, with its members
+    listed in done, so only the pairs (x, v) that involve a new member are
+    processed: each new member z once, against the members before it, and
+    every such pair when its later member comes up.  The members added are
+    appended to done.  Returns None, unfinished, as soon as a member of
+    ``below`` would be added.
+    """
+    m |= new
+    queue = _bits(new)
+    for z in queue:                 # the queue grows while it is walked
+        pz = pre[z]
+        add = pz[z]
+        for x in done:
+            add |= pz[x] | pre[x][z]
+        done.append(z)
+        add &= ~m
+        if add & below:
+            return None
+        m |= add
+        queue += _bits(add)
+    return m
+
+
+def _closed_sets(A: PseudoBciAlgebra, pre: Table) -> list[int]:
+    """Every closed bitmask of detachment along pre, by Close-by-One.
+
+    From the closure of the unit, each closed B is extended by each i
+    outside B above the element that produced B, and the closure of
+    B | {i} is kept iff it adds nothing below i (the canonicity test of
+    Kuznetsov's CbO, decided while closing).  So every closed set is
+    reached once, from its canonical parent, and the closure works from
+    the closed base.  The list is in depth-first order, which depends on
+    the family of closed sets alone.
     """
     n = A.size
-    # pre[x][v]: the y with x op y = v, as a bitmask
-    pre = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y, v in enumerate(table[x]):
-            pre[x][v] |= 1 << y
-    unit_bit = 1 << A.unit
+    done: list[int] = []
+    root = _closure(pre, 0, done, 1 << A.unit)
+    found = [root]
 
-    def close(m: int) -> int:
-        m |= unit_bit
-        queue = [x for x in range(n) if m >> x & 1]
-        done: list[int] = []
-        for z in queue:
-            pz = pre[z]
-            new = pz[z]
-            for x in done:
-                new |= pz[x] | pre[x][z]
-            done.append(z)
-            new &= ~m
-            m |= new
-            while new:
-                low = new & -new
-                queue.append(low.bit_length() - 1)
-                new ^= low
-        return m
-
-    return close
-
-
-def _closed_sets(n: int, close: Callable[[int], int]) -> list[int]:
-    """Every closed bitmask of a closure operator on range(n), in lectic
-    order, by Ganter's NextClosure: from closed m, the next one is
-    close(m below i, plus i) for the largest i not in m whose closure adds
-    nothing below i."""
-    m = close(0)
-    found = [m]
-    while True:
-        for i in range(n - 1, -1, -1):
+    def extend(base: int, start: int) -> None:
+        kept = len(done)
+        for i in range(start, n):
             bit = 1 << i
-            if m & bit:
+            if base & bit:
                 continue
-            below = bit - 1
-            c = close(m & below | bit)
-            if not c & ~m & below:
-                m = c
-                found.append(m)
-                break
-        else:
-            return found
+            closed = _closure(pre, base, done, bit, bit - 1)
+            if closed is not None:
+                found.append(closed)
+                extend(closed, i + 1)
+            del done[kept:]
+
+    extend(root, 0)
+    return found
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _members(mask: int) -> frozenset[int]:
-    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+    return frozenset(_bits(mask))
 
 
 def _disagreement(A: PseudoBciAlgebra, members: frozenset[int]):
@@ -161,14 +194,15 @@ def _sorted_systems(A: PseudoBciAlgebra, sets) -> list[DeductiveSystem]:
 def enumerate_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
     """Every deductive system, sorted by (size, membership indices).
 
-    NextClosure over the closed sets of arrow-detachment, and again of
+    Close-by-One over the closed sets of arrow-detachment, and again of
     squig-detachment; the two families are the same (a theorem), which is
-    asserted.  Only closed sets are visited, not the 2^(n-1) subsets.
+    asserted.  Only the systems and their one-element extensions are
+    closed, not the 2^(n-1) subsets.
     """
-    n = A.size
-    check_cap(n, "subset-enumeration")
-    by_arrow = _closed_sets(n, _closure(A, A.arrow))
-    by_squig = _closed_sets(n, _closure(A, A.squig))
+    check_cap(A.size, "subset-enumeration")
+    pre_arrow, pre_squig = A.preimages
+    by_arrow = _closed_sets(A, pre_arrow)
+    by_squig = _closed_sets(A, pre_squig)
     if by_arrow != by_squig:
         odd = min(set(by_arrow) ^ set(by_squig))
         raise _disagreement(A, _members(odd))
@@ -200,8 +234,8 @@ def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSyst
     Closure under arrow-detachment from the generators plus the unit; usable
     above the enumeration cap.
     """
-    close = _closure(A, A.arrow)
-    return _flags(A, _members(close(sum(1 << x for x in _member_set(A, generators)))))
+    start = sum(1 << x for x in _member_set(A, generators)) | 1 << A.unit
+    return _flags(A, _members(_closure(A.preimages[0], 0, [], start)))
 
 
 def bck_part_system(A: PseudoBciAlgebra) -> DeductiveSystem:

@@ -323,15 +323,16 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
         keys = _orbit_keys(canonical, n)
         if query.modulo_iso:
             keys = keys[:1]
-        specs = [to_spec(flat) for flat in keys]
+        least = to_spec(keys[0])
         # defense in depth; search pruning is exact.  n is within the
         # search cap, so within validate's cap from the same PBCI_MAX_SIZE
-        algebra = validate(specs[0])
+        algebra = validate(least)
         if wanted:
             report = classify(algebra)
             if any(getattr(report, field_name) != value
                    for field_name, value in wanted):
                 continue
+        specs = [least] + [to_spec(flat) for flat in keys[1:]]
         for spec in specs[1:]:
             validate(spec)
         matches += zip(keys, specs)

@@ -38,7 +38,6 @@ from .derivations import (
     enumerate_derivations,
     identity_map,
     monoid_report,
-    phi_map,
     pointwise,
     regular_translation_maps,
 )
@@ -157,7 +156,10 @@ class Analysis:
 
     @cached_property
     def phi(self) -> SelfMap:
-        return phi_map(self.A)
+        """x |-> (x -> 1) ~> 1; its type I membership in both kinds is the
+        catalogue entry phi-map-type1-both-kinds."""
+        A = self.A
+        return tuple(A.phi(x) for x in range(self.n))
 
     @cached_property
     def systems(self) -> list[DeductiveSystem]:
@@ -381,7 +383,7 @@ def _chk_left_translation_forces_identity(c: Analysis):
 
 def _chk_invariance_forces_regular(c: Analysis):
     for d in sorted(set(c.idop1) | set(c.idop2)):
-        if c.invariant_under(d) and d[c.unit] != c.unit:
+        if d[c.unit] != c.unit and c.invariant_under(d):
             return f"d={c.fmt(d)}"
     return None
 

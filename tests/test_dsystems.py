@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -13,6 +14,8 @@ from pbci import (
     PseudoBciAlgebra,
     classify,
     group_view,
+    is_subalgebra,
+    parse_algebra,
     validate,
 )
 from pbci.derivations import DerivationClass as C, enumerate_derivations, identity_map
@@ -28,8 +31,10 @@ from pbci.dsystems import (
     quotient,
 )
 
-from conftest import (FIXTURE_NAMES, PRODUCT_LABELS, load_algebra, m, permuted,
-                      seeded_orders)
+from pbci.search import SearchQuery, search
+
+from conftest import (CHAIN2, FIXTURE_NAMES, N90_LABEL, PRODUCT_LABELS, load_algebra, m,
+                      make_n90_product, permuted, product, seeded_orders)
 
 
 def member_names(algebra, systems):
@@ -91,6 +96,61 @@ def test_group6_systems_are_subgroups(group6):
 def test_enumerate_ds_equals_oracle_on_small_pool(small_pool):
     for algebra in small_pool:
         assert enumerate_ds(algebra) == brute_force_ds(algebra)
+
+
+def test_enumerate_ds_equals_oracle_on_every_size5_class():
+    representatives = search(SearchQuery(size=5, modulo_iso=True))
+    assert len(representatives) == 181
+    for spec in representatives:
+        algebra = validate(spec)
+        assert enumerate_ds(algebra) == brute_force_ds(algebra)
+
+
+def test_flags_match_their_definitions(small_pool):
+    # compatible: x -> y and x ~> y lie in D together; closed: a subalgebra
+    for algebra in small_pool:
+        rng = algebra.elements()
+        rest = [x for x in rng if x != algebra.unit]
+        for k in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, k):
+                members = frozenset((algebra.unit,) + extra)
+                compatible = all(
+                    (algebra.arrow[x][y] in members) == (algebra.squig[x][y] in members)
+                    for x in rng for y in rng)
+                assert pbci.dsystems._flags(algebra, members) == DeductiveSystem(
+                    members, compatible, is_subalgebra(algebra, members))
+
+
+def system_digest(systems):
+    rows = [(sorted(D.members), D.compatible, D.closed) for D in systems]
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+def power(A, k):
+    out = A
+    for _ in range(k - 1):
+        out = product(out, A)
+    return out
+
+
+# (systems, sha256 of the (members, compatible, closed) list), recorded
+# with the NextClosure enumeration that Close-by-One replaced
+LARGE_SYSTEMS = {
+    "cyclic3^4": (212, "052b32ff2bff343ef59197306b27c80739819d5473092c915a6a2a22ea829575"),
+    "chain2^6": (64, "4b944fc2581d305538dc8e6e176b49e0e8873d3dbf4536f1a8d9230e8c0aeef1"),
+    N90_LABEL: (64, "f347aa2dc973efaa54c789308428c86a7e4628620d6b102816572992a4399f4d"),
+}
+
+
+@pytest.mark.parametrize("label", LARGE_SYSTEMS)
+def test_large_systems_pinned(label, monkeypatch):
+    build = {"cyclic3^4": lambda: power(load_algebra("cyclic3"), 4),
+             "chain2^6": lambda: power(validate(parse_algebra(CHAIN2)), 6),
+             N90_LABEL: make_n90_product}[label]
+    algebra = build()
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
+    systems = enumerate_ds(algebra)
+    assert (len(systems), system_digest(systems)) == LARGE_SYSTEMS[label]
 
 
 @pytest.mark.parametrize("label", PRODUCT_LABELS + ("flat5", "flat6"))
@@ -286,12 +346,14 @@ def test_singleton_class_quotient_skips_validate(name, all_fixtures, monkeypatch
 def test_singleton_class_quotient_keeps_the_tables_built():
     A = load_algebra("group6")
     classify(A)
+    enumerate_ds(A)
     K = bck_part_system(A)
     assert K.members == {A.unit}
     Q = quotient(A, K)
     assert Q.names == tuple(f"[{name}]" for name in A.names)
     assert Q.joins is A.joins
     assert Q.pickers is A.pickers
+    assert Q.preimages is A.preimages
 
 
 def test_quotient_by_everything(proper5):

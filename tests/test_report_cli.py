@@ -124,7 +124,7 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
     assert set(atom_checks.values()) == {1}
     assert set(atom_checks) == ({(algebra.names, a) for a in algebra.elements()}
                                 | {(Q.names, a) for a in Q.elements()})
-    # NextClosure once per detachment form
+    # Close-by-One once per detachment form
     assert calls["_closed_sets"] == 2
     # K(A) once, shared by the report, the theorems and K(A) as a system
     assert calls["bck_part"] == 1
@@ -226,7 +226,8 @@ def test_cli_non_integer_cap_exit_2(runner, args):
         _one_line_error(result, "PBCI_MAX_SIZE", "positive integer", repr(value))
 
 
-DERIVED_TABLES = ("columns", "joins", "product", "pickers", "column_pickers")
+DERIVED_TABLES = ("columns", "joins", "product", "pickers", "column_pickers",
+                  "preimages")
 
 
 def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
@@ -258,12 +259,15 @@ def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
     monkeypatch.setattr(core, "_pickers", pickers)
     once = dict.fromkeys(DERIVED_TABLES + tuple(f"pickers of {t}"
                                                 for t in tables.values()), 1)
-    for command in (["analyze", "--json"], ["check"]):
+    # check enumerates no deductive system, so it needs no preimage masks
+    without_preimages = {name: 1 for name in once if name != "preimages"}
+    for command, expected in ((["analyze", "--json"], once),
+                              (["check"], without_preimages)):
         builds.clear()
         result = runner.invoke(main, command + [str(path)],
                                env={"PBCI_MAX_SIZE": str(A.size)})
         assert result.exit_code == 0
-        assert dict(builds) == once, command
+        assert dict(builds) == expected, command
 
     # the cached tables are not fields: equality and hash do not see them
     B = validate(A.to_spec())
@@ -461,6 +465,16 @@ def test_cli_theorem_failure_exit_1(runner, monkeypatch):
     assert result.exit_code == 1
     entry = next(r for r in json.loads(result.stdout)["theorems"] if r["id"] == tid)
     assert (entry["applicable"], entry["passed"], entry["witness"]) == (True, False, "x=a")
+
+
+def test_cli_verify_fails_a_phi_map_outside_type_one(runner, monkeypatch):
+    # Analysis.phi is the bare map; the catalogue entry is its one type I
+    # check, against the complete enumerations.  The constant map to a is
+    # neither a type I implicative nor a type I symmetric map of proper5.
+    monkeypatch.setattr(theorems.Analysis, "phi", property(lambda c: (0,) * c.n))
+    result = runner.invoke(main, ["verify", fixture_path("proper5")])
+    assert result.exit_code == 1
+    assert "FAIL phi-map-type1-both-kinds" in result.stdout.splitlines()
 
 
 def test_cli_analyze_json_byte_identical(runner):
