@@ -158,8 +158,7 @@ class Analysis:
     def phi(self) -> SelfMap:
         """x |-> (x -> 1) ~> 1; its type I membership in both kinds is the
         catalogue entry phi-map-type1-both-kinds."""
-        A = self.A
-        return tuple(A.phi(x) for x in range(self.n))
+        return tuple(map(self.A.phi, range(self.n)))
 
     @cached_property
     def systems(self) -> list[DeductiveSystem]:
