@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .core import PseudoBciAlgebra, classify, validate
+from .core import PseudoBciAlgebra, validate
 from .derivations import (DerivationClass, enumerate_derivations, map_properties,
                           satisfies)
 from .dsystems import as_deductive_system, bck_part_system, enumerate_ds, quotient
@@ -94,7 +94,7 @@ def main() -> None:
 def check(file: str) -> None:
     """Validate FILE and print its classification."""
     algebra = _load(file)
-    report = classify(algebra)
+    report = algebra.classification
     click.echo(f"valid pseudo-BCI algebra with {algebra.size} element(s)")
     for label, value in (
         ("BCI", report.is_bci),

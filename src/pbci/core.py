@@ -2,15 +2,17 @@
 
 An algebra lives on indices 0..n-1 with display names attached; both
 implication tables are dense tuples so every operation is a table lookup.
-The tables derived from them are cached properties of the algebra, each
-built on first use and then kept.
+The tables derived from them and the structure every result is stated
+over (atoms, K(A), branches, classification) are cached properties of the
+algebra, each built on first use and kept, so each crosscheck behind the
+structure runs once per algebra.
 ``validate`` is the first of two intended constructors of
 :class:`PseudoBciAlgebra`: it checks the five defining axioms, precomputes
 the order relation and runs a suite of theorem-backed sanity checks whose
 failure can only mean a bug in this package, never bad input.  The second
 is ``PseudoBciAlgebra.renamed``, which keeps the tables ``validate``
-accepted and every table built from them; ``dsystems.quotient`` calls it
-when every congruence class is a singleton.
+accepted and every cached property built from them; ``dsystems.quotient``
+calls it when every congruence class is a singleton.
 
 ``validate`` reads the tables in one pass into an unvalidated algebra, and
 the axiom scan (``collect_violations``) and the sanity suite
@@ -95,10 +97,14 @@ class PseudoBciAlgebra:
     """Immutable pseudo-BCI algebra with a precomputed order table.
 
     The scans in ``validate`` read an unvalidated instance.  The derived
-    tables below are built on first use and kept; they are not fields, so
-    ``==``, ``hash`` and ``dataclasses.replace`` see only the five fields,
-    and ``renamed`` hands them on.  Safe to share between threads; every
-    function in this package treats it as read-only.
+    tables and the structure (atoms, K(A), branches, classification, each
+    the public function of this module called on the algebra) are cached
+    properties, built on first use and kept.  They are not fields, so
+    ``==``, ``hash`` and ``dataclasses.replace`` see only the five fields.
+    Every cached property must depend on the tables and the unit alone,
+    never on ``names``: ``renamed`` hands on whatever has been built.  Safe
+    to share between threads; every function in this package treats it as
+    read-only.
     """
 
     names: tuple[str, ...]
@@ -177,12 +183,32 @@ class PseudoBciAlgebra:
             out.append(tuple(rows))
         return tuple(out)
 
+    @cached_property
+    def atoms(self) -> frozenset[int]:
+        """The atoms, ``atoms(self)``."""
+        return atoms(self)
+
+    @cached_property
+    def bck_part(self) -> frozenset[int]:
+        """K(A), ``bck_part(self)``."""
+        return bck_part(self)
+
+    @cached_property
+    def branches(self) -> dict[int, frozenset[int]]:
+        """The branch of each atom, ``branches(self)``."""
+        return branches(self)
+
+    @cached_property
+    def classification(self) -> ClassificationReport:
+        """Every classification flag, ``classify(self)``."""
+        return classify(self)
+
     def renamed(self, names: tuple[str, ...]) -> PseudoBciAlgebra:
-        """This algebra under other element names, keeping the derived
-        tables built so far: they depend only on the tables and the unit."""
+        """This algebra under other element names, keeping every cached
+        property built so far: none of them reads the names."""
         out = replace(self, names=names)
-        built = self.__dict__
-        out.__dict__.update((key, built[key]) for key in _NAME_FREE if key in built)
+        out.__dict__.update((key, value) for key, value in self.__dict__.items()
+                            if key != "names")
         return out
 
     def index_of(self, name: str) -> int:
@@ -203,11 +229,6 @@ class PseudoBciAlgebra:
             arrow=tuple(tuple(nm[v] for v in row) for row in self.arrow),
             squig=tuple(tuple(nm[v] for v in row) for row in self.squig),
         )
-
-
-# The cached tables of PseudoBciAlgebra, none of which reads names.
-_NAME_FREE = ("columns", "joins", "product", "pickers", "column_pickers",
-              "preimages")
 
 
 def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:
@@ -521,14 +542,9 @@ def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
 
 def branches(A: PseudoBciAlgebra) -> dict[int, frozenset[int]]:
     """Map each atom a to its branch {x | x <= a}; the branches partition A."""
-    return _branches(A, atoms(A))
-
-
-def _branches(A: PseudoBciAlgebra, ats: frozenset[int]) -> dict[int, frozenset[int]]:
-    """The branches headed by already computed atoms, checked to partition A."""
     result = {
         a: frozenset(x for x in A.elements() if A.leq[x][a])
-        for a in sorted(ats)
+        for a in sorted(A.atoms)
     }
     seen: set[int] = set()
     for a, block in result.items():
@@ -640,11 +656,6 @@ def _is_medial(outer: Table, inner: Table, pick: list[Picker]) -> bool:
 def classify(A: PseudoBciAlgebra) -> ClassificationReport:
     """Decide every classification flag, cross-checking the theorem-level
     equivalences between them."""
-    return _classify(A, branches(A))
-
-
-def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> ClassificationReport:
-    """classify() on the already computed branches of A."""
     n = A.size
     arrow, squig, leq = A.arrow, A.squig, A.leq
     cup1, cup2 = A.joins
@@ -666,7 +677,7 @@ def _classify(A: PseudoBciAlgebra, brs: dict[int, frozenset[int]]) -> Classifica
         for x in rng for y in rng if leq[y][x])
     is_branchwise = all(
         cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]
-        for block in brs.values() for x in block for y in block)
+        for block in A.branches.values() for x in block for y in block)
 
     pick_arrow, pick_squig = A.pickers
     is_medial_arrow = _is_medial(arrow, squig, pick_squig)
@@ -715,7 +726,7 @@ def group_view(A: PseudoBciAlgebra) -> GroupView:
     InternalInconsistencyError if the group axioms fail on a p-semisimple
     input (impossible unless this package is buggy).
     """
-    if bck_part(A) != frozenset({A.unit}):
+    if A.bck_part != frozenset({A.unit}):
         raise NotPSemisimpleError(
             "group view requires a p-semisimple algebra (BCK part = {1})")
     if not _group_axioms_hold(A):

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import PseudoBciAlgebra, atoms, bck_part, is_pseudo_bck, is_subalgebra
+from .core import PseudoBciAlgebra, is_pseudo_bck, is_subalgebra
 from .errors import InternalInconsistencyError, TypeRequiresPseudoBckError
 from .limits import check_cap
 
@@ -274,15 +274,10 @@ class MapPropertyRecord:
 def map_properties(A: PseudoBciAlgebra, d: SelfMap) -> MapPropertyRecord:
     """Compute every MapPropertyRecord field by direct exhaustive check."""
     _check_map(A, d)
-    return _map_record(A, d, bck_part(A), atoms(A))
-
-
-def _map_record(A: PseudoBciAlgebra, d: SelfMap, part: frozenset[int],
-                ats: frozenset[int]) -> MapPropertyRecord:
-    """map_properties() of a total map, given K(A) and the atoms of A."""
     n = A.size
     unit = A.unit
     leq = A.leq
+    part, ats = A.bck_part, A.atoms
     kernel = frozenset(x for x in range(n) if d[x] == unit)
     image = frozenset(d)
     return MapPropertyRecord(

@@ -30,7 +30,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from .core import AlgebraSpec, PseudoBciAlgebra, Table, bck_part, validate
+from .core import AlgebraSpec, PseudoBciAlgebra, Table, validate
 from .errors import (CongruenceError, InternalInconsistencyError,
                      NotCompatibleOrClosedError)
 from .limits import check_cap
@@ -240,7 +240,7 @@ def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSyst
 
 def bck_part_system(A: PseudoBciAlgebra) -> DeductiveSystem:
     """K(A) as a deductive system; always compatible and closed (asserted)."""
-    ds = as_deductive_system(A, bck_part(A))
+    ds = as_deductive_system(A, A.bck_part)
     if not (ds.compatible and ds.closed):
         raise InternalInconsistencyError("BCK part is not compatible and closed")
     return ds

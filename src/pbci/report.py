@@ -1,11 +1,11 @@
 """Analysis reports: a deterministic dict built once, rendered as JSON or text.
 
-``build_report`` reads every derived object from one ``theorems.Analysis``
-of the algebra and hands the same analysis to ``theorem_suite``, so one
-report enumerates each derivation class and the deductive systems once and
-runs each crosscheck once per algebra.  A map listed by several classes
-has one property record, ``Analysis.map_records``; each entry of the report
-still holds its own dicts and lists.
+``build_report`` reads the structure from the algebra's cached properties
+and every enumeration from one ``theorems.Analysis``, which it hands on to
+``theorem_suite``, so one report enumerates each derivation class and the
+deductive systems once.  A map listed by several classes has one property
+record, ``Analysis.map_records``; each entry of the report still holds
+its own dicts and lists.
 
 Identical inputs produce byte-identical output: every collection is emitted
 in a canonical order (declaration order for element sets, lexicographic
@@ -69,12 +69,12 @@ def build_report(A: PseudoBciAlgebra) -> dict:
             "elements": list(A.names),
             "unit": A.names[A.unit],
         },
-        "classification": _record(A, an.classification),
-        "atoms": _names(A, an.atoms),
-        "bck_part": _names(A, an.K),
+        "classification": _record(A, A.classification),
+        "atoms": _names(A, A.atoms),
+        "bck_part": _names(A, A.bck_part),
         "branches": [
             {"atom": A.names[a], "members": _names(A, block)}
-            for a, block in sorted(an.branches.items())
+            for a, block in sorted(A.branches.items())
         ],
         "deductive_systems": [
             {

@@ -7,12 +7,12 @@ an applicable statement that fails indicates a bug in this package, since
 every catalogued law is proved for all pseudo-BCI algebras (two entries are
 marked as checked empirically only).
 
-The checks read their objects from an ``Analysis``: the classification,
-atoms, K(A), branches, each applicable derivation class, phi and the
-deductive systems of one algebra, each computed on first use and kept for
-the rest of the call.  ``report.build_report`` passes its own analysis to
-``theorem_suite``, so a report and its theorems share one computation.
-The join and group-product tables the checks index are the algebra's own.
+The checks read the structure and tables of the algebra from its cached
+properties, and the enumerations, capped per call, from an ``Analysis``:
+each applicable derivation class, map records, phi, the deductive systems
+and the monoid, each computed on first use and kept for the call.
+``report.build_report`` passes its own analysis to ``theorem_suite``, so a
+report and its theorems share one computation.
 
 The catalogue is one table, ``_CATALOG``.  Each row names its precondition
 as ClassificationReport flags and its check as a function of the analysis.
@@ -26,17 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (ClassificationReport, PseudoBciAlgebra, _branches, _classify,
-                   atoms, classify, is_subalgebra)
+from .core import PseudoBciAlgebra, is_subalgebra
 from .derivations import (
     DerivationClass,
     MapPropertyRecord,
     MonoidReport,
     SelfMap,
-    _map_record,
     compose,
     enumerate_derivations,
     identity_map,
+    map_properties,
     monoid_report,
     pointwise,
     regular_translation_maps,
@@ -79,14 +78,14 @@ def _maps_of(cls: DerivationClass) -> property:
 
 
 class Analysis:
-    """Every derived object of one algebra that the report and the theorem
+    """The enumerations of one algebra that the report and the theorem
     suite read, each computed on first use and then kept.
 
     Built per call from A alone, so nothing here outlives the build_report
-    or theorem_suite call that made it.  Each crosscheck behind these
-    objects (atoms, K(A), classification, phi, deductive systems) runs once
-    per algebra, and each distinct map of the derivation classes gets one
-    property record however many classes list it.
+    or theorem_suite call that made it, and each call checks the size caps
+    afresh.  The atoms, K(A), branches and classification are the
+    algebra's own cached properties.  Each distinct map of the derivation
+    classes gets one property record however many classes list it.
     """
 
     def __init__(self, A: PseudoBciAlgebra):
@@ -96,24 +95,8 @@ class Analysis:
         self.ident = identity_map(A)
 
     @cached_property
-    def atoms(self) -> frozenset[int]:
-        return atoms(self.A)
-
-    @cached_property
-    def K(self) -> frozenset[int]:
-        return self.bck_system.members
-
-    @cached_property
-    def branches(self) -> dict[int, frozenset[int]]:
-        return _branches(self.A, self.atoms)
-
-    @cached_property
     def branch_of(self) -> dict[int, int]:
-        return {x: a for a, block in self.branches.items() for x in block}
-
-    @cached_property
-    def classification(self) -> ClassificationReport:
-        return _classify(self.A, self.branches)
+        return {x: a for a, block in self.A.branches.items() for x in block}
 
     @cached_property
     def derivations(self) -> dict[DerivationClass, list[SelfMap]]:
@@ -126,9 +109,8 @@ class Analysis:
     def map_records(self) -> dict[SelfMap, MapPropertyRecord]:
         """The property record of each distinct map of the applicable
         classes, keyed by the map, in first-listed order."""
-        A, K, ats = self.A, self.K, self.atoms
         distinct = dict.fromkeys(d for maps in self.derivations.values() for d in maps)
-        return {d: _map_record(A, d, K, ats) for d in distinct}
+        return {d: map_properties(self.A, d) for d in distinct}
 
     idop1 = _maps_of(DerivationClass.IMPLICATIVE_I)
     idop2 = _maps_of(DerivationClass.IMPLICATIVE_II)
@@ -149,6 +131,16 @@ class Analysis:
     def idop(self) -> list[SelfMap]:
         """The two-sided implicative maps: type I and type II."""
         return sorted(set(self.idop1) & set(self.idop2))
+
+    @cached_property
+    def implicative(self) -> list[SelfMap]:
+        """The maps of type I or type II implicative, sorted."""
+        return sorted(set(self.idop1) | set(self.idop2))
+
+    @cached_property
+    def symmetric(self) -> list[SelfMap]:
+        """The maps of type I or type II symmetric, sorted."""
+        return sorted(set(self.sdop1) | set(self.sdop2))
 
     @cached_property
     def monoid(self) -> MonoidReport:
@@ -174,7 +166,7 @@ class Analysis:
         carry passed=None."""
         results = []
         for tid, statement, flags, check, note in _CATALOG:
-            if not all(getattr(self.classification, f) for f in flags):
+            if not all(getattr(self.A.classification, f) for f in flags):
                 results.append(TheoremResult(
                     tid=tid, statement=statement, applicable=False,
                     passed=None, witness=None, note=note))
@@ -223,7 +215,7 @@ def _chk_join_absorption_iff_regular(c: Analysis, maps: list[SelfMap]):
 
 def _chk_regular_type2_basics(c: Analysis):
     A = c.A
-    arrow, squig, leq = A.arrow, A.squig, A.leq
+    arrow, squig, leq, K = A.arrow, A.squig, A.leq, A.bck_part
     for d in c.ridop2:
         tag = f"d={c.fmt(d)}"
         for x in range(c.n):
@@ -231,7 +223,7 @@ def _chk_regular_type2_basics(c: Analysis):
                 return f"{tag}: x <= dx fails at {c.name(x)}"
             if c.branch_of[A.phi(x)] != c.branch_of[d[x]]:
                 return f"{tag}: phi(x), dx in different branches at {c.name(x)}"
-            if arrow[A.phi(x)][d[x]] not in c.K or squig[A.phi(x)][d[x]] not in c.K:
+            if arrow[A.phi(x)][d[x]] not in K or squig[A.phi(x)][d[x]] not in K:
                 return f"{tag}: phi(x) op dx outside BCK part at {c.name(x)}"
             for y in range(c.n):
                 am, bm = arrow[d[x]][y], arrow[d[x]][d[y]]
@@ -245,15 +237,15 @@ def _chk_regular_type2_basics(c: Analysis):
                 # comparable arguments force the image gap into the BCK part
                 # (isotonicity itself can fail: images may sit in one branch
                 # without being comparable)
-                if leq[x][y] and (arrow[d[x]][d[y]] not in c.K
-                                  or squig[d[x]][d[y]] not in c.K):
+                if leq[x][y] and (arrow[d[x]][d[y]] not in K
+                                  or squig[d[x]][d[y]] not in K):
                     return f"{tag}: image gap escapes BCK part at ({c.name(x)}, {c.name(y)})"
         ker = c.kernel(d)
         if not is_subalgebra(A, ker):
             return f"{tag}: kernel not a subalgebra"
-        if not ker <= c.K:
+        if not ker <= K:
             return f"{tag}: kernel escapes the BCK part"
-        if not all(d[x] in c.K for x in c.K):
+        if not all(d[x] in K for x in K):
             return f"{tag}: image of BCK part escapes it"
     return None
 
@@ -271,14 +263,14 @@ def _chk_dominated_idempotent_composition(c: Analysis):
 
 def _chk_kernel_is_bck_part_iff_phi(c: Analysis):
     for d in c.ridop2:
-        if (c.kernel(d) == c.K) != (d == c.phi):
+        if (c.kernel(d) == c.A.bck_part) != (d == c.phi):
             return f"d={c.fmt(d)}"
     return None
 
 
 def _chk_kernel_bck_part_forces_idempotent(c: Analysis):
     for d in c.ridop2:
-        if c.kernel(d) == c.K and compose(d, d) != d:
+        if c.kernel(d) == c.A.bck_part and compose(d, d) != d:
             return f"d={c.fmt(d)}"
     return None
 
@@ -290,20 +282,20 @@ def _chk_lower_bound_forces_regular_bck(c: Analysis):
         if bounded:
             if d[c.unit] != c.unit:
                 return f"d={c.fmt(d)} bounded below but not regular"
-            if not c.classification.is_pseudo_bck:
+            if not c.A.classification.is_pseudo_bck:
                 return f"d={c.fmt(d)} bounded below on a non-pseudo-BCK algebra"
     return None
 
 
 def _chk_type1_unit_image(c: Analysis):
     A = c.A
-    arrow, squig = A.arrow, A.squig
+    arrow, squig, ats = A.arrow, A.squig, A.atoms
     u = c.unit
     for d in c.idop1:
         tag = f"d={c.fmt(d)}"
-        if d[u] not in c.atoms:
+        if d[u] not in ats:
             return f"{tag}: d(1) is not an atom"
-        for a in c.atoms:
+        for a in ats:
             if d[a] != arrow[arrow[a][u]][d[u]] or d[a] != squig[arrow[a][u]][d[u]]:
                 return f"{tag}: atom translation fails at {c.name(a)}"
         for x in range(c.n):
@@ -321,7 +313,7 @@ def _chk_type2_unit_translation(c: Analysis):
         for x in range(c.n):
             if not leq[arrow[d1][x]][d[x]] or not leq[squig[d1][x]][d[x]]:
                 return f"{tag}: d(1) op x <= dx fails at {c.name(x)}"
-        for a in c.atoms:
+        for a in A.atoms:
             if d[a] != arrow[d1][a] or d[a] != squig[d1][a]:
                 return f"{tag}: atom translation fails at {c.name(a)}"
     return None
@@ -329,19 +321,19 @@ def _chk_type2_unit_translation(c: Analysis):
 
 def _chk_implicative_atom_stability(c: Analysis):
     u = c.unit
-    prod = c.A.product
-    for d in sorted(set(c.idop1) | set(c.idop2)):
+    prod, ats = c.A.product, c.A.atoms
+    for d in c.implicative:
         tag = f"d={c.fmt(d)}"
-        if not all(d[a] in c.atoms for a in c.atoms):
+        if not all(d[a] in ats for a in ats):
             return f"{tag}: image of an atom is not an atom"
-        if d[u] in c.K and d[u] != u:
+        if d[u] in c.A.bck_part and d[u] != u:
             return f"{tag}: d(1) in the BCK part but not 1"
         d1inv = c.A.arrow[d[u]][u]
-        for a in c.atoms:
-            for b in c.atoms:
+        for a in ats:
+            for b in ats:
                 if d[prod[a][b]] != prod[prod[d[a]][d1inv]][d[b]]:
                     return f"{tag}: product rule fails at ({c.name(a)}, {c.name(b)})"
-        if all(d[a] == a for a in c.atoms) != (d[u] == u):
+        if all(d[a] == a for a in ats) != (d[u] == u):
             return f"{tag}: atom-fixing vs regularity mismatch"
     return None
 
@@ -359,7 +351,7 @@ def _chk_atom_valued_type1_pullthrough(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     for d in c.idop1:
-        if not all(v in c.atoms for v in d):
+        if not all(v in A.atoms for v in d):
             continue
         for x in range(c.n):
             for y in range(c.n):
@@ -372,7 +364,7 @@ def _chk_left_translation_forces_identity(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     rng = range(c.n)
-    for d in sorted(set(c.ridop1) | set(c.ridop2)):
+    for d in (d for d in c.implicative if d[c.unit] == c.unit):
         left_arrow = all(d[arrow[x][y]] == arrow[d[x]][y] for x in rng for y in rng)
         left_squig = all(d[squig[x][y]] == squig[d[x]][y] for x in rng for y in rng)
         if (left_arrow or left_squig) and d != c.ident:
@@ -381,7 +373,7 @@ def _chk_left_translation_forces_identity(c: Analysis):
 
 
 def _chk_invariance_forces_regular(c: Analysis):
-    for d in sorted(set(c.idop1) | set(c.idop2)):
+    for d in c.implicative:
         if d[c.unit] != c.unit and c.invariant_under(d):
             return f"d={c.fmt(d)}"
     return None
@@ -403,7 +395,7 @@ def _chk_regular_iff_all_invariant(c: Analysis, maps: list[SelfMap]):
 
 
 def _chk_psemisimple_iff_trivial_regular_type2(c: Analysis):
-    a = c.classification.is_p_semisimple
+    a = c.A.classification.is_p_semisimple
     b = all(c.kernel(d) == frozenset({c.unit}) for d in c.ridop2)
     e = c.ridop2 == [c.ident]
     if not (a == b == e):
@@ -464,7 +456,7 @@ def _chk_sym1_constant_gap(c: Analysis):
             for x in range(c.n):
                 if not leq[x][d[x]]:
                     return f"{tag}: x <= dx fails at {c.name(x)}"
-                if d[x] not in c.atoms:
+                if d[x] not in A.atoms:
                     return f"{tag}: dx not an atom at {c.name(x)}"
                 for y in range(c.n):
                     if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
@@ -474,7 +466,7 @@ def _chk_sym1_constant_gap(c: Analysis):
 
 def _chk_sym2_atom_valued(c: Analysis):
     A = c.A
-    arrow, squig = A.arrow, A.squig
+    arrow, squig, ats = A.arrow, A.squig, A.atoms
     cup1, cup2 = A.joins
     for d in c.sdop2:
         tag = f"d={c.fmt(d)}"
@@ -486,12 +478,12 @@ def _chk_sym2_atom_valued(c: Analysis):
                 return f"{tag}: dx via phi of join fails at {c.name(x)}"
             if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
                 return f"{tag}: dx join x fails at {c.name(x)}"
-            if d[x] not in c.atoms:
+            if d[x] not in ats:
                 return f"{tag}: dx not an atom at {c.name(x)}"
             for y in range(c.n):
                 if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
                     return f"{tag}: dx join y fails at ({c.name(x)}, {c.name(y)})"
-                if arrow[x][d[y]] not in c.atoms or squig[x][d[y]] not in c.atoms:
+                if arrow[x][d[y]] not in ats or squig[x][d[y]] not in ats:
                     return f"{tag}: x op dy not an atom at ({c.name(x)}, {c.name(y)})"
         if d1 == c.unit and d != c.ident:
             return f"{tag}: regular but not the identity"
@@ -499,10 +491,10 @@ def _chk_sym2_atom_valued(c: Analysis):
 
 
 def _chk_sym_atom_product_translation(c: Analysis):
-    prod = c.A.product
-    for d in sorted(set(c.sdop1) | set(c.sdop2)):
-        for x in c.atoms:
-            for y in c.atoms:
+    prod, ats = c.A.product, c.A.atoms
+    for d in c.symmetric:
+        for x in ats:
+            for y in ats:
                 lhs = d[prod[x][y]]
                 if lhs != prod[d[x]][y] or lhs != prod[x][d[y]]:
                     return f"d={c.fmt(d)} at ({c.name(x)}, {c.name(y)})"
@@ -543,7 +535,7 @@ def _chk_bck_part_closed_compatible_invariant(c: Analysis):
 
 def _chk_quotient_by_bck_part_psemisimple(c: Analysis):
     Q = quotient(c.A, c.bck_system)
-    if not classify(Q).is_p_semisimple:
+    if not Q.classification.is_p_semisimple:
         return "quotient by the BCK part is not p-semisimple"
     reg = enumerate_derivations(Q, DerivationClass.IMPLICATIVE_II, regular=True)
     if reg != [identity_map(Q)]:
@@ -669,8 +661,7 @@ _CATALOG = (
      None),
     ("sym-regular-iff-all-invariant",
      "a symmetric map is regular iff every deductive system is invariant under it",
-     (), lambda c: _chk_regular_iff_all_invariant(
-         c, sorted(set(c.sdop1) | set(c.sdop2))), None),
+     (), lambda c: _chk_regular_iff_all_invariant(c, c.symmetric), None),
     ("bck-part-closed-compatible-invariant",
      "the BCK part is a compatible closed deductive system invariant under "
      "every regular type II map",

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from pbci import (
@@ -236,3 +238,28 @@ def test_is_subalgebra(proper5, all_fixtures):
     for algebra in all_fixtures.values():
         assert is_subalgebra(algebra, {algebra.unit})
         assert is_subalgebra(algebra, set(algebra.elements()))
+
+
+def comparable(value, n):
+    """A cached value with each picker replaced by what it picks from the
+    row 0..n-1, so that two builds compare by content."""
+    if callable(value):
+        return value(tuple(range(n)))
+    if isinstance(value, (tuple, list)):
+        return tuple(comparable(item, n) for item in value)
+    return value
+
+
+def test_renamed_hands_on_every_cached_property(all_fixtures, large_products):
+    cached = [name for name, attr in vars(PseudoBciAlgebra).items()
+              if isinstance(attr, cached_property)]
+    assert {"columns", "preimages", "atoms", "classification"} <= set(cached)
+    for A in [*all_fixtures.values(), large_products["group6^2"]]:
+        built = {name: getattr(A, name) for name in cached}
+        B = A.renamed(tuple(f"r{name}" for name in A.names))
+        fresh = validate(B.to_spec(), max_size=A.size)
+        assert B == fresh
+        for name in cached:
+            assert B.__dict__[name] is built[name], name
+            assert (comparable(getattr(B, name), A.size)
+                    == comparable(getattr(fresh, name), A.size)), name

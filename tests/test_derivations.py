@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds
+from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds, validate
 from pbci.derivations import (
     DerivationClass as C,
     brute_force_derivations,
@@ -17,6 +17,7 @@ from pbci.derivations import (
     regular_translation_maps,
     satisfies,
 )
+from pbci.search import SearchQuery, search
 
 from conftest import PRODUCT_LABELS, flat, m, permuted, seeded_orders
 
@@ -334,3 +335,18 @@ def test_regular_translation_maps_match_docstring_filter(small_pool):
                     and all(d[ar[x][y]] == ar[x][d[y]] and d[sq[x][y]] == sq[x][d[y]]
                             for x in range(n) for y in range(n))]
         assert regular_translation_maps(algebra) == expected
+
+
+def test_regular_type1_and_type2_coincide_on_every_class_to_size5():
+    # Observed, not proved: on every class of size <= 5 (and of size 6) the
+    # regular type I maps are the regular translation maps, which are the
+    # regular type II maps, so the translation row set to the type I row
+    # is an equivalent mutant on these algebras.
+    specs = [spec for n in range(1, 6)
+             for spec in search(SearchQuery(size=n, modulo_iso=True))]
+    assert len(specs) == 214
+    for spec in specs:
+        algebra = validate(spec)
+        translations = regular_translation_maps(algebra)
+        assert enumerate_derivations(algebra, C.IMPLICATIVE_I, regular=True) == translations
+        assert enumerate_derivations(algebra, C.IMPLICATIVE_II, regular=True) == translations

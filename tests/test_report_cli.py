@@ -95,8 +95,10 @@ def test_report_respects_cap(proper5, monkeypatch):
 
 @pytest.mark.parametrize("name, classes", [("bck5", 6), ("proper5", 4)])
 def test_report_computes_each_object_once(name, classes, request, monkeypatch):
-    algebra = request.getfixturevalue(name)
-    Q = quotient(algebra, bck_part_system(algebra))
+    fixture = request.getfixturevalue(name)
+    Q = quotient(fixture, bck_part_system(fixture))
+    # a fresh algebra: the session fixture keeps what earlier tests built
+    algebra = validate(fixture.to_spec())
     atom_checks: Counter = Counter()
     calls: Counter = Counter()
 
@@ -226,8 +228,10 @@ def test_cli_non_integer_cap_exit_2(runner, args):
         _one_line_error(result, "PBCI_MAX_SIZE", "positive integer", repr(value))
 
 
+# The cached properties of an algebra: its derived tables and the
+# structure built on them.
 DERIVED_TABLES = ("columns", "joins", "product", "pickers", "column_pickers",
-                  "preimages")
+                  "preimages", "atoms", "bck_part", "branches", "classification")
 
 
 def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
@@ -259,10 +263,11 @@ def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
     monkeypatch.setattr(core, "_pickers", pickers)
     once = dict.fromkeys(DERIVED_TABLES + tuple(f"pickers of {t}"
                                                 for t in tables.values()), 1)
-    # check enumerates no deductive system, so it needs no preimage masks
-    without_preimages = {name: 1 for name in once if name != "preimages"}
+    # check enumerates no deductive system, so it needs no preimage masks,
+    # and it reads no K(A)
+    for_check = {name: 1 for name in once if name not in ("preimages", "bck_part")}
     for command, expected in ((["analyze", "--json"], once),
-                              (["check"], without_preimages)):
+                              (["check"], for_check)):
         builds.clear()
         result = runner.invoke(main, command + [str(path)],
                                env={"PBCI_MAX_SIZE": str(A.size)})
@@ -283,6 +288,9 @@ def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
     (["map", "FIXTURE", "--map", "d d d 1 d"], 5),
     (["derivations", "FIXTURE", "--kind", "implicative", "--type", "iii",
       "--force"], 0),
+    # K(group6) = {1}, so its quotient by K(A) is group6 renamed, which
+    # keeps the classification and atoms built for the theorem preconditions
+    (["verify", fixture_path("group6")], 6),
 ])
 def test_cli_atom_crosscheck_counts(runner, monkeypatch, args, checks):
     checked = []
@@ -293,6 +301,24 @@ def test_cli_atom_crosscheck_counts(runner, monkeypatch, args, checks):
     args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
     assert runner.invoke(main, args).exit_code == 0
     assert len(checked) == checks
+
+
+def test_structure_is_built_once_per_algebra(proper5, monkeypatch):
+    algebra = validate(proper5.to_spec())
+    checked: Counter = Counter()
+    original = core._atom_characterizations
+
+    def counted(A, a, fixed):
+        if A is algebra:
+            checked[a] += 1
+        return original(A, a, fixed)
+
+    monkeypatch.setattr(core, "_atom_characterizations", counted)
+    core.classify(algebra)
+    core.branches(algebra)
+    derivations.map_properties(algebra, derivations.identity_map(algebra))
+    build_report(algebra)
+    assert checked == Counter(algebra.elements())
 
 
 def test_cli_import_does_not_load_numpy():

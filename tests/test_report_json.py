@@ -75,17 +75,17 @@ def containers(value):
 
 def test_report_computes_one_record_per_distinct_map(monkeypatch):
     calls = []
-    original = derivations._map_record
+    original = derivations.map_properties
 
-    def counted(A, d, part, ats):
+    def counted(A, d):
         calls.append(d)
-        return original(A, d, part, ats)
+        return original(A, d)
 
-    # _map_record is imported by name, so count it in every module holding it
+    # map_properties is imported by name, so count it in every module holding it
     for module in [mod for name, mod in sys.modules.items()
                    if name.partition(".")[0] == "pbci"
-                   and getattr(mod, "_map_record", None) is original]:
-        monkeypatch.setattr(module, "_map_record", counted)
+                   and getattr(mod, "map_properties", None) is original]:
+        monkeypatch.setattr(module, "map_properties", counted)
     report = build_report(load_algebra("proper5"))
     entries = [entry for block in report["derivations"] for entry in block["maps"]]
     distinct = {tuple(entry["images"]) for entry in entries}
