@@ -239,7 +239,6 @@ def verify(file: str) -> None:
     """Run the theorem suite on FILE; exit 1 on any failure."""
     algebra = _load(file)
     report = theorem_suite(algebra)
-    failures = 0
     for result in report.results:
         if not result.applicable:
             status = "SKIP"
@@ -247,12 +246,12 @@ def verify(file: str) -> None:
             status = "PASS"
         else:
             status = "FAIL"
-            failures += 1
         note = f" [{result.note}]" if result.note else ""
         click.echo(f"{status} {result.tid}{note}")
         if result.witness:
             click.echo(f"     witness: {result.witness}")
     applicable = len(report.applicable())
+    failures = len(report.failures())
     click.echo(f"# {applicable} applicable, {applicable - failures} passed, "
                f"{failures} failed, {len(report.results) - applicable} skipped")
     if failures:

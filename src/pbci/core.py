@@ -2,17 +2,19 @@
 
 An algebra lives on indices 0..n-1 with display names attached; both
 implication tables are dense tuples so every operation is a table lookup.
-The tables derived from them and the structure every result is stated
-over (atoms, K(A), branches, classification) are cached properties of the
-algebra, each built on first use and kept, so each crosscheck behind the
-structure runs once per algebra.
+The algebra's four fields are its names, unit and two tables.  The tables
+derived from them (the order x <= y iff x -> y = 1 among them) and the
+structure every result is stated over (atoms, K(A), branches,
+classification) are cached properties of the algebra, each built on first
+use and kept, so each crosscheck behind the structure runs once per
+algebra.
 ``validate`` is the first of two intended constructors of
-:class:`PseudoBciAlgebra`: it checks the five defining axioms, precomputes
-the order relation and runs a suite of theorem-backed sanity checks whose
-failure can only mean a bug in this package, never bad input.  The second
-is ``PseudoBciAlgebra.renamed``, which keeps the tables ``validate``
-accepted and every cached property built from them; ``dsystems.quotient``
-calls it when every congruence class is a singleton.
+:class:`PseudoBciAlgebra`: it checks the five defining axioms and runs a
+suite of theorem-backed sanity checks whose failure can only mean a bug in
+this package, never bad input.  The second is
+``PseudoBciAlgebra.renamed``, which keeps the tables ``validate`` accepted
+and every cached property built from them; ``dsystems.quotient`` calls it
+when every congruence class is a singleton.
 
 ``validate`` reads the tables in one pass into an unvalidated algebra, and
 the axiom scan (``collect_violations``) and the sanity suite
@@ -94,13 +96,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class PseudoBciAlgebra:
-    """Immutable pseudo-BCI algebra with a precomputed order table.
+    """Immutable pseudo-BCI algebra: element names, unit and both tables.
 
     The scans in ``validate`` read an unvalidated instance.  The derived
-    tables and the structure (atoms, K(A), branches, classification, each
-    the public function of this module called on the algebra) are cached
-    properties, built on first use and kept.  They are not fields, so
-    ``==``, ``hash`` and ``dataclasses.replace`` see only the five fields.
+    tables (the order among them) and the structure (atoms, K(A), branches,
+    classification, each the public function of this module called on the
+    algebra) are cached properties, built on first use and kept.  They are
+    not fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only the
+    four fields.
     Every cached property must depend on the tables and the unit alone,
     never on ``names``: ``renamed`` hands on whatever has been built.  Safe
     to share between threads; every function in this package treats it as
@@ -111,7 +114,6 @@ class PseudoBciAlgebra:
     unit: int
     arrow: Table
     squig: Table
-    leq: tuple[tuple[bool, ...], ...]
 
     @property
     def size(self) -> int:
@@ -135,6 +137,11 @@ class PseudoBciAlgebra:
     def phi(self, x: int) -> int:
         """(x -> 1) ~> 1; lands in the atom heading x's branch."""
         return self.squig[self.arrow[x][self.unit]][self.unit]
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The order table: [x][y] is x <= y, that is x -> y = 1."""
+        return tuple(tuple(map(self.unit.__eq__, row)) for row in self.arrow)
 
     @cached_property
     def columns(self) -> tuple[Table, Table]:
@@ -260,10 +267,8 @@ def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:
                 raise StructuralError(
                     f"{label} table entry {entry!r} is not a declared element") from None
         tables.append(tuple(rows))
-    unit = pos[spec.unit]
     arrow, squig = tables
-    leq = tuple(tuple(map(unit.__eq__, row)) for row in arrow)
-    return PseudoBciAlgebra(names=names, unit=unit, arrow=arrow, squig=squig, leq=leq)
+    return PseudoBciAlgebra(names=names, unit=pos[spec.unit], arrow=arrow, squig=squig)
 
 
 def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
@@ -720,18 +725,15 @@ class GroupView:
 
 
 def group_view(A: PseudoBciAlgebra) -> GroupView:
-    """Build and verify the group structure of a p-semisimple algebra.
+    """The group structure of a p-semisimple algebra.
 
-    Raises NotPSemisimpleError when the BCK part is bigger than {1}, and
-    InternalInconsistencyError if the group axioms fail on a p-semisimple
-    input (impossible unless this package is buggy).
+    Raises NotPSemisimpleError unless the classification says p-semisimple.
+    ``classify`` has verified the group axioms there already, as
+    characterization (i), against the other eight.
     """
-    if A.bck_part != frozenset({A.unit}):
+    if not A.classification.is_p_semisimple:
         raise NotPSemisimpleError(
             "group view requires a p-semisimple algebra (BCK part = {1})")
-    if not _group_axioms_hold(A):
-        raise InternalInconsistencyError(
-            "group axioms fail on a p-semisimple algebra")
     return GroupView(product=A.product, inverse=A.columns[0][A.unit],
                      identity=A.unit)
 

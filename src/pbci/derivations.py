@@ -10,7 +10,8 @@ reads.  ``satisfies`` checks every instance of both identities;
 ``enumerate_derivations`` and ``regular_translation_maps`` share one
 propagating solver that assigns d(x op y) as soon as those images are known
 and rejects a branch on a clash.  ``brute_force_derivations`` is the
-independent oracle: a plain filter over all n^n maps.
+independent oracle: a plain filter over all n^n maps.  ``phi_map`` is the
+one builder of phi and returns the bare map.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import PseudoBciAlgebra, is_pseudo_bck, is_subalgebra
-from .errors import InternalInconsistencyError, TypeRequiresPseudoBckError
+from .errors import TypeRequiresPseudoBckError
 from .limits import check_cap
 
 SelfMap = tuple[int, ...]
@@ -297,17 +298,12 @@ def map_properties(A: PseudoBciAlgebra, d: SelfMap) -> MapPropertyRecord:
 def phi_map(A: PseudoBciAlgebra) -> SelfMap:
     """The map x |-> (x -> 1) ~> 1.
 
-    Always a type I implicative and a type I symmetric derivation; both
-    facts are theorems, so their failure raises InternalInconsistencyError.
-    Whether it is also type II varies by algebra (guaranteed under
-    commutativity) and can be queried with ``satisfies``.
+    Always a type I implicative and a type I symmetric derivation, which
+    the theorem entry phi-map-type1-both-kinds checks.  Whether it is also
+    type II varies by algebra (guaranteed under commutativity) and can be
+    queried with ``satisfies``.
     """
-    d = tuple(A.phi(x) for x in A.elements())
-    if not satisfies(A, d, DerivationClass.IMPLICATIVE_I):
-        raise InternalInconsistencyError("phi map fails the type I implicative identities")
-    if not satisfies(A, d, DerivationClass.SYMMETRIC_I):
-        raise InternalInconsistencyError("phi map fails the type I symmetric identities")
-    return d
+    return tuple(map(A.phi, A.elements()))
 
 
 @dataclass(frozen=True)

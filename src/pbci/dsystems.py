@@ -42,9 +42,6 @@ class DeductiveSystem:
     compatible: bool
     closed: bool
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
 
 def _detachment_closed(A: PseudoBciAlgebra, members: frozenset[int], table) -> bool:
     n = A.size
@@ -277,22 +274,18 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
     for x, rx in enumerate(related):
         if not rx >> x & 1:
             raise CongruenceError(f"relation not reflexive at {names[x]}")
-        pending = rx
-        while pending:
-            low = pending & -pending
-            y = low.bit_length() - 1
+        for y in _bits(rx):
             missing = related[y] & ~rx
             if missing:
-                z = (missing & -missing).bit_length() - 1
+                z = _bits(missing)[0]
                 raise CongruenceError(
                     f"relation not transitive at ({names[x]}, {names[y]}, {names[z]})")
-            pending ^= low
 
     rep = list(range(n))
     for x in range(n):
         below = related[x] & ((1 << x) - 1)
         if below:
-            rep[x] = rep[(below & -below).bit_length() - 1]
+            rep[x] = rep[_bits(below)[0]]
     blocks: dict[int, list[int]] = {}
     for x in range(n):
         blocks.setdefault(rep[x], []).append(x)

@@ -126,6 +126,12 @@ def serialize_spec(spec: AlgebraSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _named_splits(part: str, index: dict[str, int]) -> list[tuple[str, str]]:
+    """The splits of part at one '=' that leave a declared name on each side."""
+    splits = [(part[:k], part[k + 1:]) for k, char in enumerate(part) if char == "="]
+    return [pair for pair in splits if pair[0] in index and pair[1] in index]
+
+
 def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
     """Parse a self-map, either as an image row or as 'x=y' pairs.
 
@@ -133,8 +139,9 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
     ("d d d 1 d"); pair form assigns images by name ("a=d,b=d,..."), comma
     or whitespace separated.  Every element must receive exactly one image.
     Text whose whitespace tokens are n declared names is an image row, even
-    when a name holds '='; other text holding '=' is read as pairs, each
-    split at the one '=' that leaves a declared name on both sides.
+    when a name holds '='; other text holding '=' is read as pairs.  A
+    whitespace token that one '=' splits into two declared names is a pair
+    even when a name holds a comma; other tokens are split at commas.
     """
     n = algebra.size
     names = algebra.names
@@ -147,21 +154,19 @@ def parse_selfmap(text: str, algebra: PseudoBciAlgebra) -> tuple[int, ...]:
     if "=" in stripped and not (len(tokens) == n
                                 and all(tok in index for tok in tokens)):
         images: list[int | None] = [None] * n
-        for part in re.split(r"[,\s]+", stripped):
-            if not part:
-                continue
+        parts = [part for token in tokens
+                 for part in ([token] if _named_splits(token, index)
+                              else token.split(","))]
+        for part in filter(None, parts):
             if "=" not in part:
                 raise ParseError(f"expected 'name=image', got {part!r}", line=1)
-            # a name may hold '=': split at the one '=' that leaves a
-            # declared name on both sides, else report the first split
-            splits = [(part[:k], part[k + 1:])
-                      for k, char in enumerate(part) if char == "="]
-            named = [pair for pair in splits
-                     if pair[0] in index and pair[1] in index]
+            # a name may hold '=': split where both sides are names, else
+            # report the first split
+            named = _named_splits(part, index)
             if len(named) > 1:
                 raise ParseError(f"ambiguous pair {part!r}: more than one '=' "
                                  "splits it into declared names", line=1)
-            src, dst = named[0] if named else splits[0]
+            src, dst = named[0] if named else part.split("=", 1)
             if src not in index:
                 raise SymbolError(f"unknown element {src!r}", line=1)
             if dst not in index:

@@ -42,7 +42,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import AlgebraSpec, classify, validate
+from .core import AlgebraSpec, validate
 from .limits import check_cap
 
 PREDICATE_NAMES = (
@@ -328,7 +328,7 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
         # search cap, so within validate's cap from the same PBCI_MAX_SIZE
         algebra = validate(least)
         if wanted:
-            report = classify(algebra)
+            report = algebra.classification
             if any(getattr(report, field_name) != value
                    for field_name, value in wanted):
                 continue

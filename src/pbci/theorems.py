@@ -9,8 +9,10 @@ marked as checked empirically only).
 
 The checks read the structure and tables of the algebra from its cached
 properties, and the enumerations, capped per call, from an ``Analysis``:
-each applicable derivation class, map records, phi, the deductive systems
-and the monoid, each computed on first use and kept for the call.
+each applicable derivation class, map records, phi (``phi_map``), the
+deductive systems and the monoid, each computed on first use and kept for
+the call.  A result's applicability is derived from ``passed``, which is
+None exactly when the row is skipped.
 ``report.build_report`` passes its own analysis to ``theorem_suite``, so a
 report and its theorems share one computation.
 
@@ -37,6 +39,7 @@ from .derivations import (
     identity_map,
     map_properties,
     monoid_report,
+    phi_map,
     pointwise,
     regular_translation_maps,
 )
@@ -51,10 +54,13 @@ EMPIRICAL_NOTE = "checked empirically; asserted without catalogued proof"
 class TheoremResult:
     tid: str
     statement: str
-    applicable: bool
     passed: bool | None          # None iff skipped
     witness: str | None
     note: str | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.passed is not None
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class TheoremReport:
         return not self.failures()
 
     def failures(self) -> list[TheoremResult]:
-        return [r for r in self.results if r.applicable and r.passed is False]
+        return [r for r in self.results if r.passed is False]
 
     def applicable(self) -> list[TheoremResult]:
         return [r for r in self.results if r.applicable]
@@ -120,10 +126,6 @@ class Analysis:
     sdop2 = _maps_of(DerivationClass.SYMMETRIC_II)
 
     @cached_property
-    def ridop1(self) -> list[SelfMap]:
-        return [d for d in self.idop1 if d[self.unit] == self.unit]
-
-    @cached_property
     def ridop2(self) -> list[SelfMap]:
         return [d for d in self.idop2 if d[self.unit] == self.unit]
 
@@ -148,9 +150,9 @@ class Analysis:
 
     @cached_property
     def phi(self) -> SelfMap:
-        """x |-> (x -> 1) ~> 1; its type I membership in both kinds is the
-        catalogue entry phi-map-type1-both-kinds."""
-        return tuple(map(self.A.phi, range(self.n)))
+        """``phi_map``; its type I membership in both kinds is the catalogue
+        entry phi-map-type1-both-kinds."""
+        return phi_map(self.A)
 
     @cached_property
     def systems(self) -> list[DeductiveSystem]:
@@ -166,15 +168,12 @@ class Analysis:
         carry passed=None."""
         results = []
         for tid, statement, flags, check, note in _CATALOG:
-            if not all(getattr(self.A.classification, f) for f in flags):
-                results.append(TheoremResult(
-                    tid=tid, statement=statement, applicable=False,
-                    passed=None, witness=None, note=note))
-                continue
-            witness = check(self)
-            results.append(TheoremResult(
-                tid=tid, statement=statement, applicable=True,
-                passed=witness is None, witness=witness, note=note))
+            passed = witness = None
+            if all(getattr(self.A.classification, f) for f in flags):
+                witness = check(self)
+                passed = witness is None
+            results.append(TheoremResult(tid=tid, statement=statement,
+                                         passed=passed, witness=witness, note=note))
         return TheoremReport(results=tuple(results))
 
     def fmt(self, d: SelfMap) -> str:
@@ -215,15 +214,15 @@ def _chk_join_absorption_iff_regular(c: Analysis, maps: list[SelfMap]):
 
 def _chk_regular_type2_basics(c: Analysis):
     A = c.A
-    arrow, squig, leq, K = A.arrow, A.squig, A.leq, A.bck_part
+    arrow, squig, leq, K, phi = A.arrow, A.squig, A.leq, A.bck_part, c.phi
     for d in c.ridop2:
         tag = f"d={c.fmt(d)}"
         for x in range(c.n):
             if not leq[x][d[x]]:
                 return f"{tag}: x <= dx fails at {c.name(x)}"
-            if c.branch_of[A.phi(x)] != c.branch_of[d[x]]:
+            if c.branch_of[phi[x]] != c.branch_of[d[x]]:
                 return f"{tag}: phi(x), dx in different branches at {c.name(x)}"
-            if arrow[A.phi(x)][d[x]] not in K or squig[A.phi(x)][d[x]] not in K:
+            if arrow[phi[x]][d[x]] not in K or squig[phi[x]][d[x]] not in K:
                 return f"{tag}: phi(x) op dx outside BCK part at {c.name(x)}"
             for y in range(c.n):
                 am, bm = arrow[d[x]][y], arrow[d[x]][d[y]]
@@ -466,7 +465,7 @@ def _chk_sym1_constant_gap(c: Analysis):
 
 def _chk_sym2_atom_valued(c: Analysis):
     A = c.A
-    arrow, squig, ats = A.arrow, A.squig, A.atoms
+    arrow, squig, ats, phi = A.arrow, A.squig, A.atoms, c.phi
     cup1, cup2 = A.joins
     for d in c.sdop2:
         tag = f"d={c.fmt(d)}"
@@ -474,7 +473,7 @@ def _chk_sym2_atom_valued(c: Analysis):
         for x in range(c.n):
             if arrow[d[x]][x] != d1 or squig[d[x]][x] != d1:
                 return f"{tag}: gap dx op x is not d(1) at {c.name(x)}"
-            if d[x] != A.phi(cup1[d[x]][x]) or d[x] != A.phi(cup2[d[x]][x]):
+            if d[x] != phi[cup1[d[x]][x]] or d[x] != phi[cup2[d[x]][x]]:
                 return f"{tag}: dx via phi of join fails at {c.name(x)}"
             if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
                 return f"{tag}: dx join x fails at {c.name(x)}"

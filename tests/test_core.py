@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cached_property
 
 import pytest
@@ -19,6 +20,7 @@ from pbci import (
     parse_algebra,
     validate,
 )
+from pbci import core
 from pbci.core import PseudoBciAlgebra
 
 from conftest import FIXTURE_NAMES, fixture_text, load_algebra
@@ -93,6 +95,15 @@ def test_leq_golden(proper5):
     assert all(proper5.le(x, x) for x in proper5.elements())
 
 
+def test_algebra_fields_are_names_unit_and_tables(all_fixtures):
+    assert [f.name for f in dataclasses.fields(PseudoBciAlgebra)] == [
+        "names", "unit", "arrow", "squig"]
+    for algebra in all_fixtures.values():
+        assert algebra.leq == tuple(
+            tuple(algebra.arrow[x][y] == algebra.unit for y in algebra.elements())
+            for x in algebra.elements())
+
+
 def test_cup_golden(proper5, all_fixtures):
     a, b, c, d, one = range(5)
     assert proper5.cup1(a, b) == b
@@ -124,8 +135,7 @@ def test_atoms_crosscheck_detects_corruption():
     # consult squig disagree with the arrow-only base definition
     arrow = ((1, 1), (0, 1))
     squig = ((0, 0), (0, 0))
-    leq = tuple(tuple(arrow[x][y] == 1 for y in range(2)) for x in range(2))
-    bad = PseudoBciAlgebra(names=("a", "1"), unit=1, arrow=arrow, squig=squig, leq=leq)
+    bad = PseudoBciAlgebra(names=("a", "1"), unit=1, arrow=arrow, squig=squig)
     with pytest.raises(InternalInconsistencyError):
         atoms(bad)
 
@@ -147,9 +157,7 @@ def test_bck_part_closure_check():
     # a in K but a->a lands outside K: impossible for valid tables,
     # so the closure check must flag the hand-built corruption
     arrow = ((1, 1, 2), (0, 2, 1), (0, 1, 2))
-    leq = tuple(tuple(arrow[x][y] == 2 for y in range(3)) for x in range(3))
-    bad = PseudoBciAlgebra(names=("a", "b", "1"), unit=2, arrow=arrow,
-                           squig=arrow, leq=leq)
+    bad = PseudoBciAlgebra(names=("a", "b", "1"), unit=2, arrow=arrow, squig=arrow)
     with pytest.raises(InternalInconsistencyError):
         bck_part(bad)
 
@@ -218,6 +226,19 @@ def test_group_view_group6_inverse_pairs(group6):
 def test_group_view_requires_p_semisimple(proper5):
     with pytest.raises(NotPSemisimpleError):
         group_view(proper5)
+
+
+def test_group_view_reads_the_classification(group6, monkeypatch):
+    # classify checks the group axioms as characterization (i); the view
+    # does not check them again
+    algebra = validate(group6.to_spec())
+    calls = []
+    original = core._group_axioms_hold
+    monkeypatch.setattr(core, "_group_axioms_hold",
+                        lambda A: calls.append(A) or original(A))
+    assert algebra.classification.is_p_semisimple
+    group_view(algebra)
+    assert calls == [algebra]
 
 
 def test_group_view_reconstruction(group6, cyclic3):

@@ -319,6 +319,16 @@ def test_monoid_report_detects_failures(cyclic3):
         monoid_report(cyclic3, [d2, d2])
 
 
+def test_monoid_report_names_maps_that_do_not_commute(proper5):
+    # the constant maps to a and to b: each absorbs the other from the left
+    report = monoid_report(proper5, maps(proper5, "a a a a a", "b b b b b"))
+    assert report.closed_under_composition
+    assert not report.commutative
+    assert not report.has_identity
+    assert report.composition_table == ((0, 0), (1, 1))
+    assert report.witnesses == ("maps 0 and 1 do not commute",)
+
+
 def test_regular_translation_route(proper5, bck5, group6):
     for algebra in (proper5, bck5, group6):
         direct = enumerate_derivations(algebra, C.IMPLICATIVE_II, regular=True)

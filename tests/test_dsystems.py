@@ -167,8 +167,7 @@ def test_enumerate_ds_crosscheck_detects_corruption():
     # (1 ~> a = 1), so the two detachment forms select different subsets
     arrow = ((1, 1), (0, 1))
     squig = ((1, 1), (1, 1))
-    leq = tuple(tuple(arrow[x][y] == 1 for y in range(2)) for x in range(2))
-    bad = PseudoBciAlgebra(names=("a", "1"), unit=1, arrow=arrow, squig=squig, leq=leq)
+    bad = PseudoBciAlgebra(names=("a", "1"), unit=1, arrow=arrow, squig=squig)
     with pytest.raises(InternalInconsistencyError, match=r"\{1\}"):
         enumerate_ds(bad)
     with pytest.raises(InternalInconsistencyError):
@@ -225,11 +224,8 @@ def test_congruence_classes_golden(proper5):
 def _unit_system_of(names, arrow):
     """The tables bypass validate; D = {1} is declared compatible and closed
     so that congruence_classes reaches its own checks."""
-    n = len(names)
-    unit = n - 1
-    leq = tuple(tuple(arrow[x][y] == unit for y in range(n)) for x in range(n))
-    algebra = PseudoBciAlgebra(names=names, unit=unit, arrow=arrow,
-                               squig=arrow, leq=leq)
+    unit = len(names) - 1
+    algebra = PseudoBciAlgebra(names=names, unit=unit, arrow=arrow, squig=arrow)
     return algebra, DeductiveSystem(members=frozenset({unit}),
                                     compatible=True, closed=True)
 

@@ -33,6 +33,13 @@ def test_squig_same_copies_arrow():
     assert spec.squig == spec.arrow
 
 
+def test_squig_same_row_after_the_header_copies_arrow():
+    header_form = "pbci 1\nelements: a 1\nunit: 1\narrow:\n1 1\na 1\nsquig: same\n"
+    row_form = header_form.replace("squig: same", "squig:\nsame")
+    assert parse_algebra(row_form) == parse_algebra(header_form)
+    assert parse_algebra(row_form).squig == (("1", "1"), ("a", "1"))
+
+
 def test_comments_and_blank_lines_ignored():
     text = (
         "# leading comment\n\npbci 1\n"
@@ -118,23 +125,39 @@ def test_selfmap_duplicate_assignment(proper5):
         parse_selfmap("a=d,a=b,b=b,c=c,d=d,1=1", proper5)
 
 
-def test_selfmap_pairs_split_where_both_sides_are_names(proper5):
-    # proper5 with a named "x", b named "y=1" and d named "x=y"
-    renames = {"a": "x", "b": "y=1", "d": "x=y"}
-    spec = proper5.to_spec()
+def rename(algebra, renames):
+    """algebra with each element in renames given its new name."""
+    spec = algebra.to_spec()
 
     def swap(symbol):
         return renames.get(symbol, symbol)
 
-    renamed = validate(AlgebraSpec(
-        names=tuple(map(swap, spec.names)), unit=spec.unit,
+    return validate(AlgebraSpec(
+        names=tuple(map(swap, spec.names)), unit=swap(spec.unit),
         arrow=tuple(tuple(map(swap, row)) for row in spec.arrow),
         squig=tuple(tuple(map(swap, row)) for row in spec.squig)))
+
+
+def test_selfmap_pairs_split_where_both_sides_are_names(proper5):
+    # proper5 with a named "x", b named "y=1" and d named "x=y"
+    renamed = rename(proper5, {"a": "x", "b": "y=1", "d": "x=y"})
     assert parse_selfmap("x=x=y y=1=1 c=x=y x=y=x 1=1", renamed) == (
         3, 4, 3, 0, 4)
     # "x=y=1" reads as x -> y=1 and as x=y -> 1
     with pytest.raises(ParseError, match="ambiguous pair 'x=y=1'"):
         parse_selfmap("x=y=1 y=1=1 c=c x=y=x=y 1=1", renamed)
+
+
+def test_selfmap_pairs_with_a_name_holding_a_comma(proper5):
+    # proper5 with d named "x,y": a whitespace token that '=' splits into
+    # two declared names is one pair; other tokens are comma lists
+    renamed = rename(proper5, {"d": "x,y"})
+    expected = (3, 3, 3, 4, 3)
+    assert parse_selfmap("a=x,y b=x,y c=x,y x,y=1 1=x,y", renamed) == expected
+    assert parse_selfmap("x,y x,y x,y 1 x,y", renamed) == expected
+    assert parse_selfmap("a=1,b=1,c=1 x,y=x,y 1=1", renamed) == (4, 4, 4, 3, 4)
+    with pytest.raises(SymbolError, match="unknown element 'x'"):
+        parse_selfmap("a=x,b=1,c=1 x,y=1 1=1", renamed)
 
 
 def test_format_selfmap_round_trip(proper5):

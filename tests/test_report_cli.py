@@ -230,7 +230,7 @@ def test_cli_non_integer_cap_exit_2(runner, args):
 
 # The cached properties of an algebra: its derived tables and the
 # structure built on them.
-DERIVED_TABLES = ("columns", "joins", "product", "pickers", "column_pickers",
+DERIVED_TABLES = ("leq", "columns", "joins", "product", "pickers", "column_pickers",
                   "preimages", "atoms", "bck_part", "branches", "classification")
 
 
@@ -319,6 +319,26 @@ def test_structure_is_built_once_per_algebra(proper5, monkeypatch):
     derivations.map_properties(algebra, derivations.identity_map(algebra))
     build_report(algebra)
     assert checked == Counter(algebra.elements())
+
+
+def test_verify_builds_phi_once_and_checks_no_map_alone(runner, monkeypatch):
+    # phi_map is the one builder of phi, and its type I membership is read
+    # from the complete enumerations, not from satisfies
+    calls: Counter = Counter()
+    for fn in ("phi_map", "satisfies"):
+        original = getattr(derivations, fn)
+
+        def counted(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        for module in [mod for name, mod in sys.modules.items()
+                       if name.partition(".")[0] == "pbci"
+                       and getattr(mod, fn, None) is original]:
+            monkeypatch.setattr(module, fn, counted)
+    result = runner.invoke(main, ["verify", fixture_path("proper5")])
+    assert result.exit_code == 0, result.output
+    assert calls == Counter(phi_map=1)
 
 
 def test_cli_import_does_not_load_numpy():
@@ -449,6 +469,16 @@ def test_cli_map_pairs_with_names_holding_equals(runner, tmp_path):
     assert result.stdout.startswith("map: x=y x=y x=y 1 x=y\n")
 
 
+def test_cli_map_pairs_with_names_holding_commas(runner, tmp_path):
+    path = renamed_fixture(tmp_path, "proper5", "d", "x,y")
+    result = runner.invoke(main, [
+        "map", path, "--map", "a=x,y b=x,y c=x,y x,y=1 1=x,y"])
+    assert result.exit_code == 0, result.output
+    row = runner.invoke(main, ["map", path, "--map", "x,y x,y x,y 1 x,y"])
+    assert result.stdout == row.stdout
+    assert result.stdout.startswith("map: x,y x,y x,y 1 x,y\n")
+
+
 def test_cli_map(runner):
     result = runner.invoke(main, [
         "map", fixture_path("proper5"), "--map", "d d d 1 d"])
@@ -541,6 +571,21 @@ def test_cli_search_with_predicate(runner):
     bad_value = runner.invoke(main, [
         "search", "--size", "3", "--pred", "bci=maybe"])
     assert bad_value.exit_code == 2
+
+
+@pytest.mark.parametrize("value, plain", [
+    ("true", "p_semisimple"), ("yes", "p_semisimple"), ("1", "p_semisimple"),
+    ("TRUE", "p_semisimple"), ("false", "p_semisimple=false"),
+    ("no", "p_semisimple=false"), ("0", "p_semisimple=false"),
+])
+def test_cli_search_predicate_values(runner, value, plain):
+    def stdout(pred):
+        result = runner.invoke(main, ["search", "--size", "3", "--pred", pred,
+                                      "--modulo-iso"])
+        assert result.exit_code == 0, result.output
+        return result.stdout
+
+    assert stdout(f"p_semisimple={value}") == stdout(plain)
 
 
 def test_cli_search_cap(runner):

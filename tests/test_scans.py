@@ -228,10 +228,7 @@ def congruence_outcome(A, D):
 def raw(names, unit, arrow, squig=None):
     """An algebra built from index tables without validation."""
     squig = arrow if squig is None else squig
-    n = len(names)
-    leq = tuple(tuple(arrow[x][y] == unit for y in range(n)) for x in range(n))
-    return PseudoBciAlgebra(names=tuple(names), unit=unit, arrow=arrow,
-                            squig=squig, leq=leq)
+    return PseudoBciAlgebra(names=tuple(names), unit=unit, arrow=arrow, squig=squig)
 
 
 def corrupted(A, which, x, y, v):

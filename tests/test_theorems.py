@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from pbci import EnumerationCapExceeded
 from pbci.derivations import DerivationClass
-from pbci.theorems import CATALOG_IDS, EMPIRICAL_NOTE, Analysis, theorem_suite
+from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
+                           theorem_suite)
 
 from conftest import FIXTURE_NAMES, m
 
@@ -41,6 +44,15 @@ def test_skips_follow_preconditions(proper5, group6, cyclic3, bck5):
     assert skipped(group6) == bck_only | psemi_bci
     assert skipped(cyclic3) == bck_only
     assert skipped(bck5) == psemi_only | psemi_bci | comm
+
+
+def test_applicability_is_read_from_passed():
+    skipped = TheoremResult(tid="t", statement="s", passed=None, witness=None)
+    assert skipped.applicable is False
+    failed = TheoremResult(tid="t", statement="s", passed=False, witness="x=a")
+    assert failed.applicable is True
+    assert [f.name for f in dataclasses.fields(TheoremResult)] == [
+        "tid", "statement", "passed", "witness", "note"]
 
 
 def test_skipped_entries_are_not_passed(proper5):
