@@ -27,7 +27,7 @@ from .errors import (
 )
 from .formats import format_selfmap, parse_algebra, parse_selfmap, serialize_spec
 from .limits import env_cap
-from .report import build_report, render_json, render_text
+from .report import build_report, failed_theorems, render_json, render_text
 from .search import PREDICATE_NAMES, SearchQuery, search
 from .theorems import theorem_suite
 
@@ -117,7 +117,7 @@ def analyze(file: str, as_json: bool) -> None:
     algebra = _load(file)
     report = build_report(algebra)
     click.echo(render_json(report) if as_json else render_text(report), nl=False)
-    if any(r["applicable"] and r["passed"] is False for r in report["theorems"]):
+    if failed_theorems(report):
         sys.exit(FAILURE_EXIT)
 
 

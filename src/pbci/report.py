@@ -199,6 +199,12 @@ def render_json(report) -> str:
     return "".join(out)
 
 
+def failed_theorems(report: dict) -> list[dict]:
+    """The report's theorem entries that failed; a skipped entry has
+    passed null and an applicable one true or false."""
+    return [r for r in report["theorems"] if r["passed"] is False]
+
+
 def _flag_phrase(value: bool, name: str) -> str:
     return name if value else f"not {name}"
 
@@ -255,7 +261,7 @@ def render_text(report: dict) -> str:
                  "under composition")
     results = report["theorems"]
     applicable = [r for r in results if r["applicable"]]
-    failed = [r for r in applicable if r["passed"] is False]
+    failed = failed_theorems(report)
     lines.append(f"theorems: {len(applicable)} applicable, "
                  f"{len(applicable) - len(failed)} passed, {len(failed)} failed, "
                  f"{len(results) - len(applicable)} skipped")

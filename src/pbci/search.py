@@ -27,7 +27,11 @@ Crawford, Ginsberg, Luks and Roy, KR 1996; McKay, J. Algorithms 26, 1998).
 ``search`` expands each canonical model into its orbit: every distinct
 transport, or only the least by flat key for ``modulo_iso``.  Every
 predicate is an isomorphism invariant, so it is decided once per orbit.
-Every emitted spec additionally passes the full validator.
+Each class's least member additionally passes the full validator, and the
+other members it emits are checked to be the plain ``_transport`` images
+of that member: the axioms and the sanity laws hold or fail together
+under isomorphism, so each emitted spec is validated or a checked
+isomorphic copy of a validated one.
 
 ``brute_force_search`` is the independent oracle for small sizes: a plain
 scan of all table pairs (with only the axiom-forced unit rows fixed) that
@@ -43,6 +47,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import AlgebraSpec, validate
+from .errors import InternalInconsistencyError
 from .limits import check_cap
 
 PREDICATE_NAMES = (
@@ -84,6 +89,12 @@ def element_names(n: int) -> tuple[str, ...]:
 
 def _flat_key(arrow, squig) -> tuple[int, ...]:
     return tuple(v for row in arrow for v in row) + tuple(v for row in squig for v in row)
+
+
+def _unflatten(flat, n: int):
+    """The (arrow, squig) row tuples of a flat key of size n."""
+    rows = tuple(tuple(flat[k:k + n]) for k in range(0, 2 * n * n, n))
+    return rows[:n], rows[n:]
 
 
 def _transport(table, perm):
@@ -275,8 +286,9 @@ def _transports(n: int):
     p of the model with flat key k has flat key
     ``gather(bytes(k).translate(table))``, p applied to every entry and the
     entries then moved to their images' cells.  ``_transport`` stays the
-    plain form for the oracle and the tests; built from it, the orbits made
-    the size 3 and 4 searches about 17% slower (CPython 3.11, 2-core host)."""
+    plain form for the oracle, the tests and ``_check_orbit``; built from
+    it, the orbits made the size 3 and 4 searches about 17% slower
+    (CPython 3.11, 2-core host)."""
     out = []
     for perm in _unit_fixing_perms(n):
         inv = sorted(range(n), key=perm.__getitem__)
@@ -294,17 +306,33 @@ def _orbit_keys(flat: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
                    for table, gather in _transports(n)})
 
 
+def _check_orbit(keys: list[tuple[int, ...]], n: int) -> None:
+    """Raise unless the sorted distinct flat keys ``keys`` are exactly the
+    plain ``_transport`` images of their least member, one for each
+    unit-fixing permutation.  It shares nothing with the translate tables
+    of ``_transports``, so a fault in the orbit expansion shows here."""
+    arrow, squig = _unflatten(keys[0], n)
+    images = {_flat_key(_transport(arrow, perm), _transport(squig, perm))
+              for perm in _unit_fixing_perms(n)}
+    if images != set(keys):
+        raise InternalInconsistencyError(
+            f"a size-{n} orbit expansion differs from the transports of its "
+            f"least member in {len(images ^ set(keys))} key(s) (package bug)")
+
+
 def search(query: SearchQuery) -> list[AlgebraSpec]:
     """All (or the first ``limit``) algebras matching the query.
 
     The DFS yields one canonical model per unit-fixing isomorphism class,
     and each is expanded into its orbit: every distinct transport, or with
     modulo_iso only the one with the least flat key.  Output order is
-    lexicographic by the flattened (arrow, squig) index pair, and every
-    result passes the full validator.  Every predicate is an isomorphism
-    invariant, so it is decided once per orbit, on its least member.  The
-    DFS does not meet the models in output order, so ``limit`` cuts the
-    sorted list of all matches: the whole enumeration runs either way.
+    lexicographic by the flattened (arrow, squig) index pair.  Each class's
+    least member passes the full validator, and the other members of a
+    labelled orbit are checked to be its transports.  Every predicate is
+    an isomorphism invariant, so it is decided once per orbit, on its
+    least member.  The DFS does not meet the models in output order, so
+    ``limit`` cuts the sorted list of all matches: the whole enumeration
+    runs either way, and only the kept keys become specs.
     """
     query.check()
     check_cap(query.size, "search")
@@ -313,34 +341,31 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     wanted = [("is_" + name, value) for name, value in query.predicates]
 
     def to_spec(flat):
-        named = [names[v] for v in flat]
-        rows = tuple(tuple(named[k:k + n]) for k in range(0, 2 * n * n, n))
-        return AlgebraSpec(names=names, unit=names[-1],
-                           arrow=rows[:n], squig=rows[n:])
+        arrow, squig = _unflatten([names[v] for v in flat], n)
+        return AlgebraSpec(names=names, unit=names[-1], arrow=arrow, squig=squig)
 
     matches = []
     for canonical in _canonical_tables(n):
         keys = _orbit_keys(canonical, n)
         if query.modulo_iso:
             keys = keys[:1]
-        least = to_spec(keys[0])
-        # defense in depth; search pruning is exact.  n is within the
-        # search cap, so within validate's cap from the same PBCI_MAX_SIZE
-        algebra = validate(least)
+        # defense in depth, since search pruning is exact: the least member
+        # passes the full validator (n is within the search cap, so within
+        # validate's cap from the same PBCI_MAX_SIZE), and the others are
+        # checked to be its transports, which isomorphism makes valid too
+        algebra = validate(to_spec(keys[0]))
         if wanted:
             report = algebra.classification
             if any(getattr(report, field_name) != value
                    for field_name, value in wanted):
                 continue
-        specs = [least] + [to_spec(flat) for flat in keys[1:]]
-        for spec in specs[1:]:
-            validate(spec)
-        matches += zip(keys, specs)
-    matches.sort(key=lambda pair: pair[0])
-    specs = [spec for _, spec in matches]
+        if not query.modulo_iso:
+            _check_orbit(keys, n)
+        matches += keys
+    matches.sort()
     if query.limit is not None:
-        specs = specs[: query.limit]
-    return specs
+        matches = matches[: query.limit]
+    return [to_spec(flat) for flat in matches]
 
 
 def brute_force_search(n: int) -> list[tuple[tuple, tuple]]:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds, validate
+from pbci import derivations
 from pbci.derivations import (
     DerivationClass as C,
     brute_force_derivations,
@@ -317,6 +318,26 @@ def test_monoid_report_detects_failures(cyclic3):
         monoid_report(cyclic3, [])
     with pytest.raises(ValueError):
         monoid_report(cyclic3, [d2, d2])
+
+
+def test_monoid_report_composes_each_unordered_pair_once(monkeypatch):
+    # the table needs every ordered pair and the commutativity test one more
+    # composition per unordered pair: m² + m(m-1)/2, not 2m²
+    algebra = flat(6)
+    idop = enumerate_derivations(algebra, C.IMPLICATIVE_I)
+    calls = 0
+
+    def counted(d1, d2):
+        nonlocal calls
+        calls += 1
+        return compose(d1, d2)
+
+    monkeypatch.setattr(derivations, "compose", counted)
+    report = monoid_report(algebra, idop)
+    size = len(idop)
+    assert size == 32
+    assert calls == size * size + size * (size - 1) // 2
+    assert report.commutative and report.witnesses == ()
 
 
 def test_monoid_report_names_maps_that_do_not_commute(proper5):

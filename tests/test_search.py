@@ -1,11 +1,12 @@
 import functools
+import importlib
 import itertools
-import math
 import sys
 
 import pytest
 
-from pbci import SearchCapExceeded, classify, collect_violations, validate
+from pbci import (InternalInconsistencyError, SearchCapExceeded, classify,
+                  validate)
 from pbci.search import (
     PREDICATE_NAMES,
     SearchQuery,
@@ -16,8 +17,12 @@ from pbci.search import (
     _canonical_tables,
     _flat_key,
     _transport,
+    _unflatten,
     _unit_fixing_perms,
 )
+
+# the package exports the function ``search`` under the module's name
+search_module = importlib.import_module("pbci.search")
 
 
 def index_tables(spec):
@@ -27,15 +32,8 @@ def index_tables(spec):
     return arrow, squig
 
 
-def unflatten(flat):
-    """The (arrow, squig) pair of a flat key."""
-    n = math.isqrt(len(flat) // 2)
-    rows = tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n))
-    return rows[:n], rows[n:]
-
-
 def canonical_models(n):
-    return [unflatten(flat) for flat in _canonical_tables(n)]
+    return [_unflatten(flat, n) for flat in _canonical_tables(n)]
 
 
 def orbit(arrow, squig):
@@ -76,9 +74,26 @@ def test_size_two_models():
 
 
 def test_every_result_validates():
-    for n in (2, 3, 4):
-        for spec in search(SearchQuery(size=n)):
-            assert collect_violations(spec) == []
+    # the search validates one member per class and checks that the others
+    # are its transports; here every labelled result, up to the 3,747 of
+    # size 5, passes the full validator, sanity suite included
+    for n in (2, 3, 4, 5):
+        labelled = search(SearchQuery(size=n))
+        assert [validate(spec).to_spec() for spec in labelled] == labelled
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_a_wrong_transport_table_is_caught(monkeypatch, k):
+    # entry k relabels a and b the other way round: its images are no
+    # transports, and the check against the plain _transport must say so
+    transports = list(search_module._transports(4))
+    table, gather = transports[k]
+    wrong = bytearray(table)
+    wrong[0], wrong[1] = wrong[1], wrong[0]
+    transports[k] = (bytes(wrong), gather)
+    monkeypatch.setattr(search_module, "_transports", lambda n: tuple(transports))
+    with pytest.raises(InternalInconsistencyError, match="orbit expansion"):
+        search(SearchQuery(size=4))
 
 
 def test_search_matches_brute_force_oracle():
