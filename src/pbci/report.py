@@ -25,10 +25,6 @@ from .core import AlgebraSpec, PseudoBciAlgebra
 from .theorems import Analysis, theorem_suite
 
 
-def _names(A: PseudoBciAlgebra, members) -> list[str]:
-    return [A.names[i] for i in sorted(members)]
-
-
 def _record(A: PseudoBciAlgebra, record) -> dict:
     """A record's fields in declaration order: element sets as name lists,
     (label, holds) pairs as characterization entries."""
@@ -36,7 +32,7 @@ def _record(A: PseudoBciAlgebra, record) -> dict:
     for f in fields(record):
         value = getattr(record, f.name)
         if isinstance(value, frozenset):
-            value = _names(A, value)
+            value = list(A.name_set(value))
         elif isinstance(value, tuple):
             value = [{"characterization": label, "holds": holds}
                      for label, holds in value]
@@ -70,15 +66,15 @@ def build_report(A: PseudoBciAlgebra) -> dict:
             "unit": A.names[A.unit],
         },
         "classification": _record(A, A.classification),
-        "atoms": _names(A, A.atoms),
-        "bck_part": _names(A, A.bck_part),
+        "atoms": list(A.name_set(A.atoms)),
+        "bck_part": list(A.name_set(A.bck_part)),
         "branches": [
-            {"atom": A.names[a], "members": _names(A, block)}
+            {"atom": A.names[a], "members": list(A.name_set(block))}
             for a, block in sorted(A.branches.items())
         ],
         "deductive_systems": [
             {
-                "members": _names(A, ds.members),
+                "members": list(A.name_set(ds.members)),
                 "compatible": ds.compatible,
                 "closed": ds.closed,
             }

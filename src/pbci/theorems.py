@@ -11,8 +11,10 @@ The checks read the structure and tables of the algebra from its cached
 properties, and the enumerations, capped per call, from an ``Analysis``:
 each applicable derivation class, map records, phi (``phi_map``), the
 deductive systems and the monoid, each computed on first use and kept for
-the call.  A result's applicability is derived from ``passed``, which is
-None exactly when the row is skipped.
+the call.  Per-map facts are read from the map's one record, and
+d-invariance from the one table ``non_invariant``.  A result's
+applicability is derived from ``passed``, which is None exactly when the
+row is skipped.
 ``report.build_report`` passes its own analysis to ``theorem_suite``, so a
 report and its theorems share one computation.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import PseudoBciAlgebra, is_subalgebra
+from .core import PseudoBciAlgebra
 from .derivations import (
     DerivationClass,
     MapPropertyRecord,
@@ -159,6 +161,12 @@ class Analysis:
         return enumerate_ds(self.A)
 
     @cached_property
+    def non_invariant(self) -> dict[SelfMap, DeductiveSystem | None]:
+        """Each distinct map's first system not invariant under it, or None."""
+        return {d: next((D for D in self.systems if not is_invariant(self.A, D, d)), None)
+                for d in self.map_records}
+
+    @cached_property
     def bck_system(self) -> DeductiveSystem:
         return bck_part_system(self.A)
 
@@ -181,12 +189,6 @@ class Analysis:
 
     def name(self, x: int) -> str:
         return self.A.names[x]
-
-    def kernel(self, d: SelfMap) -> frozenset[int]:
-        return frozenset(x for x in range(self.n) if d[x] == self.unit)
-
-    def invariant_under(self, d: SelfMap) -> bool:
-        return all(is_invariant(self.A, D, d) for D in self.systems)
 
 
 # Every check returns a witness string on failure, None on success.
@@ -239,19 +241,19 @@ def _chk_regular_type2_basics(c: Analysis):
                 if leq[x][y] and (arrow[d[x]][d[y]] not in K
                                   or squig[d[x]][d[y]] not in K):
                     return f"{tag}: image gap escapes BCK part at ({c.name(x)}, {c.name(y)})"
-        ker = c.kernel(d)
-        if not is_subalgebra(A, ker):
+        rec = c.map_records[d]
+        if not rec.kernel_is_subalgebra:
             return f"{tag}: kernel not a subalgebra"
-        if not ker <= K:
+        if not rec.kernel_in_bck_part:
             return f"{tag}: kernel escapes the BCK part"
-        if not all(d[x] in K for x in K):
+        if not rec.maps_bck_into_bck:
             return f"{tag}: image of BCK part escapes it"
     return None
 
 
 def _chk_dominated_idempotent_composition(c: Analysis):
     for d2 in c.ridop2:
-        if compose(d2, d2) != d2:
+        if not c.map_records[d2].idempotent:
             continue
         for d1 in c.ridop2:
             if all(c.A.leq[d1[x]][d2[x]] for x in range(c.n)):
@@ -262,14 +264,15 @@ def _chk_dominated_idempotent_composition(c: Analysis):
 
 def _chk_kernel_is_bck_part_iff_phi(c: Analysis):
     for d in c.ridop2:
-        if (c.kernel(d) == c.A.bck_part) != (d == c.phi):
+        if (c.map_records[d].kernel == c.A.bck_part) != (d == c.phi):
             return f"d={c.fmt(d)}"
     return None
 
 
 def _chk_kernel_bck_part_forces_idempotent(c: Analysis):
     for d in c.ridop2:
-        if c.kernel(d) == c.A.bck_part and compose(d, d) != d:
+        rec = c.map_records[d]
+        if rec.kernel == c.A.bck_part and not rec.idempotent:
             return f"d={c.fmt(d)}"
     return None
 
@@ -323,7 +326,7 @@ def _chk_implicative_atom_stability(c: Analysis):
     prod, ats = c.A.product, c.A.atoms
     for d in c.implicative:
         tag = f"d={c.fmt(d)}"
-        if not all(d[a] in ats for a in ats):
+        if not c.map_records[d].maps_atoms_into_atoms:
             return f"{tag}: image of an atom is not an atom"
         if d[u] in c.A.bck_part and d[u] != u:
             return f"{tag}: d(1) in the BCK part but not 1"
@@ -350,7 +353,7 @@ def _chk_atom_valued_type1_pullthrough(c: Analysis):
     A = c.A
     arrow, squig = A.arrow, A.squig
     for d in c.idop1:
-        if not all(v in A.atoms for v in d):
+        if not c.map_records[d].image_in_atoms:
             continue
         for x in range(c.n):
             for y in range(c.n):
@@ -373,29 +376,29 @@ def _chk_left_translation_forces_identity(c: Analysis):
 
 def _chk_invariance_forces_regular(c: Analysis):
     for d in c.implicative:
-        if d[c.unit] != c.unit and c.invariant_under(d):
+        if d[c.unit] != c.unit and c.non_invariant[d] is None:
             return f"d={c.fmt(d)}"
     return None
 
 
 def _chk_regular_type2_invariance(c: Analysis):
     for d in c.ridop2:
-        for D in c.systems:
-            if not is_invariant(c.A, D, d):
-                return f"d={c.fmt(d)}, D={{{', '.join(c.A.name_set(D.members))}}}"
+        D = c.non_invariant[d]
+        if D is not None:
+            return f"d={c.fmt(d)}, D={{{', '.join(c.A.name_set(D.members))}}}"
     return None
 
 
 def _chk_regular_iff_all_invariant(c: Analysis, maps: list[SelfMap]):
     for d in maps:
-        if (d[c.unit] == c.unit) != c.invariant_under(d):
+        if (d[c.unit] == c.unit) != (c.non_invariant[d] is None):
             return f"d={c.fmt(d)}"
     return None
 
 
 def _chk_psemisimple_iff_trivial_regular_type2(c: Analysis):
     a = c.A.classification.is_p_semisimple
-    b = all(c.kernel(d) == frozenset({c.unit}) for d in c.ridop2)
+    b = all(c.map_records[d].kernel == {c.unit} for d in c.ridop2)
     e = c.ridop2 == [c.ident]
     if not (a == b == e):
         return f"classification={a}, trivial kernels={b}, only identity={e}"

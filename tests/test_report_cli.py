@@ -27,7 +27,7 @@ from pbci.cli import main
 from pbci.search import PREDICATE_NAMES
 from pbci.report import build_report, render_json, render_text, spec_from_report
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_text
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_text, load_algebra
 
 
 @pytest.fixture()
@@ -339,6 +339,27 @@ def test_verify_builds_phi_once_and_checks_no_map_alone(runner, monkeypatch):
     result = runner.invoke(main, ["verify", fixture_path("proper5")])
     assert result.exit_code == 0, result.output
     assert calls == Counter(phi_map=1)
+
+
+@pytest.mark.parametrize("args", [["analyze", "--json"], ["verify"]])
+def test_cli_builds_one_record_per_distinct_map(args, runner, monkeypatch):
+    # the theorem checks read kernels, idempotence and the other per-map
+    # facts from Analysis.map_records, which the report shares
+    distinct = theorems.Analysis(load_algebra("proper5")).map_records
+    calls: Counter = Counter()
+    original = derivations.map_properties
+
+    def counted(A, d):
+        calls[d] += 1
+        return original(A, d)
+
+    for module in [mod for name, mod in sys.modules.items()
+                   if name.partition(".")[0] == "pbci"
+                   and getattr(mod, "map_properties", None) is original]:
+        monkeypatch.setattr(module, "map_properties", counted)
+    result = runner.invoke(main, args + [fixture_path("proper5")])
+    assert result.exit_code == 0, result.output
+    assert calls == Counter(distinct.keys())
 
 
 def test_cli_import_does_not_load_numpy():

@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from pbci import EnumerationCapExceeded
+from pbci import EnumerationCapExceeded, theorems
 from pbci.derivations import DerivationClass
 from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
                            theorem_suite)
 
-from conftest import FIXTURE_NAMES, m
+from conftest import FIXTURE_NAMES, flat, m
 
 
 def test_catalog_ids_unique():
@@ -128,6 +128,23 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
     ("sym2-atom-valued", "cyclic3", _S2, "a a a",
      "d=(a a a): gap dx op x is not d(1) at a"),
     ("sym-atom-product-translation", "cyclic3", _S1, "a a a", "d=(a a a) at (a, a)"),
+    ("dominated-idempotent-composition", "proper5", _II, "a a a d 1",
+     "d1=(a a a d 1), d2=(a b c d 1)"),
+    ("regular-type2-characterization", "cyclic3", _II, "a a 1",
+     "route disagreement, e.g. (a a 1)"),
+    ("atom-valued-type1-pullthrough", "cyclic3", _I, "a a a", "d=(a a a) at (a, a)"),
+    ("regular-type2-invariance", "proper5", _II, "a a a a 1",
+     "d=(a a a a 1), D={c, 1}"),
+    ("psemisimple-iff-trivial-regular-type2", "cyclic3", _II, "a a 1",
+     "classification=True, trivial kernels=True, only identity=False"),
+    ("psemisimple-implicative-monoid", "cyclic3", _II, "b 1 a",
+     "composition of maps 1 and 1 escapes the set"),
+    ("psemisimple-pointwise-constant", "cyclic3", _II, "b 1 a",
+     "d1=(a b 1), d2=(b 1 a), op=arrow"),
+    ("psemisimple-sym2-left-translation", "cyclic3", _S2, "a a a",
+     "d=(a a a): left translation fails at (a, a)"),
+    ("bck-part-closed-compatible-invariant", "proper5", _II, "a a d a 1",
+     "BCK part not invariant under d=(a a d a 1)"),
 ])
 def test_failure_witnesses(tid, name, cls, image, witness, request):
     # one map that breaks the law, added to the class's true maps.  No such
@@ -140,3 +157,20 @@ def test_failure_witnesses(tid, name, cls, image, witness, request):
     an.__dict__["derivations"] = maps
     result = next(r for r in an.theorems.results if r.tid == tid)
     assert (result.applicable, result.passed, result.witness) == (True, False, witness)
+
+
+def test_invariance_is_decided_once_per_map(monkeypatch):
+    # the invariance table tests each (map, system) pair at most once, and
+    # the BCK part row tests its one system per regular type II map
+    calls = 0
+    original = theorems.is_invariant
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(theorems, "is_invariant", counted)
+    an = Analysis(flat(8))
+    assert theorem_suite(an).all_passed
+    assert calls <= len(an.map_records) * len(an.systems) + len(an.ridop2) <= 16_640
