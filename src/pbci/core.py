@@ -19,29 +19,33 @@ when every congruence class is a singleton.
 ``validate`` reads the tables in one pass into an unvalidated algebra, and
 the axiom scan (``collect_violations``) and the sanity suite
 (``_sanity_failures``) read that instance, which ``validate`` returns once
-both pass.  Each decides every instance of every law in one pass over the
-pairs (x, y), walking whole rows and columns instead of subscripting both
-tables per instance: sanity laws (4) and (8) compare two picker rows over z
-per pair, and (5), (6) and (10) run only over the pairs x <= y.  Both
-rescan only a pair at which some instance fails, one z at a time, to list
+both pass.  One pass of byte blocks decides every instance of every law of
+both (``_failing_pairs``, kept as the cached ``failing_pairs``).
+``ByteTables`` holds the tables as bytes, so composing a row with a table
+is one ``bytes.translate`` and n of them joined make an n x n block over
+two of the variables: the pass makes O(n^2) C calls on blocks of n^2
+bytes, never an n^3 buffer, and it is the one scan at every n.  A
+translate table has 256 entries, so an algebra has at most 256 elements
+(``MAX_ELEMENTS``), a limit no size cap lifts.  Both checks then rescan
+only a pair (x, y) at which some instance fails, one z at a time, to list
 what fails there.  So every violation (and every sanity witness) is
 reported with the same text and in the same order as an
 instance-by-instance scan.
 
 The classification crosschecks keep every quantifier of the laws they test,
-but evaluate the inner one a row at a time: the medial laws, the atom
-characterizations and group associativity compare whole rows of composed
-tables (``_pickers``), and the atom tests share what does not depend on
-the atom.  Everything is pure Python; numpy would cost more at start-up
-than it saves on these tables.
+but evaluate the inner one a row or a block at a time on the same byte
+views: the atom characterizations compare a column with composed rows,
+group associativity compares a block over (y, z) per x, the medial laws
+compare ids of composed rows, and the atom tests share what does not
+depend on the atom.  Everything is pure Python; numpy would cost more at
+start-up than it saves on these tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     InternalInconsistencyError,
@@ -52,19 +56,31 @@ from .errors import (
 from .limits import check_cap
 
 Table = tuple[tuple[int, ...], ...]
-Picker = Callable[[tuple[int, ...]], tuple[int, ...]]
+Pairs = tuple[tuple[int, int], ...]
+
+# bytes.translate maps bytes through a 256-entry table, so an algebra's
+# byte views, and with them every algebra, hold at most this many elements
+MAX_ELEMENTS = 256
 
 
-def _pickers(table: Table) -> list[Picker]:
-    """pick[b](row) = tuple(row[v] for v in table[b]), in one C call.
+class ByteTables(NamedTuple):
+    """Both tables and the order as bytes, for composing with bytes.translate.
 
-    The rows of a composed table, y |-> outer[a][inner[b][y]], are
-    pick[b](outer[a]) with pick = _pickers(inner); the scans below compare
-    such rows whole instead of looping over y.
+    Index 0 is the arrow table, index 1 the squig table.  ``rows[k][x]`` and
+    ``cols[k][y]`` are row x and column y; ``maps`` and ``col_maps`` are the
+    same padded to 256 bytes, so ``s.translate(maps[0][a])`` is a -> s[i]
+    and ``s.translate(col_maps[0][a])`` is s[i] -> a, entry by entry.  So the
+    row y |-> outer[a][inner[b][y]] of a composed table is one C call,
+    ``inner_rows[b].translate(outer_maps[a])``, and n rows joined make an
+    n x n block.  ``order[x]`` is row x of the order table as 0/1 bytes,
+    padded likewise: ``s.translate(order[x])`` marks the entries above x.
     """
-    if len(table) == 1:             # itemgetter(v) would return row[v] bare
-        return [lambda row: (row[0],)]
-    return [itemgetter(*r) for r in table]
+
+    rows: tuple[tuple[bytes, ...], tuple[bytes, ...]]
+    cols: tuple[tuple[bytes, ...], tuple[bytes, ...]]
+    maps: tuple[tuple[bytes, ...], tuple[bytes, ...]]
+    col_maps: tuple[tuple[bytes, ...], tuple[bytes, ...]]
+    order: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -164,15 +180,25 @@ class PseudoBciAlgebra:
         return tuple(self.squig[row[u]] for row in self.arrow)
 
     @cached_property
-    def pickers(self) -> tuple[list[Picker], list[Picker]]:
-        """_pickers of the arrow and of the squig table."""
-        return _pickers(self.arrow), _pickers(self.squig)
+    def byte_tables(self) -> ByteTables:
+        """Both tables, by row and by column, and the order, as bytes."""
+        n, u = len(self.names), self.unit
+        pad = bytes(256 - n)
+        is_unit = bytes(u) + b"\x01" + bytes(255 - u)     # v |-> (v == 1)
+        rows = tuple(map(bytes, self.arrow)), tuple(map(bytes, self.squig))
+        cols = tuple(tuple([flat[y::n] for y in range(n)])
+                     for flat in map(b"".join, rows))
+        return ByteTables(
+            rows, cols,
+            tuple(tuple([r + pad for r in table]) for table in rows),
+            tuple(tuple([c + pad for c in table]) for table in cols),
+            tuple([r.translate(is_unit) + pad for r in rows[0]]))
 
     @cached_property
-    def column_pickers(self) -> tuple[list[Picker], list[Picker]]:
-        """_pickers of both tables by column."""
-        arrow_cols, squig_cols = self.columns
-        return _pickers(arrow_cols), _pickers(squig_cols)
+    def failing_pairs(self) -> tuple[Pairs, Pairs]:
+        """Where the axiom scan, resp. the sanity suite, must list failing
+        instances: ``_failing_pairs(self)``, empty twice once validated."""
+        return _failing_pairs(self)
 
     @cached_property
     def preimages(self) -> tuple[Table, Table]:
@@ -245,6 +271,10 @@ def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:
     n = len(names)
     if n == 0:
         raise StructuralError("empty universe")
+    if n > MAX_ELEMENTS:
+        raise StructuralError(
+            f"size {n} exceeds the limit of {MAX_ELEMENTS} elements, "
+            "which no cap lifts")
     pos = {name: i for i, name in enumerate(names)}
     if len(pos) != n:
         raise StructuralError("element names are not pairwise distinct")
@@ -271,19 +301,109 @@ def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:
     return PseudoBciAlgebra(names=names, unit=pos[spec.unit], arrow=arrow, squig=squig)
 
 
+def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
+    """The decide step of the axiom scan and the sanity suite, one pass of
+    byte blocks: the pairs (x, y), in scan order, at which psBCI1 or psBCI2
+    fails for some z, and those at which a sanity law over pairs, or one
+    over triples for some z, fails.
+
+    (3), (12) and (12') compare two blocks over all (x, y) at once, and (2)
+    a row over y per x.  For each x, (4) and (8) compare two blocks over
+    (z, y): a table's joined columns sent through one row against a join
+    of its columns.  Four more blocks over (z, y) are joins of n translated
+    rows or columns; the stride-n slice of one at y runs over z.  The
+    brackets (y->z) ~> (x->z) of psBCI1, sent through the row (x->y) ~>,
+    must give 1 throughout, as must the brackets (y~>z) -> (x~>z) of psBCI2
+    and (z~>x) ~> (z~>y) of (7'), sent through (x~>y) ->, and
+    (z->x) -> (z->y) of (7), sent through (x->y) ->.  At the y with x <= y,
+    (6) asks that (z->x) -> (z->y) and (z~>x) -> (z~>y) be 1 throughout, (5)
+    the same of (y->z) -> (x->z) and (y~>z) -> (x~>z), and (10) compares
+    the order rows of x and y as bit masks.  Only where a block differs is
+    each y looked at.
+    """
+    n, u = A.size, A.unit
+    nn = n * n
+    bt = A.byte_tables
+    (arrow, squig), (arrow_cols, squig_cols) = bt.rows, bt.cols
+    (to_arrow, to_squig), (arrow_to, squig_to) = bt.maps, bt.col_maps
+    order = bt.order
+    units = bytes([u]) * n
+    units2, trues2 = units * 2, bytes([1]) * (2 * n)
+    is_unit = bytes(u) + b"\x01" + bytes(255 - u)     # v |-> (v == 1)
+    flat_arrow, flat_squig = b"".join(arrow), b"".join(squig)
+    columns_arrow, columns_squig = b"".join(arrow_cols), b"".join(squig_cols)
+    # three blocks over (x, y) side by side: (3) marks x -> y = 1 and
+    # x ~> y = 1, and (12) and (12') give both sides
+    lhs = b"".join((flat_arrow.translate(is_unit), flat_arrow.translate(arrow_to[u]),
+                    flat_squig.translate(squig_to[u])))
+    rhs = b"".join((flat_squig.translate(is_unit),
+                    *map(arrow_cols[u].translate, map(to_squig.__getitem__, arrow_cols[u])),
+                    *map(squig_cols[u].translate, map(to_arrow.__getitem__, squig_cols[u]))))
+    pairs_hold = lhs == rhs
+    # entry y*n + x: x \/1 y = (x->y) ~> y, then from n*n on x \/2 y
+    cups = b"".join([c.translate(t) for c, t in zip(arrow_cols + squig_cols,
+                                                     squig_to + arrow_to)])
+    up = [int.from_bytes(row, "little") for row in order]  # byte z: x <= z
+    # column v of arrow, 1 where its entry is 1, and column v of squig
+    arrow_col_units = [c.translate(is_unit) for c in arrow_cols].__getitem__
+    squig_col = squig_cols.__getitem__
+    # Each x's blocks over (z, y) are six parts of n rows.  Row z of a part
+    # is a row or column sent through the translate table that the entry z
+    # of a row or column of x picks: the brackets (y->z) ~> (x->z) of
+    # psBCI1; (z->x) -> (z->y); the brackets (y~>z) -> (x~>z) of psBCI2;
+    # (z~>x) ~> (z~>y); (y->z) -> (x->z); and (z~>x) -> (z~>y).
+    sources = arrow_cols + arrow + squig_cols + squig + arrow_cols + squig
+    tables = ((squig_to,) * n + (to_arrow,) * n + (arrow_to,) * n + (to_squig,) * n
+              + (arrow_to,) * n + (to_arrow,) * n)
+    n2, n4 = 2 * n, 4 * n
+    axiom_pairs, sanity_pairs = [], []
+    for x, ax, sx, ox in zip(range(n), arrow, squig, order):
+        # (2): x <= x \/1 y, then x <= x \/2 y, over y
+        above = cups[x::n].translate(ox)
+        hold2 = pairs_hold and above == trues2
+        # entry z*n + y: both sides of (4), then from n*n on of (8)
+        lhs48 = columns_arrow.translate(ox) + columns_squig.translate(to_arrow[x])
+        rhs48 = b"".join([*map(arrow_col_units, sx), *map(squig_col, ax)])
+        hold48 = lhs48 == rhs48
+        picks = b"".join((ax, arrow_cols[x], sx, squig_cols[x], ax, squig_cols[x]))
+        composed = [s.translate(t[v]) for s, t, v in zip(sources, tables, picks)]
+        # entry z*n + y: psBCI1; (7); psBCI2, then from n*n on (7'); and
+        # (5) for arrow, then (6) for squig
+        b1, b7 = b"".join(composed[:n]), b"".join(composed[n:n2])
+        b2, b56 = b"".join(composed[n2:n4]), b"".join(composed[n4:])
+        up_x = up[x]
+        for y, axy, sxy in zip(range(n), ax, sx):
+            col2 = b2[y::n]
+            sent2 = col2.translate(to_arrow[sxy])
+            hold_both2 = sent2 == units2
+            if (b1[y::n].translate(to_squig[axy]) != units
+                    or not hold_both2 and sent2[:n] != units):
+                axiom_pairs.append((x, y))
+            col7 = b7[y::n]
+            if ((hold2 or (above[y] and above[n + y]
+                           and lhs[x * n + y::nn] == rhs[x * n + y::nn]))
+                    and (hold48 or lhs48[y::n] == rhs48[y::n])
+                    and (hold_both2 or sent2[n:] == units)
+                    and col7.translate(to_arrow[axy]) == units
+                    and (not ox[y]
+                         or (col7 == units and col2[:n] == units
+                             and b56[y::n] == units2 and not up[y] & ~up_x))):
+                continue
+            sanity_pairs.append((x, y))
+    return tuple(axiom_pairs), tuple(sanity_pairs)
+
+
 def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
     """Every failed axiom instance of psBCI1..psBCI5, in scan order.
 
     Structural problems raise StructuralError instead of being reported as
     violations.  ``validate`` passes the unvalidated algebra it has read
-    from the spec, whose columns the sanity suite reuses.
+    from the spec, whose byte views the sanity suite reuses.
 
     psBCI1 is (x->y) ~> [(y->z) ~> (x->z)] = 1 and psBCI2 the same with the
-    tables swapped.  For fixed x and y the pass over z reads each bracket
-    (y->z) ~> (x->z) from the column of squig at x->z and looks it up in
-    the one row squig[x->y]; psBCI2 reads the other tables.  Only a pair
-    (x, y) at which some z fails is scanned again, one z at a time, to list
-    its violations.
+    tables swapped.  Byte blocks decide, for each pair (x, y), whether every
+    z passes (``failing_pairs``); only a pair at which some z fails is
+    scanned again, one z at a time, to list its violations.
     """
     A = spec if isinstance(spec, PseudoBciAlgebra) else _index_tables(spec)
     unit, arrow, squig, names = A.unit, A.arrow, A.squig, A.names
@@ -302,35 +422,26 @@ def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
                 out.append(Violation(
                     "psBCI4", (names[x],),
                     f"1 ~> {names[x]} = {names[su[x]]}, expected {names[x]}"))
-    arrow_cols, squig_cols = A.columns
-    for x, ax, to_x in zip(rng, arrow, arrow_cols):
+    for x, ax, to_x in zip(rng, arrow, A.byte_tables.cols[0]):
         for y in range(x + 1, n):
             if ax[y] == unit and to_x[y] == unit:
                 out.append(Violation(
                     "psBCI5", (names[x], names[y]),
                     "both implications equal 1 for distinct elements"))
-    for x, ax, sx in zip(rng, arrow, squig):
-        # entry z of each list: the column ? ~> (x->z), resp. ? -> (x~>z)
-        sq_cols = [squig_cols[c] for c in ax]
-        ar_cols = [arrow_cols[c] for c in sx]
-        for y, ay, sy, axy, sxy in zip(rng, arrow, squig, ax, sx):
-            s_row, a_row = squig[axy], arrow[sxy]   # (x->y) ~> ?, (x~>y) -> ?
-            for s_col, a, a_col, b in zip(sq_cols, ay, ar_cols, sy):
-                if s_row[s_col[a]] != unit or a_row[a_col[b]] != unit:
-                    break
-            else:
-                continue                            # no z fails at (x, y)
-            for z in rng:                           # list the failing z
-                v = s_row[squig[ay[z]][ax[z]]]
-                if v != unit:
-                    out.append(Violation(
-                        "psBCI1", (names[x], names[y], names[z]),
-                        f"(x->y) ~> [(y->z) ~> (x->z)] = {names[v]}"))
-                w = a_row[arrow[sy[z]][sx[z]]]
-                if w != unit:
-                    out.append(Violation(
-                        "psBCI2", (names[x], names[y], names[z]),
-                        f"(x~>y) -> [(y~>z) -> (x~>z)] = {names[w]}"))
+    for x, y in A.failing_pairs[0]:                 # list the failing z
+        ax, sx, ay, sy = arrow[x], squig[x], arrow[y], squig[y]
+        s_row, a_row = squig[ax[y]], arrow[sx[y]]   # (x->y) ~> ?, (x~>y) -> ?
+        for z in rng:
+            v = s_row[squig[ay[z]][ax[z]]]
+            if v != unit:
+                out.append(Violation(
+                    "psBCI1", (names[x], names[y], names[z]),
+                    f"(x->y) ~> [(y->z) ~> (x->z)] = {names[v]}"))
+            w = a_row[arrow[sy[z]][sx[z]]]
+            if w != unit:
+                out.append(Violation(
+                    "psBCI2", (names[x], names[y], names[z]),
+                    f"(x~>y) -> [(y~>z) -> (x~>z)] = {names[w]}"))
     return out
 
 
@@ -382,84 +493,56 @@ def _sanity_failures(A: PseudoBciAlgebra) -> list[str]:
 
     Every law is a theorem of the five axioms, so any failure here means a
     bug in the validator or in these very loops, not bad input.  Laws (1),
-    (9) and (11) are single entries per x, and (2), (3), (12) and (12')
-    per pair (x, y); each reports its witness where it fails.  The laws
-    over z are decided per pair in one pass: (4) and (8) compare two whole
-    rows over z built by _pickers; (7) reads (z->x) -> (z->y) from the rows
-    (z->x) -> and the column y of arrow, and likewise for ~>; (5), (6) and
-    (10) run over z only when x <= y.  Only a pair at which one of them
-    fails is scanned again, one z at a time, for its witnesses.
+    (9) and (11) are single entries per x.  Byte blocks decide, for each
+    pair (x, y), whether the laws over pairs hold there and those over
+    triples hold for every z (``failing_pairs``); only a pair at which one
+    of them fails is scanned again, one z at a time, for its witnesses.
     """
     n = A.size
     u = A.unit
-    arrow, squig, leq = A.arrow, A.squig, A.leq
+    arrow, squig = A.arrow, A.squig
     names = A.names
     rng = range(n)
-    arrow_cols, squig_cols = A.columns
-    pa, ps = A.pickers
-    to_u, sq_to_u = arrow_cols[u], squig_cols[u]      # x -> 1, x ~> 1
     fails: dict[str, str] = {}
 
     def report(law: str, *xs: int) -> None:
         if law not in fails:
             fails[law] = f"{SANITY_LAWS[law]} at ({', '.join(names[i] for i in xs)})"
 
-    for x, ax, sx in zip(rng, arrow, squig):
+    for x, ax, sx, above_unit in zip(rng, arrow, squig, A.byte_tables.order[u]):
         if ax[x] != u or sx[x] != u:
             report("(1)", x)
-        if leq[u][x] and x != u:
+        if above_unit and x != u:
             report("(9)", x)
         if ax[u] != sx[u]:
             report("(11)", x)
-    for x, ax, sx, lx in zip(rng, arrow, squig, leq):
-        axu, sxu = ax[u], sx[u]
-        pax, psx = pa[x], ps[x]
-        acx, scx = arrow_cols[x], squig_cols[x]
-        # entry z of each list: the row (z -> x) ->, resp. (z ~> x) ~>
-        ar_zx = [arrow[c] for c in acx]
-        sq_zx = [squig[c] for c in scx]
-        for y, ay, sy, ly in zip(rng, arrow, squig, leq):
-            axy, sxy = ax[y], sx[y]
-            if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:
-                report("(2)", x, y)
-            if (axy == u) != (sxy == u):
-                report("(3)", x, y)
-            if arrow[axy][u] != squig[axu][to_u[y]]:
-                report("(12)", x, y)
-            if squig[sxy][u] != arrow[sxu][sq_to_u[y]]:
-                report("(12')", x, y)
-            acy, scy = arrow_cols[y], squig_cols[y]
-            la, ls = leq[axy], leq[sxy]
-            holds = pa[y](lx) == psx(ly) and ps[y](ax) == pax(sy)           # (4), (8)
-            if holds:
-                for a_row, a, s_row, b in zip(ar_zx, acy, sq_zx, scy):      # (7)
-                    if not la[a_row[a]] or not ls[s_row[b]]:
-                        holds = False
-                        break
-            if holds and lx[y]:                                # x <= y: (5), (6), (10)
-                for z in rng:
-                    if (not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]
-                            or not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]
-                            or ly[z] and not lx[z]):
-                        holds = False
-                        break
-            if holds:
-                continue
-            # some law fails at (x, y) for some z: list its first witnesses
-            for z in rng:
-                if lx[ay[z]] != ly[sx[z]]:
-                    report("(4)", x, y, z)
-                if lx[y]:
-                    if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:
-                        report("(5)", x, y, z)
-                    if not leq[acx[z]][acy[z]] or not leq[scx[z]][scy[z]]:
-                        report("(6)", x, y, z)
-                    if ly[z] and not lx[z]:
-                        report("(10)", x, y, z)
-                if not la[ar_zx[z][acy[z]]] or not ls[sq_zx[z][scy[z]]]:
-                    report("(7)", x, y, z)
-                if ax[sy[z]] != sy[ax[z]]:
-                    report("(8)", x, y, z)
+    for x, y in A.failing_pairs[1]:
+        leq = A.leq
+        ax, sx, ay, sy, lx, ly = arrow[x], squig[x], arrow[y], squig[y], leq[x], leq[y]
+        axy, sxy = ax[y], sx[y]
+        if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:
+            report("(2)", x, y)
+        if (axy == u) != (sxy == u):
+            report("(3)", x, y)
+        if arrow[axy][u] != squig[ax[u]][arrow[y][u]]:
+            report("(12)", x, y)
+        if squig[sxy][u] != arrow[sx[u]][squig[y][u]]:
+            report("(12')", x, y)
+        la, ls = leq[axy], leq[sxy]
+        for z, az, sz in zip(rng, arrow, squig):
+            if lx[ay[z]] != ly[sx[z]]:
+                report("(4)", x, y, z)
+            if lx[y]:
+                if not leq[ay[z]][ax[z]] or not leq[sy[z]][sx[z]]:
+                    report("(5)", x, y, z)
+                if not leq[az[x]][az[y]] or not leq[sz[x]][sz[y]]:
+                    report("(6)", x, y, z)
+                if ly[z] and not lx[z]:
+                    report("(10)", x, y, z)
+            if not la[arrow[az[x]][az[y]]] or not ls[squig[sz[x]][sz[y]]]:
+                report("(7)", x, y, z)
+            if ax[sy[z]] != sy[ax[z]]:
+                report("(8)", x, y, z)
     return list(fails.values())
 
 
@@ -486,28 +569,28 @@ def _atom_characterizations(A: PseudoBciAlgebra, a: int,
 
     Each test quantifies over x (and y) as in the paper, a whole column at
     a time: (c)-(f), (i) and (j) compare the column x |-> x -> a or
-    x |-> x ~> a with a composed row; (g) and (h) ask whether every entry of
-    that column is fixed by a join, and (b) whether a itself is.  ``fixed``
-    is _join_fixed(A), shared by every a.
+    x |-> x ~> a with a composed row, one translate each; (g) and (h) ask
+    whether every entry of that column is fixed by a join, and (b) whether
+    a itself is.  ``fixed`` is _join_fixed(A), shared by every a.
     """
     u = A.unit
-    arrow, squig = A.arrow, A.squig
-    arrow_cols, squig_cols = A.columns
-    by_arrow_col, by_squig_col = A.column_pickers
+    bt = A.byte_tables
+    (arrow, squig), (arrow_cols, squig_cols) = bt.rows, bt.cols
+    (to_arrow, to_squig), (arrow_to, squig_to) = bt.maps, bt.col_maps
     cup1_fixed, cup2_fixed = fixed
     to_a, sq_to_a = arrow_cols[a], squig_cols[a]
     return [
         ("b", a in cup1_fixed and a in cup2_fixed),
-        ("c", to_a == tuple(map(squig_cols[u].__getitem__, arrow[a]))),
-        ("d", sq_to_a == tuple(map(arrow_cols[u].__getitem__, squig[a]))),
-        ("e", all(to_a == by_arrow_col[y](squig[arrow[a][y]])
-                  for y in A.elements())),
-        ("f", all(sq_to_a == by_squig_col[y](arrow[squig[a][y]])
-                  for y in A.elements())),
+        ("c", to_a == arrow[a].translate(squig_to[u])),
+        ("d", sq_to_a == squig[a].translate(arrow_to[u])),
+        ("e", all(to_a == col.translate(to_squig[v])
+                  for col, v in zip(arrow_cols, arrow[a]))),
+        ("f", all(sq_to_a == col.translate(to_arrow[v])
+                  for col, v in zip(squig_cols, squig[a]))),
         ("g", cup2_fixed.issuperset(to_a)),
         ("h", cup1_fixed.issuperset(sq_to_a)),
-        ("i", to_a == by_arrow_col[u](squig[arrow[a][u]])),
-        ("j", sq_to_a == by_squig_col[u](arrow[squig[a][u]])),
+        ("i", to_a == arrow_cols[u].translate(to_squig[arrow[a][u]])),
+        ("j", sq_to_a == squig_cols[u].translate(to_arrow[squig[a][u]])),
         ("k", squig[arrow[a][u]][u] == a and arrow[squig[a][u]][u] == a),
     ]
 
@@ -619,42 +702,46 @@ def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
                 return False
             if arrow[x][y] != prod[y][inv[x]] or squig[x][y] != prod[inv[x]][y]:
                 return False
-    # associativity, a row of z at a time: (x.y).z against x.(y.z)
-    pick = _pickers(prod)
-    return all(prod[px[y]] == pick[y](px) for px in prod for y in range(n))
+    # associativity, a block over (y, z) per x: (x.y).z is the join of the
+    # rows x.y, and x.(y.z) the whole product table sent through row x
+    bt = A.byte_tables
+    rows = [bt.rows[1][v] for v in bt.cols[0][u]]         # product rows
+    maps = [bt.maps[1][v] for v in bt.cols[0][u]]
+    flat = b"".join(rows)
+    return all(b"".join(map(rows.__getitem__, row)) == flat.translate(to_row)
+               for row, to_row in zip(rows, maps))
 
 
-def _is_medial(outer: Table, inner: Table, pick: list[Picker]) -> bool:
+def _is_medial(tables: ByteTables, k: int) -> bool:
     """Whether (p * q) . (x * y) = (p * x) . (q * y) for all p, q, x, y,
-    with . the outer and * the inner implication; pick is _pickers(inner).
+    with . table k of ``tables`` (0 arrow, 1 squig) and * the other.
 
     Both sides are entries of rows of the composed table
     C(a, b)[y] = outer[a][inner[b][y]], so the law holds iff
     C(p * q, x) = C(p * x, q) for all p, q and x; the pair (q, x) and its
-    swap make the same comparison.  Each row is built when first compared,
-    at most n^2 of them, and kept only as the index of its first equal row,
-    so a medial algebra, whose composed table has n distinct rows, holds n
-    rows and not n^2.  The scan stops at the first unequal pair.
+    swap make the same comparison.  Each distinct row gets an id, at most
+    n^2 of them, written as a low and a high byte.  Column q of ids,
+    a |-> C(a, q), takes one translate per a and is a translate table
+    itself, so for each x < q both sides over all p are one translate of a
+    column of *: column q sent through ids column x, against column x sent
+    through ids column q.  The columns are built in turn and the scan stops
+    at the first unequal pair, so an algebra that is not medial builds few.
     """
-    n = len(outer)
-    rng = range(n)
-    distinct: dict[tuple[int, ...], int] = {}
-    first = distinct.setdefault     # a row's index among the distinct rows
-    row_id: list[list[int | None]] = [[None] * n for _ in rng]
-    for ip in inner:
-        for q in rng:
-            a = ip[q]
-            left = row_id[a]
-            for x in range(q):
-                lhs = left[x]
-                if lhs is None:
-                    lhs = left[x] = first(pick[x](outer[a]), len(distinct))
-                b = ip[x]
-                rhs = row_id[b][q]
-                if rhs is None:
-                    rhs = row_id[b][q] = first(pick[q](outer[b]), len(distinct))
-                if lhs != rhs:
-                    return False
+    outer, inner, inner_cols = tables.maps[k], tables.rows[1 - k], tables.cols[1 - k]
+    pad = bytes(256 - len(inner))
+    ids: dict[bytes, int] = {}
+    low: list[bytes] = []
+    high: list[bytes] = []
+    for row_q, col_q in zip(inner, inner_cols):
+        col = [ids.setdefault(row_q.translate(t), len(ids)) for t in outer]
+        low_q = bytes([i & 255 for i in col]) + pad
+        high_q = bytes([i >> 8 for i in col]) + pad
+        for col_x, low_x, high_x in zip(inner_cols, low, high):    # x < q
+            if (col_q.translate(low_x) != col_x.translate(low_q)
+                    or col_q.translate(high_x) != col_x.translate(high_q)):
+                return False
+        low.append(low_q)
+        high.append(high_q)
     return True
 
 
@@ -684,9 +771,9 @@ def classify(A: PseudoBciAlgebra) -> ClassificationReport:
         cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]
         for block in A.branches.values() for x in block for y in block)
 
-    pick_arrow, pick_squig = A.pickers
-    is_medial_arrow = _is_medial(arrow, squig, pick_squig)
-    is_medial_squig = _is_medial(squig, arrow, pick_arrow)
+    is_medial_arrow = _is_medial(A.byte_tables, 0)
+    # with one table the two laws are one
+    is_medial_squig = is_medial_arrow if is_bci else _is_medial(A.byte_tables, 1)
 
     if is_commutative != is_branchwise:
         raise InternalInconsistencyError(

@@ -30,23 +30,34 @@ FORMAT_HEADER = "pbci 1"
 _TOKEN = re.compile(r"\S+")
 
 
-def _significant_lines(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
-    """(line number, stripped text, [(column, token), ...]) per non-blank line."""
+def _column(body: str, k: int) -> int:
+    """The 1-based column of the k-th whitespace token of body; only error
+    paths need it."""
+    return list(_TOKEN.finditer(body))[k].start() + 1
+
+
+def _significant_lines(text: str) -> list[tuple[int, str, list[str]]]:
+    """(line number, text before any comment, its tokens) per line with
+    tokens."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
+        tokens = body.split()
         if tokens:
-            out.append((lineno, body.strip(), tokens))
+            out.append((lineno, body, tokens))
     return out
 
 
 def parse_algebra(text: str) -> AlgebraSpec:
-    """Parse the canonical format into a raw (unvalidated) AlgebraSpec."""
+    """Parse the canonical format into a raw (unvalidated) AlgebraSpec.
+
+    Lines are split at whitespace and each table row is checked with one
+    set test; a token's column is found only for the error that names it.
+    """
     lines = _significant_lines(text)
     pos = 0
 
-    def need_line(what: str) -> tuple[int, str, list[tuple[int, str]]]:
+    def need_line(what: str) -> tuple[int, str, list[str]]:
         nonlocal pos
         if pos >= len(lines):
             last = lines[-1][0] if lines else 1
@@ -56,52 +67,54 @@ def parse_algebra(text: str) -> AlgebraSpec:
         return entry
 
     lineno, body, _ = need_line("format header")
-    if body != FORMAT_HEADER:
-        raise ParseError(f"expected {FORMAT_HEADER!r} header, got {body!r}", line=lineno)
+    if body.strip() != FORMAT_HEADER:
+        raise ParseError(f"expected {FORMAT_HEADER!r} header, got {body.strip()!r}",
+                         line=lineno)
 
     lineno, body, tokens = need_line("elements declaration")
-    if tokens[0][1] != "elements:":
-        raise ParseError("expected 'elements:' line", line=lineno, column=tokens[0][0])
-    names = tuple(t for _, t in tokens[1:])
+    if tokens[0] != "elements:":
+        raise ParseError("expected 'elements:' line", line=lineno, column=_column(body, 0))
+    names = tuple(tokens[1:])
     if not names:
         raise ParseError("no elements declared", line=lineno)
-    dupes = {t for t in names if names.count(t) > 1}
-    if dupes:
-        raise ParseError(f"duplicate element name {sorted(dupes)[0]!r}", line=lineno)
     n = len(names)
     known = set(names)
+    if len(known) != n:
+        dupes = {t for t in names if names.count(t) > 1}
+        raise ParseError(f"duplicate element name {sorted(dupes)[0]!r}", line=lineno)
 
     lineno, body, tokens = need_line("unit declaration")
-    if tokens[0][1] != "unit:" or len(tokens) != 2:
-        raise ParseError("expected 'unit: <element>' line", line=lineno, column=tokens[0][0])
-    unit = tokens[1][1]
+    if tokens[0] != "unit:" or len(tokens) != 2:
+        raise ParseError("expected 'unit: <element>' line", line=lineno,
+                         column=_column(body, 0))
+    unit = tokens[1]
     if unit not in known:
         raise SymbolError(f"unit {unit!r} is not a declared element",
-                          line=lineno, column=tokens[1][0])
+                          line=lineno, column=_column(body, 1))
 
     def read_table(label: str, allow_same: bool):
         lineno, body, tokens = need_line(f"'{label}:' header")
-        if tokens[0][1] != f"{label}:":
-            raise ParseError(f"expected '{label}:' line", line=lineno, column=tokens[0][0])
-        rest = tokens[1:]
-        if rest and allow_same and len(rest) == 1 and rest[0][1] == "same":
+        if tokens[0] != f"{label}:":
+            raise ParseError(f"expected '{label}:' line", line=lineno,
+                             column=_column(body, 0))
+        if allow_same and tokens[1:] == ["same"]:
             return "same"
-        if rest:
+        if len(tokens) > 1:
             raise ParseError(f"unexpected tokens after '{label}:'",
-                             line=lineno, column=rest[0][0])
+                             line=lineno, column=_column(body, 1))
         rows = []
         for _ in range(n):
             lineno, body, tokens = need_line(f"{label} table row")
-            if len(tokens) == 1 and tokens[0][1] == "same" and allow_same and not rows:
+            if tokens == ["same"] and allow_same and not rows:
                 return "same"
             if len(tokens) != n:
                 raise ShapeError(
                     f"{label} row has {len(tokens)} entries, expected {n}", line=lineno)
-            for col, tok in tokens:
-                if tok not in known:
-                    raise SymbolError(f"undeclared element {tok!r}",
-                                      line=lineno, column=col)
-            rows.append(tuple(t for _, t in tokens))
+            if not known.issuperset(tokens):
+                k = next(k for k, tok in enumerate(tokens) if tok not in known)
+                raise SymbolError(f"undeclared element {tokens[k]!r}",
+                                  line=lineno, column=_column(body, k))
+            rows.append(tuple(tokens))
         return tuple(rows)
 
     arrow = read_table("arrow", allow_same=False)
@@ -110,7 +123,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
         squig = arrow
     if pos < len(lines):
         lineno, body, tokens = lines[pos]
-        raise ParseError(f"unexpected trailing content {body!r}", line=lineno)
+        raise ParseError(f"unexpected trailing content {body.strip()!r}", line=lineno)
     return AlgebraSpec(names=names, unit=unit, arrow=arrow, squig=squig)
 
 

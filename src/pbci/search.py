@@ -88,12 +88,14 @@ def element_names(n: int) -> tuple[str, ...]:
 
 
 def _flat_key(arrow, squig) -> tuple[int, ...]:
-    return tuple(v for row in arrow for v in row) + tuple(v for row in squig for v in row)
+    return tuple(itertools.chain(*arrow, *squig))
 
 
 def _unflatten(flat, n: int):
-    """The (arrow, squig) row tuples of a flat key of size n."""
-    rows = tuple(tuple(flat[k:k + n]) for k in range(0, 2 * n * n, n))
+    """The (arrow, squig) row tuples of a flat key of size n, given as any
+    iterable of its entries."""
+    entries = iter(flat)
+    rows = tuple(zip(*[entries] * n))      # n entries at a time
     return rows[:n], rows[n:]
 
 
@@ -341,7 +343,7 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     wanted = [("is_" + name, value) for name, value in query.predicates]
 
     def to_spec(flat):
-        arrow, squig = _unflatten([names[v] for v in flat], n)
+        arrow, squig = _unflatten(map(names.__getitem__, flat), n)
         return AlgebraSpec(names=names, unit=names[-1], arrow=arrow, squig=squig)
 
     matches = []

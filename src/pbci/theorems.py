@@ -162,9 +162,12 @@ class Analysis:
 
     @cached_property
     def non_invariant(self) -> dict[SelfMap, DeductiveSystem | None]:
-        """Each distinct map's first system not invariant under it, or None."""
+        """Each implicative or symmetric map's first system not invariant
+        under it, or None.  The four invariance rows read only these maps
+        (ridop2 and idop2 lie in implicative), so a map of type III or IV
+        alone is not looked at."""
         return {d: next((D for D in self.systems if not is_invariant(self.A, D, d)), None)
-                for d in self.map_records}
+                for d in dict.fromkeys(self.implicative + self.symmetric)}
 
     @cached_property
     def bck_system(self) -> DeductiveSystem:

@@ -348,7 +348,7 @@ def test_singleton_class_quotient_keeps_the_tables_built():
     Q = quotient(A, K)
     assert Q.names == tuple(f"[{name}]" for name in A.names)
     assert Q.joins is A.joins
-    assert Q.pickers is A.pickers
+    assert Q.byte_tables is A.byte_tables
     assert Q.preimages is A.preimages
 
 

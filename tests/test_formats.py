@@ -71,6 +71,24 @@ def test_symbol_error_in_table():
         parse_algebra(text)
 
 
+@pytest.mark.parametrize("old, new, token, error, message", [
+    # the column counts every character before the token, tabs included
+    ("b b 1 d 1", "b \t b  z d 1", "z", SymbolError, "undeclared element 'z'"),
+    ("unit: 1", "unit:\t  q", "q", SymbolError, "unit 'q' is not a declared element"),
+    ("unit: 1", "  units: 1", "units:", ParseError, "expected 'unit: <element>' line"),
+    ("elements: a b c d 1", " \telems: a b c d 1", "elems:", ParseError,
+     "expected 'elements:' line"),
+    ("squig:", "  squigs:", "squigs:", ParseError, "expected 'squig:' line"),
+    ("arrow:", "arrow:  \t1 1", "1", ParseError, "unexpected tokens after 'arrow:'"),
+])
+def test_parse_errors_give_the_column_of_their_token(old, new, token, error, message):
+    text = fixture_text("proper5").replace(old, new, 1)
+    with pytest.raises(error, match=message) as excinfo:
+        parse_algebra(text)
+    assert excinfo.value.line == text.splitlines().index(new) + 1
+    assert excinfo.value.column == new.index(token) + 1
+
+
 def test_unknown_unit():
     with pytest.raises(SymbolError):
         parse_algebra("pbci 1\nelements: a 1\nunit: q\narrow:\n1 1\na 1\nsquig: same\n")

@@ -114,6 +114,41 @@ def sanity_oracle(A):
     return list(fails.values())
 
 
+def axiom_pair_oracle(A):
+    """The pairs (x, y) at which psBCI1 or psBCI2 fails for some z."""
+    unit, arrow, squig = A.unit, A.arrow, A.squig
+    rng = range(A.size)
+    return [(x, y) for x in rng for y in rng if any(
+        squig[arrow[x][y]][squig[arrow[y][z]][arrow[x][z]]] != unit
+        or arrow[squig[x][y]][arrow[squig[y][z]][squig[x][z]]] != unit
+        for z in rng)]
+
+
+def sanity_pair_oracle(A):
+    """The pairs (x, y) at which a sanity law over pairs, or one over
+    triples for some z, fails."""
+    u, arrow, squig, leq = A.unit, A.arrow, A.squig, A.leq
+    rng = range(A.size)
+
+    def fails(x, y, z):
+        return (leq[x][arrow[y][z]] != leq[y][squig[x][z]]
+                or leq[x][y] and (not leq[arrow[y][z]][arrow[x][z]]
+                                  or not leq[squig[y][z]][squig[x][z]]
+                                  or not leq[arrow[z][x]][arrow[z][y]]
+                                  or not leq[squig[z][x]][squig[z][y]]
+                                  or leq[y][z] and not leq[x][z])
+                or not leq[arrow[x][y]][arrow[arrow[z][x]][arrow[z][y]]]
+                or not leq[squig[x][y]][squig[squig[z][x]][squig[z][y]]]
+                or arrow[x][squig[y][z]] != squig[y][arrow[x][z]])
+
+    return [(x, y) for x in rng for y in rng
+            if not leq[x][A.cup1(x, y)] or not leq[x][A.cup2(x, y)]
+            or (arrow[x][y] == u) != (squig[x][y] == u)
+            or arrow[arrow[x][y]][u] != squig[arrow[x][u]][arrow[y][u]]
+            or squig[squig[x][y]][u] != arrow[squig[x][u]][squig[y][u]]
+            or any(fails(x, y, z) for z in rng)]
+
+
 def medial_arrow_oracle(A):
     arrow, squig = A.arrow, A.squig
     rng = range(A.size)
@@ -389,14 +424,54 @@ def test_both_scans_match_oracles_on_random_tables():
         assert sanity_lines(B) == expected
 
 
+def assert_pairs_decided(B):
+    """The decide step flags exactly the pairs at which the oracles find a
+    failing instance: no failure is missed, and no pair that holds is
+    listed again.  With the entries of psBCI3-5 and (1), (9), (11), it
+    says valid exactly when both oracles report nothing."""
+    axiom_pairs, sanity_pairs = map(list, core._failing_pairs(B))
+    assert axiom_pairs == axiom_pair_oracle(B)
+    assert sanity_pairs == sanity_pair_oracle(B)
+    entries_hold = not any(line.startswith(("psBCI3", "psBCI4", "psBCI5"))
+                           for line in axiom_oracle(B))
+    entries_hold &= not any(line.startswith(("x->x=1", "1<=x", "x->1=x~>1"))
+                            for line in sanity_oracle(B))
+    decided = not axiom_pairs and not sanity_pairs and entries_hold
+    assert decided == (axiom_oracle(B) == [] and sanity_oracle(B) == [])
+    return decided
+
+
+def test_decide_step_matches_oracles_on_valid_pool(valid_pool):
+    for A in valid_pool:
+        assert assert_pairs_decided(A), A.names
+
+
+def test_decide_step_matches_oracles_on_corrupted_tables(all_fixtures,
+                                                         large_products):
+    flagged = checked = 0
+    sources = list(all_fixtures.values()) + list(large_products.values())
+    for A in sources:
+        for B in corruptions(A) if A.size <= 5 else sampled(A, 12):
+            flagged += not assert_pairs_decided(B)
+            checked += 1
+    # every single-entry change of these tables breaks some law
+    assert flagged == checked > 500
+
+
+def test_decide_step_matches_oracles_on_random_tables():
+    decided = [assert_pairs_decided(B) for B in random_tables(11, 1500)]
+    # both answers occur, so neither direction is checked vacuously
+    assert 0 < decided.count(True) < decided.count(False)
+
+
 # --- medial -----------------------------------------------------------------
 
 
 def test_medial_matches_oracle_on_valid_pool(valid_pool):
     medial = 0
     for A in valid_pool:
-        arrow_flag = core._is_medial(A.arrow, A.squig, A.pickers[1])
-        squig_flag = core._is_medial(A.squig, A.arrow, A.pickers[0])
+        arrow_flag = core._is_medial(A.byte_tables, 0)
+        squig_flag = core._is_medial(A.byte_tables, 1)
         assert arrow_flag == medial_arrow_oracle(A), A.names
         assert squig_flag == medial_squig_oracle(A), A.names
         medial += arrow_flag
@@ -413,8 +488,8 @@ def test_medial_matches_oracle_on_corrupted_medial_tables(p_semisimple_pool,
             arrow_flag = medial_arrow_oracle(B)
             squig_flag = medial_squig_oracle(B)
             assert not (arrow_flag and squig_flag)
-            assert core._is_medial(B.arrow, B.squig, B.pickers[1]) == arrow_flag
-            assert core._is_medial(B.squig, B.arrow, B.pickers[0]) == squig_flag
+            assert core._is_medial(B.byte_tables, 0) == arrow_flag
+            assert core._is_medial(B.byte_tables, 1) == squig_flag
             checked += 1
     assert checked > 100
 

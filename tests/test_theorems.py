@@ -174,3 +174,13 @@ def test_invariance_is_decided_once_per_map(monkeypatch):
     an = Analysis(flat(8))
     assert theorem_suite(an).all_passed
     assert calls <= len(an.map_records) * len(an.systems) + len(an.ridop2) <= 16_640
+
+
+def test_invariance_table_holds_only_the_maps_the_rows_read(bck5):
+    # the invariance rows read implicative, ridop2, idop2 and symmetric maps;
+    # bck5 has two more distinct maps, of type III or IV only
+    an = Analysis(bck5)
+    assert theorem_suite(an).all_passed
+    read = set(an.implicative) | set(an.symmetric)
+    assert set(an.non_invariant) == read
+    assert len(read) == 4 < len(an.map_records) == 6
