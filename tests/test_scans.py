@@ -1,14 +1,16 @@
-"""The row-at-a-time scans against their quantifier-by-quantifier oracles.
+"""The row- and block-at-a-time scans against their quantifier-by-quantifier
+oracles.
 
 Each oracle below is the literal loop or generator form of the law, one
 element tuple at a time: the five axioms with every violation, the
-twelve-law sanity suite with its first witnesses, the medial flags, the ten
-atom characterizations, the group axioms of a p-semisimple algebra, and the
-congruence of a deductive system.  The scans in ``pbci.core`` and
-``pbci.dsystems`` evaluate the same laws a row, column or bitmask at a time;
-both must give the same answer, and the same witnesses in the same order,
-on every valid algebra of the pool and on hand-corrupted tables, which
-bypass ``validate``, where the oracle answers False.
+twelve-law sanity suite with its first witnesses and the pairs at which
+either fails, the medial flags, the ten atom characterizations, the group
+axioms of a p-semisimple algebra, and the congruence of a deductive
+system.  The scans in ``pbci.core`` and ``pbci.dsystems`` evaluate the
+same laws a byte block, row, column or bitmask at a time; both must give
+the same answer, and the same witnesses in the same order, on every valid
+algebra of the pool and on hand-corrupted tables, which bypass
+``validate``, where the oracle answers False.
 """
 
 import random
