@@ -336,14 +336,15 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
     # x ~> y = 1, and (12) and (12') give both sides
     lhs = b"".join((flat_arrow.translate(is_unit), flat_arrow.translate(arrow_to[u]),
                     flat_squig.translate(squig_to[u])))
-    rhs = b"".join((flat_squig.translate(is_unit),
-                    *map(arrow_cols[u].translate, map(to_squig.__getitem__, arrow_cols[u])),
-                    *map(squig_cols[u].translate, map(to_arrow.__getitem__, squig_cols[u]))))
+    to_u, sq_to_u = arrow_cols[u], squig_cols[u]       # x -> 1, x ~> 1
+    rhs = b"".join([flat_squig.translate(is_unit),
+                    *[to_u.translate(to_squig[v]) for v in to_u],
+                    *[sq_to_u.translate(to_arrow[v]) for v in sq_to_u]])
     pairs_hold = lhs == rhs
     # entry y*n + x: x \/1 y = (x->y) ~> y, then from n*n on x \/2 y
     cups = b"".join([c.translate(t) for c, t in zip(arrow_cols + squig_cols,
                                                      squig_to + arrow_to)])
-    up = [int.from_bytes(row, "little") for row in order]  # byte z: x <= z
+    up = [int.from_bytes(row[:n]) for row in order]     # byte z: x <= z
     # column v of arrow, 1 where its entry is 1, and column v of squig
     arrow_col_units = [c.translate(is_unit) for c in arrow_cols].__getitem__
     squig_col = squig_cols.__getitem__
