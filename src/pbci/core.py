@@ -344,7 +344,7 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
     # entry y*n + x: x \/1 y = (x->y) ~> y, then from n*n on x \/2 y
     cups = b"".join([c.translate(t) for c, t in zip(arrow_cols + squig_cols,
                                                      squig_to + arrow_to)])
-    up = [int.from_bytes(row[:n]) for row in order]     # byte z: x <= z
+    up = [int.from_bytes(row[:n], "big") for row in order]  # byte z: x <= z
     # column v of arrow, 1 where its entry is 1, and column v of squig
     arrow_col_units = [c.translate(is_unit) for c in arrow_cols].__getitem__
     squig_col = squig_cols.__getitem__
