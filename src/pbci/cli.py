@@ -69,14 +69,25 @@ def _load(path: str) -> PseudoBciAlgebra:
 
 
 class _Pbci(click.Group):
-    """The command group; a size-cap error from any command is a usage
-    error, reported once here."""
+    """The command group; click's own usage errors and a size-cap error
+    from any command are usage errors, reported once here on one line.
+    Bare ``pbci`` still prints the help."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent, **extra)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            _usage_error(exc.format_message())
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (EnumerationCapExceeded, SearchCapExceeded) as exc:
             _usage_error(str(exc))
+        except click.UsageError as exc:
+            _usage_error(exc.format_message())
 
 
 @click.group(cls=_Pbci)

@@ -281,22 +281,17 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
                 raise CongruenceError(
                     f"relation not transitive at ({names[x]}, {names[y]}, {names[z]})")
 
-    rep = list(range(n))
-    for x in range(n):
-        below = related[x] & ((1 << x) - 1)
-        if below:
-            rep[x] = rep[_bits(below)[0]]
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(rep[x], []).append(x)
-    classes = [tuple(blocks[r]) for r in sorted(blocks)]
+    # each row is its element's class, first seen at the least member
+    rows = {r: i for i, r in enumerate(dict.fromkeys(related))}
+    classes = [tuple(_bits(r)) for r in rows]
+    class_of = [rows[r] for r in related]
 
     for bx in classes:
         for by in classes:
             if len(bx) == len(by) == 1:
                 continue
             for table in (A.arrow, A.squig):
-                results = {rep[table[x][y]] for x in bx for y in by}
+                results = {class_of[table[x][y]] for x in bx for y in by}
                 if len(results) != 1:
                     raise CongruenceError(
                         "operation not constant on classes "
@@ -320,16 +315,13 @@ def quotient(A: PseudoBciAlgebra, D: DeductiveSystem) -> PseudoBciAlgebra:
     n = A.size
     if len(classes) == n:
         return A.renamed(names)
-    rep_of = [0] * n
-    for ci, block in enumerate(classes):
-        for x in block:
-            rep_of[x] = ci
-    unit_name = names[rep_of[A.unit]]
+    class_of = {x: i for i, block in enumerate(classes) for x in block}
+    unit_name = names[class_of[A.unit]]
     arrow = tuple(
-        tuple(names[rep_of[A.arrow[bx[0]][by[0]]]] for by in classes)
+        tuple(names[class_of[A.arrow[bx[0]][by[0]]]] for by in classes)
         for bx in classes)
     squig = tuple(
-        tuple(names[rep_of[A.squig[bx[0]][by[0]]]] for by in classes)
+        tuple(names[class_of[A.squig[bx[0]][by[0]]]] for by in classes)
         for bx in classes)
     spec = AlgebraSpec(names=names, unit=unit_name, arrow=arrow, squig=squig)
     try:

@@ -20,13 +20,18 @@ report and its theorems share one computation.
 
 The catalogue is one table, ``_CATALOG``.  Each row names its precondition
 as ClassificationReport flags and its check as a function of the analysis.
-A law the paper states for several derivation sets (join absorption for
-types I and III, closure under composition for types I and II, ...) has
-one checker that takes the map lists, and each row passes its own.
+Most rows claim that every map of one derivation list obeys a law; their
+check is ``_each(list, law)``, where ``law(c, d)`` returns None when the map
+d obeys the law and otherwise the witness text after ``d=(...)``, and
+``_each`` reports the first map of the named ``Analysis`` list that fails.
+A law the paper states for several lists (join absorption for types I and
+III, regularity iff invariance for type II and symmetric maps) is one law
+that several rows name.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,64 +199,69 @@ class Analysis:
         return self.A.names[x]
 
 
-# Every check returns a witness string on failure, None on success.
+# Every check returns a witness string on failure, None on success.  A law
+# is a function of (analysis, map) that returns None where the map obeys it
+# and otherwise the witness text after "d=(...)"; _each makes it a check.
 
 
-def _chk_join_absorption(c: Analysis, maps: list[SelfMap]):
+def _each(maps: str, law: Callable[[Analysis, SelfMap], str | None]):
+    """The check that every map of the Analysis list ``maps`` obeys
+    ``law``; it reports the first map that fails."""
+    def check(c: Analysis):
+        for d in getattr(c, maps):
+            failure = law(c, d)
+            if failure is not None:
+                return f"d={c.fmt(d)}{failure}"
+        return None
+    return check
+
+
+def _join_absorption(c: Analysis, d: SelfMap):
     cup1, cup2 = c.A.joins
-    for d in maps:
-        for x in range(c.n):
-            if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
-                return f"d={c.fmt(d)} at x={c.name(x)}"
-    return None
+    for x in range(c.n):
+        if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
+            return f" at x={c.name(x)}"
 
 
-def _chk_join_absorption_iff_regular(c: Analysis, maps: list[SelfMap]):
+def _join_absorption_iff_regular(c: Analysis, d: SelfMap):
     cup1, cup2 = c.A.joins
-    for d in maps:
-        absorbed = all(
-            d[x] == cup1[x][d[x]] and d[x] == cup2[x][d[x]]
-            for x in range(c.n))
-        if absorbed != (d[c.unit] == c.unit):
-            return f"d={c.fmt(d)}"
-    return None
+    absorbed = all(d[x] == cup1[x][d[x]] and d[x] == cup2[x][d[x]] for x in range(c.n))
+    if absorbed != (d[c.unit] == c.unit):
+        return ""
 
 
-def _chk_regular_type2_basics(c: Analysis):
+def _regular_type2_basics(c: Analysis, d: SelfMap):
     A = c.A
     arrow, squig, leq, K, phi = A.arrow, A.squig, A.leq, A.bck_part, c.phi
-    for d in c.ridop2:
-        tag = f"d={c.fmt(d)}"
-        for x in range(c.n):
-            if not leq[x][d[x]]:
-                return f"{tag}: x <= dx fails at {c.name(x)}"
-            if c.branch_of[phi[x]] != c.branch_of[d[x]]:
-                return f"{tag}: phi(x), dx in different branches at {c.name(x)}"
-            if arrow[phi[x]][d[x]] not in K or squig[phi[x]][d[x]] not in K:
-                return f"{tag}: phi(x) op dx outside BCK part at {c.name(x)}"
-            for y in range(c.n):
-                am, bm = arrow[d[x]][y], arrow[d[x]][d[y]]
-                cm = arrow[x][d[y]]
-                if not (leq[am][bm] and leq[bm][cm] and cm == d[arrow[x][y]]):
-                    return f"{tag}: arrow chain fails at ({c.name(x)}, {c.name(y)})"
-                am, bm = squig[d[x]][y], squig[d[x]][d[y]]
-                cm = squig[x][d[y]]
-                if not (leq[am][bm] and leq[bm][cm] and cm == d[squig[x][y]]):
-                    return f"{tag}: squig chain fails at ({c.name(x)}, {c.name(y)})"
-                # comparable arguments force the image gap into the BCK part
-                # (isotonicity itself can fail: images may sit in one branch
-                # without being comparable)
-                if leq[x][y] and (arrow[d[x]][d[y]] not in K
-                                  or squig[d[x]][d[y]] not in K):
-                    return f"{tag}: image gap escapes BCK part at ({c.name(x)}, {c.name(y)})"
-        rec = c.map_records[d]
-        if not rec.kernel_is_subalgebra:
-            return f"{tag}: kernel not a subalgebra"
-        if not rec.kernel_in_bck_part:
-            return f"{tag}: kernel escapes the BCK part"
-        if not rec.maps_bck_into_bck:
-            return f"{tag}: image of BCK part escapes it"
-    return None
+    for x in range(c.n):
+        if not leq[x][d[x]]:
+            return f": x <= dx fails at {c.name(x)}"
+        if c.branch_of[phi[x]] != c.branch_of[d[x]]:
+            return f": phi(x), dx in different branches at {c.name(x)}"
+        if arrow[phi[x]][d[x]] not in K or squig[phi[x]][d[x]] not in K:
+            return f": phi(x) op dx outside BCK part at {c.name(x)}"
+        for y in range(c.n):
+            am, bm = arrow[d[x]][y], arrow[d[x]][d[y]]
+            cm = arrow[x][d[y]]
+            if not (leq[am][bm] and leq[bm][cm] and cm == d[arrow[x][y]]):
+                return f": arrow chain fails at ({c.name(x)}, {c.name(y)})"
+            am, bm = squig[d[x]][y], squig[d[x]][d[y]]
+            cm = squig[x][d[y]]
+            if not (leq[am][bm] and leq[bm][cm] and cm == d[squig[x][y]]):
+                return f": squig chain fails at ({c.name(x)}, {c.name(y)})"
+            # comparable arguments force the image gap into the BCK part
+            # (isotonicity itself can fail: images may sit in one branch
+            # without being comparable)
+            if leq[x][y] and (arrow[d[x]][d[y]] not in K
+                              or squig[d[x]][d[y]] not in K):
+                return f": image gap escapes BCK part at ({c.name(x)}, {c.name(y)})"
+    rec = c.map_records[d]
+    if not rec.kernel_is_subalgebra:
+        return ": kernel not a subalgebra"
+    if not rec.kernel_in_bck_part:
+        return ": kernel escapes the BCK part"
+    if not rec.maps_bck_into_bck:
+        return ": image of BCK part escapes it"
 
 
 def _chk_dominated_idempotent_composition(c: Analysis):
@@ -265,82 +275,63 @@ def _chk_dominated_idempotent_composition(c: Analysis):
     return None
 
 
-def _chk_kernel_is_bck_part_iff_phi(c: Analysis):
-    for d in c.ridop2:
-        if (c.map_records[d].kernel == c.A.bck_part) != (d == c.phi):
-            return f"d={c.fmt(d)}"
-    return None
+def _kernel_is_bck_part_iff_phi(c: Analysis, d: SelfMap):
+    if (c.map_records[d].kernel == c.A.bck_part) != (d == c.phi):
+        return ""
 
 
-def _chk_kernel_bck_part_forces_idempotent(c: Analysis):
-    for d in c.ridop2:
-        rec = c.map_records[d]
-        if rec.kernel == c.A.bck_part and not rec.idempotent:
-            return f"d={c.fmt(d)}"
-    return None
+def _kernel_bck_part_forces_idempotent(c: Analysis, d: SelfMap):
+    rec = c.map_records[d]
+    if rec.kernel == c.A.bck_part and not rec.idempotent:
+        return ""
 
 
-def _chk_lower_bound_forces_regular_bck(c: Analysis):
+def _lower_bound_forces_regular_bck(c: Analysis, d: SelfMap):
     leq = c.A.leq
-    for d in c.idop:
-        bounded = any(all(leq[a][d[x]] for x in range(c.n)) for a in range(c.n))
-        if bounded:
-            if d[c.unit] != c.unit:
-                return f"d={c.fmt(d)} bounded below but not regular"
-            if not c.A.classification.is_pseudo_bck:
-                return f"d={c.fmt(d)} bounded below on a non-pseudo-BCK algebra"
-    return None
+    if any(all(leq[a][d[x]] for x in range(c.n)) for a in range(c.n)):
+        if d[c.unit] != c.unit:
+            return " bounded below but not regular"
+        if not c.A.classification.is_pseudo_bck:
+            return " bounded below on a non-pseudo-BCK algebra"
 
 
-def _chk_type1_unit_image(c: Analysis):
-    A = c.A
-    arrow, squig, ats = A.arrow, A.squig, A.atoms
-    u = c.unit
-    for d in c.idop1:
-        tag = f"d={c.fmt(d)}"
-        if d[u] not in ats:
-            return f"{tag}: d(1) is not an atom"
-        for a in ats:
-            if d[a] != arrow[arrow[a][u]][d[u]] or d[a] != squig[arrow[a][u]][d[u]]:
-                return f"{tag}: atom translation fails at {c.name(a)}"
-        for x in range(c.n):
-            if d[arrow[d[x]][x]] != u or d[squig[d[x]][x]] != u:
-                return f"{tag}: d(dx op x) != 1 at {c.name(x)}"
-    return None
+def _type1_unit_image(c: Analysis, d: SelfMap):
+    arrow, squig, ats, u = c.A.arrow, c.A.squig, c.A.atoms, c.unit
+    if d[u] not in ats:
+        return ": d(1) is not an atom"
+    for a in ats:
+        if d[a] != arrow[arrow[a][u]][d[u]] or d[a] != squig[arrow[a][u]][d[u]]:
+            return f": atom translation fails at {c.name(a)}"
+    for x in range(c.n):
+        if d[arrow[d[x]][x]] != u or d[squig[d[x]][x]] != u:
+            return f": d(dx op x) != 1 at {c.name(x)}"
 
 
-def _chk_type2_unit_translation(c: Analysis):
+def _type2_unit_translation(c: Analysis, d: SelfMap):
     A = c.A
     arrow, squig, leq = A.arrow, A.squig, A.leq
-    for d in c.idop2:
-        tag = f"d={c.fmt(d)}"
-        d1 = d[c.unit]
-        for x in range(c.n):
-            if not leq[arrow[d1][x]][d[x]] or not leq[squig[d1][x]][d[x]]:
-                return f"{tag}: d(1) op x <= dx fails at {c.name(x)}"
-        for a in A.atoms:
-            if d[a] != arrow[d1][a] or d[a] != squig[d1][a]:
-                return f"{tag}: atom translation fails at {c.name(a)}"
-    return None
+    d1 = d[c.unit]
+    for x in range(c.n):
+        if not leq[arrow[d1][x]][d[x]] or not leq[squig[d1][x]][d[x]]:
+            return f": d(1) op x <= dx fails at {c.name(x)}"
+    for a in A.atoms:
+        if d[a] != arrow[d1][a] or d[a] != squig[d1][a]:
+            return f": atom translation fails at {c.name(a)}"
 
 
-def _chk_implicative_atom_stability(c: Analysis):
-    u = c.unit
-    prod, ats = c.A.product, c.A.atoms
-    for d in c.implicative:
-        tag = f"d={c.fmt(d)}"
-        if not c.map_records[d].maps_atoms_into_atoms:
-            return f"{tag}: image of an atom is not an atom"
-        if d[u] in c.A.bck_part and d[u] != u:
-            return f"{tag}: d(1) in the BCK part but not 1"
-        d1inv = c.A.arrow[d[u]][u]
-        for a in ats:
-            for b in ats:
-                if d[prod[a][b]] != prod[prod[d[a]][d1inv]][d[b]]:
-                    return f"{tag}: product rule fails at ({c.name(a)}, {c.name(b)})"
-        if all(d[a] == a for a in ats) != (d[u] == u):
-            return f"{tag}: atom-fixing vs regularity mismatch"
-    return None
+def _implicative_atom_stability(c: Analysis, d: SelfMap):
+    prod, ats, u = c.A.product, c.A.atoms, c.unit
+    if not c.map_records[d].maps_atoms_into_atoms:
+        return ": image of an atom is not an atom"
+    if d[u] in c.A.bck_part and d[u] != u:
+        return ": d(1) in the BCK part but not 1"
+    d1inv = c.A.arrow[d[u]][u]
+    for a in ats:
+        for b in ats:
+            if d[prod[a][b]] != prod[prod[d[a]][d1inv]][d[b]]:
+                return f": product rule fails at ({c.name(a)}, {c.name(b)})"
+    if all(d[a] == a for a in ats) != (d[u] == u):
+        return ": atom-fixing vs regularity mismatch"
 
 
 def _chk_regular_type2_characterization(c: Analysis):
@@ -352,51 +343,39 @@ def _chk_regular_type2_characterization(c: Analysis):
     return None
 
 
-def _chk_atom_valued_type1_pullthrough(c: Analysis):
-    A = c.A
-    arrow, squig = A.arrow, A.squig
-    for d in c.idop1:
-        if not c.map_records[d].image_in_atoms:
-            continue
-        for x in range(c.n):
-            for y in range(c.n):
-                if d[arrow[x][y]] != arrow[x][d[y]] or d[squig[x][y]] != squig[x][d[y]]:
-                    return f"d={c.fmt(d)} at ({c.name(x)}, {c.name(y)})"
-    return None
+def _atom_valued_type1_pullthrough(c: Analysis, d: SelfMap):
+    arrow, squig = c.A.arrow, c.A.squig
+    if not c.map_records[d].image_in_atoms:
+        return None
+    for x in range(c.n):
+        for y in range(c.n):
+            if d[arrow[x][y]] != arrow[x][d[y]] or d[squig[x][y]] != squig[x][d[y]]:
+                return f" at ({c.name(x)}, {c.name(y)})"
 
 
-def _chk_left_translation_forces_identity(c: Analysis):
-    A = c.A
-    arrow, squig = A.arrow, A.squig
-    rng = range(c.n)
-    for d in (d for d in c.implicative if d[c.unit] == c.unit):
-        left_arrow = all(d[arrow[x][y]] == arrow[d[x]][y] for x in rng for y in rng)
-        left_squig = all(d[squig[x][y]] == squig[d[x]][y] for x in rng for y in rng)
-        if (left_arrow or left_squig) and d != c.ident:
-            return f"d={c.fmt(d)}"
-    return None
+def _left_translation_forces_identity(c: Analysis, d: SelfMap):
+    arrow, squig, rng = c.A.arrow, c.A.squig, range(c.n)
+    if d[c.unit] != c.unit or d == c.ident:
+        return None
+    if (all(d[arrow[x][y]] == arrow[d[x]][y] for x in rng for y in rng)
+            or all(d[squig[x][y]] == squig[d[x]][y] for x in rng for y in rng)):
+        return ""
 
 
-def _chk_invariance_forces_regular(c: Analysis):
-    for d in c.implicative:
-        if d[c.unit] != c.unit and c.non_invariant[d] is None:
-            return f"d={c.fmt(d)}"
-    return None
+def _invariance_forces_regular(c: Analysis, d: SelfMap):
+    if d[c.unit] != c.unit and c.non_invariant[d] is None:
+        return ""
 
 
-def _chk_regular_type2_invariance(c: Analysis):
-    for d in c.ridop2:
-        D = c.non_invariant[d]
-        if D is not None:
-            return f"d={c.fmt(d)}, D={{{', '.join(c.A.name_set(D.members))}}}"
-    return None
+def _regular_type2_invariance(c: Analysis, d: SelfMap):
+    D = c.non_invariant[d]
+    if D is not None:
+        return f", D={{{', '.join(c.A.name_set(D.members))}}}"
 
 
-def _chk_regular_iff_all_invariant(c: Analysis, maps: list[SelfMap]):
-    for d in maps:
-        if (d[c.unit] == c.unit) != (c.non_invariant[d] is None):
-            return f"d={c.fmt(d)}"
-    return None
+def _regular_iff_all_invariant(c: Analysis, d: SelfMap):
+    if (d[c.unit] == c.unit) != (c.non_invariant[d] is None):
+        return ""
 
 
 def _chk_psemisimple_iff_trivial_regular_type2(c: Analysis):
@@ -445,82 +424,69 @@ def _chk_psemisimple_pointwise_constant(c: Analysis):
     return None
 
 
-def _chk_sym1_constant_gap(c: Analysis):
+def _sym1_constant_gap(c: Analysis, d: SelfMap):
     A = c.A
     arrow, squig, leq = A.arrow, A.squig, A.leq
     cup1, cup2 = A.joins
-    for d in c.sdop1:
-        tag = f"d={c.fmt(d)}"
-        d1 = d[c.unit]
+    d1 = d[c.unit]
+    for x in range(c.n):
+        if arrow[x][d[x]] != d1 or squig[x][d[x]] != d1:
+            return f": gap x op dx is not d(1) at {c.name(x)}"
+        if d[x] != cup1[d[x]][d1] or d[x] != cup2[d[x]][d1]:
+            return f": dx join d(1) fails at {c.name(x)}"
+    if d1 == c.unit:
         for x in range(c.n):
-            if arrow[x][d[x]] != d1 or squig[x][d[x]] != d1:
-                return f"{tag}: gap x op dx is not d(1) at {c.name(x)}"
-            if d[x] != cup1[d[x]][d1] or d[x] != cup2[d[x]][d1]:
-                return f"{tag}: dx join d(1) fails at {c.name(x)}"
-        if d1 == c.unit:
-            for x in range(c.n):
-                if not leq[x][d[x]]:
-                    return f"{tag}: x <= dx fails at {c.name(x)}"
-                if d[x] not in A.atoms:
-                    return f"{tag}: dx not an atom at {c.name(x)}"
-                for y in range(c.n):
-                    if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
-                        return f"{tag}: dx join y fails at ({c.name(x)}, {c.name(y)})"
-    return None
+            if not leq[x][d[x]]:
+                return f": x <= dx fails at {c.name(x)}"
+            if d[x] not in A.atoms:
+                return f": dx not an atom at {c.name(x)}"
+            for y in range(c.n):
+                if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
+                    return f": dx join y fails at ({c.name(x)}, {c.name(y)})"
 
 
-def _chk_sym2_atom_valued(c: Analysis):
+def _sym2_atom_valued(c: Analysis, d: SelfMap):
     A = c.A
     arrow, squig, ats, phi = A.arrow, A.squig, A.atoms, c.phi
     cup1, cup2 = A.joins
-    for d in c.sdop2:
-        tag = f"d={c.fmt(d)}"
-        d1 = d[c.unit]
-        for x in range(c.n):
-            if arrow[d[x]][x] != d1 or squig[d[x]][x] != d1:
-                return f"{tag}: gap dx op x is not d(1) at {c.name(x)}"
-            if d[x] != phi[cup1[d[x]][x]] or d[x] != phi[cup2[d[x]][x]]:
-                return f"{tag}: dx via phi of join fails at {c.name(x)}"
-            if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
-                return f"{tag}: dx join x fails at {c.name(x)}"
-            if d[x] not in ats:
-                return f"{tag}: dx not an atom at {c.name(x)}"
-            for y in range(c.n):
-                if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
-                    return f"{tag}: dx join y fails at ({c.name(x)}, {c.name(y)})"
-                if arrow[x][d[y]] not in ats or squig[x][d[y]] not in ats:
-                    return f"{tag}: x op dy not an atom at ({c.name(x)}, {c.name(y)})"
-        if d1 == c.unit and d != c.ident:
-            return f"{tag}: regular but not the identity"
-    return None
+    d1 = d[c.unit]
+    for x in range(c.n):
+        if arrow[d[x]][x] != d1 or squig[d[x]][x] != d1:
+            return f": gap dx op x is not d(1) at {c.name(x)}"
+        if d[x] != phi[cup1[d[x]][x]] or d[x] != phi[cup2[d[x]][x]]:
+            return f": dx via phi of join fails at {c.name(x)}"
+        if d[x] != cup1[d[x]][x] or d[x] != cup2[d[x]][x]:
+            return f": dx join x fails at {c.name(x)}"
+        if d[x] not in ats:
+            return f": dx not an atom at {c.name(x)}"
+        for y in range(c.n):
+            if d[x] != cup1[d[x]][y] or d[x] != cup2[d[x]][y]:
+                return f": dx join y fails at ({c.name(x)}, {c.name(y)})"
+            if arrow[x][d[y]] not in ats or squig[x][d[y]] not in ats:
+                return f": x op dy not an atom at ({c.name(x)}, {c.name(y)})"
+    if d1 == c.unit and d != c.ident:
+        return ": regular but not the identity"
 
 
-def _chk_sym_atom_product_translation(c: Analysis):
+def _sym_atom_product_translation(c: Analysis, d: SelfMap):
     prod, ats = c.A.product, c.A.atoms
-    for d in c.symmetric:
-        for x in ats:
-            for y in ats:
-                lhs = d[prod[x][y]]
-                if lhs != prod[d[x]][y] or lhs != prod[x][d[y]]:
-                    return f"d={c.fmt(d)} at ({c.name(x)}, {c.name(y)})"
-    return None
+    for x in ats:
+        for y in ats:
+            lhs = d[prod[x][y]]
+            if lhs != prod[d[x]][y] or lhs != prod[x][d[y]]:
+                return f" at ({c.name(x)}, {c.name(y)})"
 
 
-def _chk_psemisimple_sym2_left_translation(c: Analysis):
-    A = c.A
-    arrow, squig = A.arrow, A.squig
-    rng = range(c.n)
-    for d in c.sdop2:
-        tag = f"d={c.fmt(d)}"
-        for x in rng:
-            for y in rng:
-                if d[arrow[x][y]] != arrow[d[x]][y] or d[squig[x][y]] != squig[d[x]][y]:
-                    return f"{tag}: left translation fails at ({c.name(x)}, {c.name(y)})"
-                if arrow[x][d[x]] != arrow[y][d[y]] or squig[x][d[x]] != squig[y][d[y]]:
-                    return f"{tag}: gap not constant at ({c.name(x)}, {c.name(y)})"
-                if arrow[x][d[x]] != arrow[d[y]][y] or squig[x][d[x]] != squig[d[y]][y]:
-                    return f"{tag}: two gaps differ at ({c.name(x)}, {c.name(y)})"
-    return None
+def _psemisimple_sym2_left_translation(c: Analysis, d: SelfMap):
+    arrow, squig, rng = c.A.arrow, c.A.squig, range(c.n)
+    for x in rng:
+        for y in rng:
+            if d[arrow[x][y]] != arrow[d[x]][y] or d[squig[x][y]] != squig[d[x]][y]:
+                return f": left translation fails at ({c.name(x)}, {c.name(y)})"
+            if arrow[x][d[x]] != arrow[y][d[y]] or squig[x][d[x]] != squig[y][d[y]]:
+                return f": gap not constant at ({c.name(x)}, {c.name(y)})"
+            if arrow[x][d[x]] != arrow[d[y]][y] or squig[x][d[x]] != squig[d[y]][y]:
+                return f": two gaps differ at ({c.name(x)}, {c.name(y)})"
 
 
 def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap]):
@@ -569,58 +535,58 @@ def _chk_commutative_phi_map_two_sided(c: Analysis):
 _CATALOG = (
     ("type1-join-absorption",
      "type I implicative maps absorb their argument under both joins",
-     (), lambda c: _chk_join_absorption(c, c.idop1), None),
+     (), _each("idop1", _join_absorption), None),
     ("type2-join-absorption-iff-regular",
      "type II implicative maps are join-absorbed by their argument iff regular",
-     (), lambda c: _chk_join_absorption_iff_regular(c, c.idop2), None),
+     (), _each("idop2", _join_absorption_iff_regular), None),
     ("regular-type2-basics",
      "regular type II maps are inflationary with well-placed kernels, "
      "images and branches",
-     (), _chk_regular_type2_basics, None),
+     (), _each("ridop2", _regular_type2_basics), None),
     ("dominated-idempotent-composition",
      "an idempotent regular type II map absorbs dominated ones under composition",
      (), _chk_dominated_idempotent_composition, None),
     ("kernel-is-bck-part-iff-phi",
      "a regular type II map has kernel equal to the BCK part iff it is the "
      "unit-double-negation map",
-     (), _chk_kernel_is_bck_part_iff_phi, None),
+     (), _each("ridop2", _kernel_is_bck_part_iff_phi), None),
     ("kernel-bck-part-forces-idempotent",
      "a regular type II map whose kernel is the BCK part is idempotent",
-     (), _chk_kernel_bck_part_forces_idempotent, None),
+     (), _each("ridop2", _kernel_bck_part_forces_idempotent), None),
     ("lower-bound-forces-regular-bck",
      "a two-sided implicative map bounded below forces regularity and a "
      "pseudo-BCK algebra",
-     (), _chk_lower_bound_forces_regular_bck, None),
+     (), _each("idop", _lower_bound_forces_regular_bck), None),
     ("type1-unit-image",
      "type I maps send the unit to an atom, translate atoms, and kill the gaps",
-     (), _chk_type1_unit_image, None),
+     (), _each("idop1", _type1_unit_image), None),
     ("type2-unit-translation",
      "type II maps dominate the translation by d(1) and translate atoms by it",
-     (), _chk_type2_unit_translation, None),
+     (), _each("idop2", _type2_unit_translation), None),
     ("implicative-atom-stability",
      "implicative maps stabilize the atoms and fix them exactly when regular",
-     (), _chk_implicative_atom_stability, None),
+     (), _each("implicative", _implicative_atom_stability), None),
     ("regular-type2-characterization",
      "regular type II maps are exactly the regular right-translation-"
      "compatible maps (two enumeration routes agree)",
      (), _chk_regular_type2_characterization, None),
     ("atom-valued-type1-pullthrough",
      "atom-valued type I maps pull through both implications",
-     (), _chk_atom_valued_type1_pullthrough, None),
+     (), _each("idop1", _atom_valued_type1_pullthrough), None),
     ("left-translation-forces-identity",
      "a regular implicative map that left-translates either implication is "
      "the identity",
-     (), _chk_left_translation_forces_identity, None),
+     (), _each("implicative", _left_translation_forces_identity), None),
     ("invariance-forces-regular",
      "if every deductive system is invariant under an implicative map, the "
      "map is regular",
-     (), _chk_invariance_forces_regular, None),
+     (), _each("implicative", _invariance_forces_regular), None),
     ("regular-type2-invariance",
      "every deductive system is invariant under every regular type II map",
-     (), _chk_regular_type2_invariance, None),
+     (), _each("ridop2", _regular_type2_invariance), None),
     ("type2-regular-iff-all-invariant",
      "a type II map is regular iff every deductive system is invariant under it",
-     (), lambda c: _chk_regular_iff_all_invariant(c, c.idop2), None),
+     (), _each("idop2", _regular_iff_all_invariant), None),
     ("psemisimple-iff-trivial-regular-type2",
      "p-semisimple iff all regular type II kernels are trivial iff the only "
      "regular type II map is the identity",
@@ -645,18 +611,18 @@ _CATALOG = (
     ("sym1-constant-gap",
      "type I symmetric maps have constant gap d(1) = x op dx; regular ones "
      "are inflationary and atom-valued",
-     (), _chk_sym1_constant_gap, None),
+     (), _each("sdop1", _sym1_constant_gap), None),
     ("sym2-atom-valued",
      "type II symmetric maps are atom-valued with constant gap dx op x and "
      "collapse to the identity when regular",
-     (), _chk_sym2_atom_valued, None),
+     (), _each("sdop2", _sym2_atom_valued), None),
     ("sym-atom-product-translation",
      "symmetric maps translate the atom product on either side",
-     (), _chk_sym_atom_product_translation, None),
+     (), _each("symmetric", _sym_atom_product_translation), None),
     ("psemisimple-sym2-left-translation",
      "on p-semisimple algebras type II symmetric maps left-translate and "
      "have constant gaps",
-     ("is_p_semisimple",), _chk_psemisimple_sym2_left_translation, None),
+     ("is_p_semisimple",), _each("sdop2", _psemisimple_sym2_left_translation), None),
     ("psemisimple-sym2-equals-type2",
      "on p-semisimple algebras symmetric and implicative type II sets coincide",
      ("is_p_semisimple",), lambda c: _chk_same_maps(c, c.sdop2, c.idop2), None),
@@ -666,7 +632,7 @@ _CATALOG = (
      None),
     ("sym-regular-iff-all-invariant",
      "a symmetric map is regular iff every deductive system is invariant under it",
-     (), lambda c: _chk_regular_iff_all_invariant(c, c.symmetric), None),
+     (), _each("symmetric", _regular_iff_all_invariant), None),
     ("bck-part-closed-compatible-invariant",
      "the BCK part is a compatible closed deductive system invariant under "
      "every regular type II map",
@@ -678,12 +644,11 @@ _CATALOG = (
     ("bck-type3-join-absorption",
      "on pseudo-BCK algebras type III implicative maps absorb their argument "
      "under both joins",
-     ("is_pseudo_bck",), lambda c: _chk_join_absorption(c, c.idop3), EMPIRICAL_NOTE),
+     ("is_pseudo_bck",), _each("idop3", _join_absorption), EMPIRICAL_NOTE),
     ("bck-type4-join-absorption-iff-regular",
      "on pseudo-BCK algebras type IV implicative maps are join-absorbed by "
      "their argument iff regular",
-     ("is_pseudo_bck",), lambda c: _chk_join_absorption_iff_regular(c, c.idop4),
-     EMPIRICAL_NOTE),
+     ("is_pseudo_bck",), _each("idop4", _join_absorption_iff_regular), EMPIRICAL_NOTE),
     ("phi-map-type1-both-kinds",
      "the unit-double-negation map is a type I implicative and a type I "
      "symmetric derivation",

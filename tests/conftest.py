@@ -138,17 +138,32 @@ squig: same
 """
 
 
-def make_products():
-    """The PRODUCT_LABELS algebras, n = 9 to 15."""
-    cyclic3, bck5, proper5 = (load_algebra(name)
-                              for name in ("cyclic3", "bck5", "proper5"))
+LARGE_PRODUCT_LABELS = ("bck5^2", "cyclic3^3", "mixed6*proper5", "group6^2")
+
+
+def product_factors():
+    """The two factors of each PRODUCT_LABELS and LARGE_PRODUCT_LABELS
+    algebra; cyclic3^3 is cyclic3^2 x cyclic3."""
+    bck5, cyclic3, mixed6, proper5, group6 = (
+        load_algebra(name)
+        for name in ("bck5", "cyclic3", "mixed6", "proper5", "group6"))
     chain2 = validate(parse_algebra(CHAIN2))
     return {
-        "cyclic3^2": product(cyclic3, cyclic3),
-        "chain2*bck5": product(chain2, bck5),
-        "proper5*cyclic3": product(proper5, cyclic3),
-        "bck5*cyclic3": product(bck5, cyclic3),
+        "cyclic3^2": (cyclic3, cyclic3),
+        "chain2*bck5": (chain2, bck5),
+        "proper5*cyclic3": (proper5, cyclic3),
+        "bck5*cyclic3": (bck5, cyclic3),
+        "bck5^2": (bck5, bck5),
+        "cyclic3^3": (product(cyclic3, cyclic3), cyclic3),
+        "mixed6*proper5": (mixed6, proper5),
+        "group6^2": (group6, group6),
     }
+
+
+def make_products():
+    """The PRODUCT_LABELS algebras, n = 9 to 15."""
+    factors = product_factors()
+    return {label: product(*factors[label]) for label in PRODUCT_LABELS}
 
 
 @pytest.fixture(scope="session")
@@ -156,21 +171,11 @@ def products():
     return make_products()
 
 
-LARGE_PRODUCT_LABELS = ("bck5^2", "cyclic3^3", "mixed6*proper5", "group6^2")
-
-
 def make_large_products():
     """The LARGE_PRODUCT_LABELS algebras, n = 25 to 36; cyclic3^3 is the
     only medial one."""
-    bck5, cyclic3, mixed6, proper5, group6 = (
-        load_algebra(name)
-        for name in ("bck5", "cyclic3", "mixed6", "proper5", "group6"))
-    return {
-        "bck5^2": product(bck5, bck5),
-        "cyclic3^3": product(product(cyclic3, cyclic3), cyclic3),
-        "mixed6*proper5": product(mixed6, proper5),
-        "group6^2": product(group6, group6),
-    }
+    factors = product_factors()
+    return {label: product(*factors[label]) for label in LARGE_PRODUCT_LABELS}
 
 
 @pytest.fixture(scope="session")

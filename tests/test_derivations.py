@@ -20,7 +20,8 @@ from pbci.derivations import (
 )
 from pbci.search import SearchQuery, search
 
-from conftest import PRODUCT_LABELS, flat, m, permuted, seeded_orders
+from conftest import (LARGE_PRODUCT_LABELS, PRODUCT_LABELS, flat, m, permuted,
+                      product_factors, seeded_orders)
 
 
 def maps(algebra, *rows):
@@ -223,6 +224,26 @@ def test_enumeration_invariant_under_declaration_order(label, products, monkeypa
             assert got == sorted(_transport(d, order) for d in base[cls])
         assert (regular_translation_maps(moved)
                 == sorted(_transport(d, order) for d in translations))
+
+
+@pytest.mark.parametrize("label", PRODUCT_LABELS + LARGE_PRODUCT_LABELS)
+def test_derivations_split_over_products(label, products, large_products,
+                                         monkeypatch):
+    # Der_c(A x B) is the set of d1 x d2 over Der_c(A) x Der_c(B); the pair
+    # (x, y) is element x * |B| + y of the product.  The operations act
+    # coordinatewise, so every d1 x d2 is a derivation; the converse is
+    # unproved, so the rule is an oracle here and not a catalogue row.
+    A, B = product_factors()[label]
+    algebra = {**products, **large_products}[label]
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
+    k = B.size
+    for cls in C:
+        if cls.applies_to(algebra):
+            split = sorted(
+                tuple(d1[x] * k + d2[y] for x in A.elements() for y in B.elements())
+                for d1 in enumerate_derivations(A, cls)
+                for d2 in enumerate_derivations(B, cls))
+            assert enumerate_derivations(algebra, cls) == split, cls
 
 
 def test_oracle_equivalence_matches_product_filter(cyclic3):

@@ -670,3 +670,6 @@ def test_cli_fuzz_never_tracebacks(command, table, subset, file, cap):
     assert result.exit_code in (0, 1, 2), (args, cap, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (args, cap, result.exception)
+    if result.exit_code == 2:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (args, cap, lines)

@@ -145,14 +145,22 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
      "d=(a a a): left translation fails at (a, a)"),
     ("bck-part-closed-compatible-invariant", "proper5", _II, "a a d a 1",
      "BCK part not invariant under d=(a a d a 1)"),
+    ("lower-bound-forces-regular-bck", "proper5", (_I, _II), "a a a a a",
+     "d=(a a a a a) bounded below but not regular"),
+    ("lower-bound-forces-regular-bck", "proper5", (_I, _II), "a a a a 1",
+     "d=(a a a a 1) bounded below on a non-pseudo-BCK algebra"),
 ])
 def test_failure_witnesses(tid, name, cls, image, witness, request):
-    # one map that breaks the law, added to the class's true maps.  No such
-    # map breaks invariance-forces-regular: {1} is always a deductive system
-    # and an irregular map moves 1 out of it, so the check never fails.
+    # one map that breaks the law, added to the true maps of the class, or
+    # of each class of a tuple (a map of types I and II is two-sided).  No
+    # map breaks the other two per-map rows.  invariance-forces-regular:
+    # {1} is always a deductive system and an irregular map moves 1 out of
+    # it.  left-translation-forces-identity: x = 1 in d(x -> y) = d(x) -> y
+    # gives d(y) = d(1) -> y = y once d(1) = 1, and likewise for ~>.
     algebra = request.getfixturevalue(name)
     maps = dict(Analysis(algebra).derivations)
-    maps[cls] = sorted(set(maps[cls]) | {m(algebra, image)})
+    for c in cls if isinstance(cls, tuple) else (cls,):
+        maps[c] = sorted(set(maps[c]) | {m(algebra, image)})
     an = Analysis(algebra)
     an.__dict__["derivations"] = maps
     result = next(r for r in an.theorems.results if r.tid == tid)
