@@ -312,8 +312,7 @@ def quotient(A: PseudoBciAlgebra, D: DeductiveSystem) -> PseudoBciAlgebra:
     """
     classes = congruence_classes(A, D)
     names = tuple("[" + min(A.names[x] for x in block) + "]" for block in classes)
-    n = A.size
-    if len(classes) == n:
+    if len(classes) == A.size:
         return A.renamed(names)
     class_of = {x: i for i, block in enumerate(classes) for x in block}
     unit_name = names[class_of[A.unit]]

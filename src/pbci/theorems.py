@@ -199,14 +199,14 @@ class Analysis:
         return self.A.names[x]
 
 
-# Every check returns a witness string on failure, None on success.  A law
-# is a function of (analysis, map) that returns None where the map obeys it
-# and otherwise the witness text after "d=(...)"; _each makes it a check.
+# Every check returns a witness string on failure, None on success.
 
 
 def _each(maps: str, law: Callable[[Analysis, SelfMap], str | None]):
     """The check that every map of the Analysis list ``maps`` obeys
-    ``law``; it reports the first map that fails."""
+    ``law``.  ``law(c, d)`` returns None where the map d obeys it and
+    otherwise the witness text after ``d=(...)``; the check reports the
+    first map that fails."""
     def check(c: Analysis):
         for d in getattr(c, maps):
             failure = law(c, d)
