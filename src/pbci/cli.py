@@ -134,10 +134,10 @@ def analyze(file: str, as_json: bool) -> None:
 
 @main.command()
 @click.argument("file", type=click.Path(dir_okay=False))
-@click.option("--kind", type=click.Choice(["implicative", "symmetric"]),
-              required=True)
-@click.option("--type", "dtype", type=click.Choice(["i", "ii", "iii", "iv"]),
-              required=True)
+@click.option("--kind", required=True, type=click.Choice(
+    ["implicative", "symmetric"], case_sensitive=False))
+@click.option("--type", "dtype", required=True, type=click.Choice(
+    ["i", "ii", "iii", "iv"], case_sensitive=False))
 @click.option("--regular", is_flag=True, help="Only maps fixing the unit.")
 @click.option("--force", is_flag=True,
               help="Evaluate types III/IV on non-pseudo-BCK inputs too.")

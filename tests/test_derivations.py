@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from pbci import TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds, validate
+from pbci import (TypeRequiresPseudoBckError, EnumerationCapExceeded, enumerate_ds,
+                  parse_algebra, validate)
 from pbci import derivations
 from pbci.derivations import (
     DerivationClass as C,
@@ -18,10 +19,12 @@ from pbci.derivations import (
     regular_translation_maps,
     satisfies,
 )
+from pbci.dsystems import congruence_classes, quotient
 from pbci.search import SearchQuery, search
 
-from conftest import (LARGE_PRODUCT_LABELS, PRODUCT_LABELS, flat, m, permuted,
-                      product_factors, seeded_orders)
+from conftest import (CHAIN2, LARGE_PRODUCT_LABELS, PRODUCT_LABELS, flat,
+                      load_algebra, m, permuted, product, product_factors,
+                      seeded_orders)
 
 
 def maps(algebra, *rows):
@@ -226,16 +229,11 @@ def test_enumeration_invariant_under_declaration_order(label, products, monkeypa
                 == sorted(_transport(d, order) for d in translations))
 
 
-@pytest.mark.parametrize("label", PRODUCT_LABELS + LARGE_PRODUCT_LABELS)
-def test_derivations_split_over_products(label, products, large_products,
-                                         monkeypatch):
+def _assert_splits(A, B, algebra):
     # Der_c(A x B) is the set of d1 x d2 over Der_c(A) x Der_c(B); the pair
     # (x, y) is element x * |B| + y of the product.  The operations act
     # coordinatewise, so every d1 x d2 is a derivation; the converse is
     # unproved, so the rule is an oracle here and not a catalogue row.
-    A, B = product_factors()[label]
-    algebra = {**products, **large_products}[label]
-    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
     k = B.size
     for cls in C:
         if cls.applies_to(algebra):
@@ -244,6 +242,71 @@ def test_derivations_split_over_products(label, products, large_products,
                 for d1 in enumerate_derivations(A, cls)
                 for d2 in enumerate_derivations(B, cls))
             assert enumerate_derivations(algebra, cls) == split, cls
+
+
+@pytest.mark.parametrize("label", PRODUCT_LABELS + LARGE_PRODUCT_LABELS)
+def test_derivations_split_over_products(label, products, large_products,
+                                         monkeypatch):
+    algebra = {**products, **large_products}[label]
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
+    _assert_splits(*product_factors()[label], algebra)
+
+
+@pytest.mark.parametrize("factor, power", [("chain2", 5), ("cyclic3", 3)])
+def test_derivations_split_over_tail_products(factor, power, monkeypatch):
+    # chain2^6 = chain2 x chain2^5 (n = 64) and cyclic3^4 = cyclic3 x
+    # cyclic3^3 (n = 81), the largest tables the solver meets, and those
+    # where the order of its watch lists shows most
+    A = load_algebra("cyclic3") if factor == "cyclic3" else validate(
+        parse_algebra(CHAIN2))
+    B = A
+    for _ in range(power - 1):
+        B = product(B, A)
+    algebra = product(A, B)
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
+    _assert_splits(A, B, algebra)
+
+
+def _assert_descends_to_quotients(A):
+    """Every derivation of every class that applies to A is constant on the
+    classes of each compatible closed D with {1} != D != A, and the map it
+    induces on A/D is a derivation of the same class there (types III/IV
+    with force=True, since A/D need not be pseudo-BCK).  Returns the number
+    of (map, D) pairs checked."""
+    checked = 0
+    for D in enumerate_ds(A):
+        if not (D.compatible and D.closed) or len(D.members) in (1, A.size):
+            continue
+        classes = congruence_classes(A, D)
+        class_of = {x: i for i, block in enumerate(classes) for x in block}
+        Q = quotient(A, D)
+        for cls in C:
+            if not cls.applies_to(A):
+                continue
+            induced = set(enumerate_derivations(Q, cls, force=True))
+            for d in enumerate_derivations(A, cls):
+                assert all(len({class_of[d[x]] for x in block}) == 1
+                           for block in classes), (cls, d, D.members)
+                dq = tuple(class_of[d[block[0]]] for block in classes)
+                assert dq in induced, (cls, d, D.members)
+                checked += 1
+    return checked
+
+
+def test_derivations_descend_to_quotients_on_small_pool(small_pool):
+    # Derivations descending to quotients is an observation with no proof
+    # here, so it is an oracle for the solver and not a catalogue row.
+    assert sum(map(_assert_descends_to_quotients, small_pool)) > 0
+
+
+@pytest.mark.parametrize("label", PRODUCT_LABELS + LARGE_PRODUCT_LABELS)
+def test_derivations_descend_to_quotients_on_products(label, products,
+                                                      large_products, monkeypatch):
+    # unproved like the small-pool case; the products hold the pairs of
+    # factors' systems, so each has a D strictly between {1} and A
+    algebra = {**products, **large_products}[label]
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
+    assert _assert_descends_to_quotients(algebra) > 0
 
 
 def test_oracle_equivalence_matches_product_filter(cyclic3):

@@ -373,6 +373,17 @@ def test_cli_derivations_golden(runner):
     assert lines[1:] == ["a b c d 1", "1 1 1 d 1"]
 
 
+def test_cli_derivations_kind_and_type_ignore_case(runner):
+    # reports name classes as implicative-II, so --type II must be accepted
+    def stdout(kind, dtype):
+        result = runner.invoke(main, ["derivations", fixture_path("proper5"),
+                                      "--kind", kind, "--type", dtype])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    assert stdout("Symmetric", "II") == stdout("symmetric", "ii")
+
+
 def test_cli_derivations_type3_needs_force(runner):
     args = ["derivations", fixture_path("proper5"), "--kind", "implicative",
             "--type", "iii"]
