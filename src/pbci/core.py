@@ -32,6 +32,14 @@ what fails there.  So every violation (and every sanity witness) is
 reported with the same text and in the same order as an
 instance-by-instance scan.
 
+psBCI5 is one mask test of the order against its transpose.
+The steps after validation read the same views: K(A) is read off column 1
+of the order and checked closed on gathered rows, each join table is n
+translated columns, and the columns are the byte columns as tuples.
+Membership in a subset is one translate through a 256-byte table
+(``member_map``), which ``dsystems`` uses for deductive systems and
+congruences.
+
 The classification crosschecks keep every quantifier of the laws they test,
 but evaluate the inner one a row or a block at a time on the same byte
 views: the atom characterizations compare a column with composed rows,
@@ -74,6 +82,8 @@ class ByteTables(NamedTuple):
     ``inner_rows[b].translate(outer_maps[a])``, and n rows joined make an
     n x n block.  ``order[x]`` is row x of the order table as 0/1 bytes,
     padded likewise: ``s.translate(order[x])`` marks the entries above x.
+    ``order_cols[y]`` is column y of the order, unpadded: byte x marks
+    x <= y.
     """
 
     rows: tuple[tuple[bytes, ...], tuple[bytes, ...]]
@@ -81,6 +91,7 @@ class ByteTables(NamedTuple):
     maps: tuple[tuple[bytes, ...], tuple[bytes, ...]]
     col_maps: tuple[tuple[bytes, ...], tuple[bytes, ...]]
     order: tuple[bytes, ...]
+    order_cols: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -161,16 +172,19 @@ class PseudoBciAlgebra:
 
     @cached_property
     def columns(self) -> tuple[Table, Table]:
-        """Both tables by column: [0][y][x] = x -> y and [1][y][x] = x ~> y."""
-        return tuple(zip(*self.arrow)), tuple(zip(*self.squig))
+        """Both tables by column: [0][y][x] = x -> y and [1][y][x] = x ~> y,
+        read off the byte views."""
+        return tuple(tuple(map(tuple, cols)) for cols in self.byte_tables.cols)
 
     @cached_property
     def joins(self) -> tuple[Table, Table]:
         r"""Both join tables: [0][x][y] = x \/1 y = cup1(x, y) and
-        [1][x][y] = x \/2 y = cup2(x, y)."""
-        arrow, squig = self.arrow, self.squig
-        return (tuple(tuple(squig[v][y] for y, v in enumerate(row)) for row in arrow),
-                tuple(tuple(arrow[v][y] for y, v in enumerate(row)) for row in squig))
+        [1][x][y] = x \/2 y = cup2(x, y), the rows of ``_cup_columns``."""
+        n = len(self.names)
+        nn = n * n
+        cups = _cup_columns(self.byte_tables)
+        return (tuple([tuple(cups[x:nn:n]) for x in range(n)]),
+                tuple([tuple(cups[nn + x::n]) for x in range(n)]))
 
     @cached_property
     def product(self) -> Table:
@@ -182,9 +196,9 @@ class PseudoBciAlgebra:
     @cached_property
     def byte_tables(self) -> ByteTables:
         """Both tables, by row and by column, and the order, as bytes."""
-        n, u = len(self.names), self.unit
+        n = len(self.names)
         pad = bytes(256 - n)
-        is_unit = bytes(u) + b"\x01" + bytes(255 - u)     # v |-> (v == 1)
+        is_unit = member_map((self.unit,))
         rows = tuple(map(bytes, self.arrow)), tuple(map(bytes, self.squig))
         cols = tuple(tuple([flat[y::n] for y in range(n)])
                      for flat in map(b"".join, rows))
@@ -192,7 +206,8 @@ class PseudoBciAlgebra:
             rows, cols,
             tuple(tuple([r + pad for r in table]) for table in rows),
             tuple(tuple([c + pad for c in table]) for table in cols),
-            tuple([r.translate(is_unit) + pad for r in rows[0]]))
+            tuple([r.translate(is_unit) + pad for r in rows[0]]),
+            tuple([c.translate(is_unit) for c in cols[0]]))
 
     @cached_property
     def failing_pairs(self) -> tuple[Pairs, Pairs]:
@@ -203,7 +218,8 @@ class PseudoBciAlgebra:
     @cached_property
     def preimages(self) -> tuple[Table, Table]:
         """Both tables as preimage masks: bit y of [0][x][v] is set iff
-        x -> y = v, and bit y of [1][x][v] iff x ~> y = v."""
+        x -> y = v, and bit y of [1][x][v] iff x ~> y = v.  Only the
+        Close-by-One closure of ``dsystems`` reads them."""
         n = len(self.names)
         out = []
         for table in (self.arrow, self.squig):
@@ -262,6 +278,30 @@ class PseudoBciAlgebra:
             arrow=tuple(tuple(nm[v] for v in row) for row in self.arrow),
             squig=tuple(tuple(nm[v] for v in row) for row in self.squig),
         )
+
+
+def member_map(members: Iterable[int], inside: int = 1, outside: int = 0) -> bytes:
+    """A 256-byte translate table: v |-> inside for the v in members, and
+    outside for every other byte."""
+    table = bytearray([outside]) * 256
+    for v in members:
+        table[v] = inside
+    return bytes(table)
+
+
+def gather(maps: Iterable[tuple[bytes, ...]], xs: bytes, ys: bytes) -> bytes:
+    """Row x of each table in maps at the columns ys, for each x in xs, as
+    one block: the entries x op y, y in ys, x by x."""
+    return b"".join([ys.translate(m[x]) for x in xs for m in maps])
+
+
+def _cup_columns(bt: ByteTables) -> bytes:
+    r"""Both join tables by column as one block: entry y*n + x is
+    x \/1 y = (x->y) ~> y, then from n*n on x \/2 y = (x~>y) -> y.  Column y
+    of a join is column y of one table sent through the other's map to y."""
+    (arrow_cols, squig_cols), (arrow_to, squig_to) = bt.cols, bt.col_maps
+    return b"".join([c.translate(t) for c, t in zip(arrow_cols + squig_cols,
+                                                     squig_to + arrow_to)])
 
 
 def _index_tables(spec: AlgebraSpec) -> PseudoBciAlgebra:
@@ -329,7 +369,7 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
     order = bt.order
     units = bytes([u]) * n
     units2, trues2 = units * 2, bytes([1]) * (2 * n)
-    is_unit = bytes(u) + b"\x01" + bytes(255 - u)     # v |-> (v == 1)
+    is_unit = member_map((u,))
     flat_arrow, flat_squig = b"".join(arrow), b"".join(squig)
     columns_arrow, columns_squig = b"".join(arrow_cols), b"".join(squig_cols)
     # three blocks over (x, y) side by side: (3) marks x -> y = 1 and
@@ -341,12 +381,10 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
                     *[to_u.translate(to_squig[v]) for v in to_u],
                     *[sq_to_u.translate(to_arrow[v]) for v in sq_to_u]])
     pairs_hold = lhs == rhs
-    # entry y*n + x: x \/1 y = (x->y) ~> y, then from n*n on x \/2 y
-    cups = b"".join([c.translate(t) for c, t in zip(arrow_cols + squig_cols,
-                                                     squig_to + arrow_to)])
+    cups = _cup_columns(bt)     # entry y*n + x: x \/1 y, then x \/2 y
     up = [int.from_bytes(row[:n], "big") for row in order]  # byte z: x <= z
     # column v of arrow, 1 where its entry is 1, and column v of squig
-    arrow_col_units = [c.translate(is_unit) for c in arrow_cols].__getitem__
+    arrow_col_units = bt.order_cols.__getitem__
     squig_col = squig_cols.__getitem__
     # Each x's blocks over (z, y) are six parts of n rows.  Row z of a part
     # is a row or column sent through the translate table that the entry z
@@ -404,7 +442,9 @@ def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
     psBCI1 is (x->y) ~> [(y->z) ~> (x->z)] = 1 and psBCI2 the same with the
     tables swapped.  Byte blocks decide, for each pair (x, y), whether every
     z passes (``failing_pairs``); only a pair at which some z fails is
-    scanned again, one z at a time, to list its violations.
+    scanned again, one z at a time, to list its violations.  psBCI5 is one
+    AND of the order bytes with their transpose, whose set bits off the
+    diagonal are its violations.
     """
     A = spec if isinstance(spec, PseudoBciAlgebra) else _index_tables(spec)
     unit, arrow, squig, names = A.unit, A.arrow, A.squig, A.names
@@ -423,12 +463,19 @@ def collect_violations(spec: AlgebraSpec | PseudoBciAlgebra) -> list[Violation]:
                 out.append(Violation(
                     "psBCI4", (names[x],),
                     f"1 ~> {names[x]} = {names[su[x]]}, expected {names[x]}"))
-    for x, ax, to_x in zip(rng, arrow, A.byte_tables.cols[0]):
-        for y in range(x + 1, n):
-            if ax[y] == unit and to_x[y] == unit:
-                out.append(Violation(
-                    "psBCI5", (names[x], names[y]),
-                    "both implications equal 1 for distinct elements"))
+    # bit 8(x*n + y) of both: x <= y and y <= x, off the diagonal
+    down = b"".join(A.byte_tables.order_cols)       # byte y*n + x: x <= y
+    up = b"".join([down[x::n] for x in rng])        # byte x*n + y: x <= y
+    both = (int.from_bytes(up, "little") & int.from_bytes(down, "little")
+            & ~int.from_bytes((b"\x01" + bytes(n)) * n, "little"))
+    while both:                                     # in scan order
+        low = both & -both
+        both ^= low
+        x, y = divmod(low.bit_length() // 8, n)
+        if x < y:
+            out.append(Violation(
+                "psBCI5", (names[x], names[y]),
+                "both implications equal 1 for distinct elements"))
     for x, y in A.failing_pairs[0]:                 # list the failing z
         ax, sx, ay, sy = arrow[x], squig[x], arrow[y], squig[y]
         s_row, a_row = squig[ax[y]], arrow[sx[y]]   # (x->y) ~> ?, (x~>y) -> ?
@@ -619,13 +666,19 @@ def is_pseudo_bck(A: PseudoBciAlgebra) -> bool:
 
 
 def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
-    """K(A) = {x | x <= 1}; verified closed under both implications."""
-    part = frozenset(x for x in A.elements() if A.leq[x][A.unit])
-    for x in part:
-        for y in part:
-            if A.arrow[x][y] not in part or A.squig[x][y] not in part:
-                raise InternalInconsistencyError(
-                    f"BCK part not closed at ({A.names[x]}, {A.names[y]})")
+    """K(A) = {x | x <= 1}, read off column 1 of the order: the x with
+    x -> 1 = 1.  Verified closed under both implications: both rows of
+    every member, gathered at the members, hold members alone.  Only a
+    failure is rescanned a pair at a time, for the least witness."""
+    bt = A.byte_tables
+    members = bytes([x for x, below in enumerate(bt.order_cols[A.unit]) if below])
+    part = frozenset(members)
+    if gather(bt.maps, members, members).translate(None, members):  # left K(A)
+        for x in members:
+            for y in members:
+                if A.arrow[x][y] not in part or A.squig[x][y] not in part:
+                    raise InternalInconsistencyError(
+                        f"BCK part not closed at ({A.names[x]}, {A.names[y]})")
     return part
 
 

@@ -294,13 +294,18 @@ def map_properties(A: PseudoBciAlgebra, d: SelfMap) -> MapPropertyRecord:
     _check_map(A, d)
     n = A.size
     unit = A.unit
-    leq = A.leq
+    order = A.byte_tables.order
     part, ats = A.bck_part, A.atoms
     kernel = frozenset(x for x in range(n) if d[x] == unit)
     image = frozenset(d)
+    row = bytes(d)
     return MapPropertyRecord(
         regular=d[unit] == unit,
-        isotone=all(leq[d[x]][d[y]] for x in range(n) for y in range(n) if leq[x][y]),
+        # bit 8y: x <= y must imply d(x) <= d(y), byte y of row d sent
+        # through the order row of d(x)
+        isotone=all(not int.from_bytes(up, "little")
+                    & ~int.from_bytes(row.translate(order[v]), "little")
+                    for up, v in zip(order, d)),
         idempotent=all(d[d[x]] == d[x] for x in range(n)),
         kernel=kernel,
         image=image,

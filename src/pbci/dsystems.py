@@ -11,13 +11,19 @@ selects the same subsets (a theorem), which enumeration asserts by running
 Close-by-One under both forms.  ``brute_force_ds`` is the independent
 oracle: a scan of every subset holding the unit.
 
-Every bitmask here is read from the algebra's preimage masks
+Close-by-One reads the algebra's preimage masks
 (``PseudoBciAlgebra.preimages``): bit y of pre[x][v] is set iff x op y = v.
-Compatible means both implications detect membership identically; closed
-means the subset is a subalgebra.  ``_flags`` decides both from the masks
-of the y with x op y in D.  Quotients exist exactly for compatible closed
-systems; the congruence of a system is built once as bitmask rows and
-checked for reflexivity and transitivity a row at a time.  A quotient is
+Nothing else reads them.  A given subset is tested on the byte views
+(``PseudoBciAlgebra.byte_tables``) instead: each row sent through one
+256-byte membership table (``core.member_map``) marks the y with x op y
+in D.  Compatible means both implications detect membership identically,
+so the marked -> rows equal the marked ~> rows; closed means the subset is
+a subalgebra, so both rows of every member, gathered at the members, hold
+members alone; detachment gathers the members' rows at the non-members.
+Quotients exist exactly for compatible closed systems; the congruence of
+a system is built once as bitmask rows, each read off a translated row
+and column, checked for reflexivity and transitivity a row at a time and
+for compatibility on rows of class ids.  A quotient is
 re-validated through the full axiom checker unless every class is a
 singleton; then its tables are the algebra's own, already validated, and
 the quotient is the algebra renamed.
@@ -26,11 +32,9 @@ the quotient is the algebra renamed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable
 
-from .core import AlgebraSpec, PseudoBciAlgebra, Table, validate
+from .core import AlgebraSpec, PseudoBciAlgebra, Table, gather, member_map, validate
 from .errors import (CongruenceError, InternalInconsistencyError,
                      NotCompatibleOrClosedError)
 from .limits import check_cap
@@ -43,37 +47,31 @@ class DeductiveSystem:
     closed: bool
 
 
-def _detachment_closed(A: PseudoBciAlgebra, members: frozenset[int], table) -> bool:
-    n = A.size
-    for x in members:
-        row = table[x]
-        for y in range(n):
-            if row[y] in members and y not in members:
-                return False
-    return True
+def _detachment_closed(A: PseudoBciAlgebra, members: frozenset[int], k: int) -> bool:
+    """Whether x in D and x op y in D imply y in D, with op table k of the
+    byte views (0 arrow, 1 squig): the members' rows, gathered at the
+    non-members, hold no member."""
+    inside = bytes(sorted(members))
+    outside = bytes(range(A.size)).translate(None, inside)
+    return not gather([A.byte_tables.maps[k]], inside, outside).translate(None, outside)
 
 
 def _flags(A: PseudoBciAlgebra, members: frozenset[int]) -> DeductiveSystem:
-    """The system with its two flags, both read from the preimage masks.
+    """The system with its two flags, both read off translated rows.
 
-    in_op[x], the OR of pre[x][v] over the members v, is the mask of the y
-    with x op y in D.  D is compatible iff in_->[x] = in_~>[x] for every x,
-    and closed (a subalgebra) iff it holds the unit and lies inside
-    in_->[x] & in_~>[x] for every member x.
+    Each row sent through one membership table marks the y with x op y in
+    D.  D is compatible iff the marked -> rows equal the marked ~> rows,
+    and closed (a subalgebra) iff it holds the unit and both rows of every
+    member, gathered at the members, hold members alone.
     """
-    pre_arrow, pre_squig = A.preimages
-    mask = sum(1 << v for v in members)
-    compatible, closed = True, A.unit in members
-    for x, row_arrow, row_squig in zip(range(A.size), pre_arrow, pre_squig):
-        in_arrow = reduce(or_, map(row_arrow.__getitem__, members), 0)
-        in_squig = reduce(or_, map(row_squig.__getitem__, members), 0)
-        if in_arrow != in_squig:
-            compatible = False
-        if x in members and mask & ~(in_arrow & in_squig):
-            closed = False
-        if not (compatible or closed):
-            break
-    return DeductiveSystem(members=members, compatible=compatible, closed=closed)
+    bt = A.byte_tables
+    in_d = member_map(members)
+    arrow, squig = (b"".join(rows).translate(in_d) for rows in bt.rows)
+    inside = bytes(sorted(members))
+    return DeductiveSystem(
+        members=members, compatible=arrow == squig,
+        closed=A.unit in members
+        and not gather(bt.maps, inside, inside).translate(None, inside))
 
 
 def _member_set(A: PseudoBciAlgebra, members: Iterable[int]) -> frozenset[int]:
@@ -94,8 +92,8 @@ def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> Deductiv
     ms = _member_set(A, members)
     if A.unit not in ms:
         raise ValueError("a deductive system must contain the unit")
-    by_arrow = _detachment_closed(A, ms, A.arrow)
-    if by_arrow != _detachment_closed(A, ms, A.squig):
+    by_arrow = _detachment_closed(A, ms, 0)
+    if by_arrow != _detachment_closed(A, ms, 1):
         raise _disagreement(A, ms)
     if not by_arrow:
         raise ValueError("subset is not closed under detachment")
@@ -217,8 +215,8 @@ def brute_force_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
     for bits in range(1 << len(rest)):
         members = frozenset(
             [A.unit] + [rest[i] for i in range(len(rest)) if bits >> i & 1])
-        by_arrow = _detachment_closed(A, members, A.arrow)
-        if by_arrow != _detachment_closed(A, members, A.squig):
+        by_arrow = _detachment_closed(A, members, 0)
+        if by_arrow != _detachment_closed(A, members, 1):
             raise _disagreement(A, members)
         if by_arrow:
             found.append(members)
@@ -253,24 +251,29 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
 
     Verifies that ~ is an equivalence compatible with both operations;
     violations raise CongruenceError with a witness.  The relation is built
-    once as bitmask rows, so transitivity is one mask test per related pair
-    (x, y): every z related to y must be related to x, and the least z that
-    is not, for the least such x and y, is the witness.  Compatibility is
-    tested on every pair of classes but two singletons, whose 1 x 1 block
-    holds one value.
+    once as bitmask rows, row x of ``->`` and its column x each sent through
+    one membership table to a binary numeral, so transitivity is one mask
+    test per related pair (x, y): every z related to y must be related to
+    x, and the least z that is not, for the least such x and y, is the
+    witness.  Compatibility is decided on class-id rows, each row sent
+    through the table of class ids: every row must equal its class
+    representative's row, and equal itself gathered at each column's
+    representative.  Only a failure is rescanned, a pair of classes at a
+    time, for the witness: the first pair but two singletons, whose 1 x 1
+    block holds one value, on which an operation is not constant.
     """
     if not (D.compatible and D.closed):
         raise NotCompatibleOrClosedError(
             "quotients require a compatible closed deductive system")
     n = A.size
     names = A.names
-    inside = [v in D.members for v in range(n)]
+    bt = A.byte_tables
+    digit = member_map(D.members, ord("1"), ord("0"))
 
-    def mask(values: Iterable[int]) -> int:
-        return sum(1 << i for i, v in enumerate(values) if inside[v])
-
-    # related[x]: the y with x -> y and y -> x both in D
-    related = [mask(row) & mask(col) for row, col in zip(A.arrow, A.columns[0])]
+    # related[x]: the y with x -> y and y -> x both in D, bit y read off
+    # byte y of the numeral reversed
+    related = [int(row.translate(digit)[::-1], 2) & int(col.translate(digit)[::-1], 2)
+               for row, col in zip(bt.rows[0], bt.cols[0])]
     for x, rx in enumerate(related):
         if not rx >> x & 1:
             raise CongruenceError(f"relation not reflexive at {names[x]}")
@@ -284,18 +287,25 @@ def congruence_classes(A: PseudoBciAlgebra, D: DeductiveSystem) -> list[tuple[in
     # each row is its element's class, first seen at the least member
     rows = {r: i for i, r in enumerate(dict.fromkeys(related))}
     classes = [tuple(_bits(r)) for r in rows]
+    if len(classes) == n:
+        return classes
     class_of = [rows[r] for r in related]
-
-    for bx in classes:
-        for by in classes:
-            if len(bx) == len(by) == 1:
-                continue
-            for table in (A.arrow, A.squig):
-                results = {class_of[table[x][y]] for x in bx for y in by}
-                if len(results) != 1:
-                    raise CongruenceError(
-                        "operation not constant on classes "
-                        f"[{names[bx[0]]}] op [{names[by[0]]}]")
+    ids = bytes(class_of) + bytes(256 - n)
+    rep = bytes([classes[c][0] for c in class_of])      # least member of x's class
+    for table, maps in zip(bt.rows, bt.maps):
+        by_class = b"".join(table).translate(ids)
+        if (by_class == b"".join(map(table.__getitem__, rep)).translate(ids)
+                == b"".join([rep.translate(m) for m in maps]).translate(ids)):
+            continue
+        for bx in classes:
+            for by in classes:
+                if len(bx) == len(by) == 1:
+                    continue
+                for t in (A.arrow, A.squig):
+                    if len({class_of[t[x][y]] for x in bx for y in by}) != 1:
+                        raise CongruenceError(
+                            "operation not constant on classes "
+                            f"[{names[bx[0]]}] op [{names[by[0]]}]")
     return classes
 
 

@@ -256,8 +256,12 @@ def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
     # check enumerates no deductive system, so it needs no preimage masks,
     # and it reads no K(A)
     for_check = {name: 1 for name in once if name not in ("preimages", "bck_part")}
+    # the quotient by K(A) reads K(A), its flags and its congruence off the
+    # byte views: no order table and no preimage masks
+    for_quotient = dict.fromkeys(("byte_tables", "failing_pairs", "bck_part"), 1)
     for command, expected in ((["analyze", "--json"], once),
-                              (["check"], for_check)):
+                              (["check"], for_check),
+                              (["quotient", "--by", "K"], for_quotient)):
         builds.clear()
         result = runner.invoke(main, command + [str(path)],
                                env={"PBCI_MAX_SIZE": str(A.size)})

@@ -5,12 +5,14 @@ Each oracle below is the literal loop or generator form of the law, one
 element tuple at a time: the five axioms with every violation, the
 twelve-law sanity suite with its first witnesses and the pairs at which
 either fails, the medial flags, the ten atom characterizations, the group
-axioms of a p-semisimple algebra, and the congruence of a deductive
-system.  The scans in ``pbci.core`` and ``pbci.dsystems`` evaluate the
-same laws a byte block, row, column or bitmask at a time; both must give
-the same answer, and the same witnesses in the same order, on every valid
-algebra of the pool and on hand-corrupted tables, which bypass
-``validate``, where the oracle answers False.
+axioms of a p-semisimple algebra, the join tables and columns, K(A), the
+flags and detachment of a subset, isotone maps, and the congruence of a
+deductive system.  The scans in ``pbci.core``, ``pbci.dsystems`` and
+``pbci.derivations`` evaluate the same laws a byte block, row, column or
+bitmask at a time; both must give the same answer, and the same
+witnesses in the same order, on every valid algebra of the pool and on
+hand-corrupted tables, which bypass ``validate``, where the oracle
+answers False.
 """
 
 import random
@@ -18,8 +20,10 @@ import random
 import pytest
 
 from pbci import (CongruenceError, InternalInconsistencyError, PseudoBciAlgebra,
-                  bck_part_system, core, enumerate_ds)
-from pbci.dsystems import DeductiveSystem, congruence_classes
+                  as_deductive_system, bck_part_system, core, enumerate_ds,
+                  generate_ds, map_properties, phi_map)
+from pbci.dsystems import (DeductiveSystem, _detachment_closed, _flags,
+                           congruence_classes)
 
 from conftest import flat, make_products
 
@@ -259,6 +263,68 @@ def congruence_outcome(A, D):
         return str(exc)
 
 
+def detachment_oracle(A, members, table):
+    """x in D and x op y in D imply y in D, one (x, y) at a time."""
+    return all(table[x][y] not in members or y in members
+               for x in members for y in range(A.size))
+
+
+def flags_oracle(A, members):
+    """The system with its flags by their definitions: compatible when
+    x -> y and x ~> y lie in D together, closed when D is a subalgebra."""
+    rng = range(A.size)
+    compatible = all((A.arrow[x][y] in members) == (A.squig[x][y] in members)
+                     for x in rng for y in rng)
+    closed = A.unit in members and all(
+        A.arrow[x][y] in members and A.squig[x][y] in members
+        for x in members for y in members)
+    return DeductiveSystem(members, compatible, closed)
+
+
+def as_system_oracle(A, members):
+    """as_deductive_system by the definitions: the system, or the type and
+    text of the error it raises."""
+    if A.unit not in members:
+        return ValueError, "a deductive system must contain the unit"
+    by_arrow = detachment_oracle(A, members, A.arrow)
+    if by_arrow != detachment_oracle(A, members, A.squig):
+        return (InternalInconsistencyError, "arrow- and squig-detachment disagree on "
+                f"{{{', '.join(A.name_set(members))}}}")
+    if not by_arrow:
+        return ValueError, "subset is not closed under detachment"
+    return flags_oracle(A, members)
+
+
+def as_system_outcome(A, members):
+    try:
+        return as_deductive_system(A, members)
+    except (ValueError, InternalInconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def bck_part_oracle(A):
+    """K(A) = {x | x -> 1 = 1}, or the text of the least pair (x, y) of K(A)
+    at which an implication leaves it."""
+    part = frozenset(x for x in A.elements() if A.arrow[x][A.unit] == A.unit)
+    for x in sorted(part):
+        for y in sorted(part):
+            if A.arrow[x][y] not in part or A.squig[x][y] not in part:
+                return f"BCK part not closed at ({A.names[x]}, {A.names[y]})"
+    return part
+
+
+def bck_part_outcome(A):
+    try:
+        return core.bck_part(A)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+def isotone_oracle(A, d):
+    return all(A.leq[d[x]][d[y]] for x in A.elements() for y in A.elements()
+               if A.leq[x][y])
+
+
 # --- inputs -----------------------------------------------------------------
 
 
@@ -389,6 +455,18 @@ def test_axiom_scan_sees_antisymmetry_alone():
     B = raw(("a", "b", "1"), 2, ((2, 2, 2), (2, 2, 2), (0, 1, 2)))
     assert axiom_oracle(B) == ["psBCI5[a, b]: both implications equal 1 for distinct elements"]
     assert axiom_lines(B) == axiom_oracle(B)
+
+
+def test_axiom_scan_lists_every_antisymmetric_pair_in_order():
+    # x -> y = 1 throughout: every pair of distinct elements fails psBCI5
+    one = ((3,) * 4,) * 4
+    B = raw(("a", "b", "c", "1"), 3, one)
+    lines = axiom_lines(B)
+    assert [line for line in lines if line.startswith("psBCI5")] == [
+        f"psBCI5[{x}, {y}]: both implications equal 1 for distinct elements"
+        for x, y in (("a", "b"), ("a", "c"), ("a", "1"), ("b", "c"),
+                     ("b", "1"), ("c", "1"))]
+    assert lines == axiom_oracle(B)
 
 
 def test_axiom_scan_keeps_every_z_of_a_shared_row(large_products):
@@ -574,15 +652,152 @@ def test_group_associativity_failure_is_seen():
     assert not core._group_axioms_hold(A)
 
 
+# --- derived tables -----------------------------------------------------------
+
+
+def test_joins_and_columns_match_definitions(valid_pool):
+    for A in valid_pool + list(random_tables(12, 300)):
+        rng = A.elements()
+        assert A.joins == (tuple(tuple(A.cup1(x, y) for y in rng) for x in rng),
+                           tuple(tuple(A.cup2(x, y) for y in rng) for x in rng))
+        assert A.columns == (tuple(zip(*A.arrow)), tuple(zip(*A.squig)))
+
+
+# --- K(A), deductive-system flags and detachment ------------------------------
+
+
+def member_sets(A, rng, count):
+    """count seeded subsets of the universe, sparse to dense, most of them
+    holding the unit."""
+    for _ in range(count):
+        dense = rng.choice((0.1, 0.4, 0.8))
+        members = {x for x in A.elements() if rng.random() < dense}
+        if rng.random() < 0.8:
+            members.add(A.unit)
+        yield frozenset(members)
+
+
+def assert_systems_match_oracles(A, sets):
+    """_flags, both detachment tests and as_deductive_system against their
+    definitions on each set; returns what each set turned out to be."""
+    kinds = set()
+    for members in sets:
+        flags = flags_oracle(A, members)
+        assert _flags(A, members) == flags, (A.names, sorted(members))
+        for k, table in enumerate((A.arrow, A.squig)):
+            assert (_detachment_closed(A, members, k)
+                    == detachment_oracle(A, members, table)), (A.names, k)
+        outcome = as_system_oracle(A, members)
+        assert as_system_outcome(A, members) == outcome
+        kinds.add(outcome[1].split(" on ")[0] if isinstance(outcome, tuple)
+                  else "system")
+        if not flags.compatible:
+            kinds.add("incompatible")
+        if not flags.closed:
+            kinds.add("not closed")
+    return kinds
+
+
+def test_flags_detachment_and_k_match_definitions_on_valid_pool(valid_pool):
+    rng = random.Random(5)
+    kinds = set()
+    for A in valid_pool:
+        assert bck_part_outcome(A) == bck_part_oracle(A), A.names
+        sets = [*member_sets(A, rng, 8), A.bck_part, frozenset(A.elements())]
+        sets += [generate_ds(A, rng.sample(range(A.size), min(k, A.size))).members
+                 for k in (1, 2)]
+        kinds |= assert_systems_match_oracles(A, sets)
+    # the sets fail detachment, compatibility and closure, each somewhere
+    assert kinds == {"system", "a deductive system must contain the unit",
+                     "subset is not closed under detachment",
+                     "incompatible", "not closed"}
+
+
+def test_flags_detachment_and_k_match_definitions_on_corrupted_tables(
+        all_fixtures, large_products):
+    rng = random.Random(6)
+    kinds = set()
+    k_outcomes = set()
+    for A in list(all_fixtures.values()) + list(large_products.values()):
+        corrupt = list(sampled(A, 6))
+        # an implication of two members of K(A) sent outside it, the
+        # column of the unit kept
+        part, u = sorted(A.bck_part), A.unit
+        outside = [v for v in A.elements() if v not in A.bck_part]
+        if outside and len(part) > 1:
+            x, y = part[0], next(y for y in part if y != u)
+            corrupt.append(corrupted(A, "squig", x, y, outside[0]))
+        for B in corrupt:
+            outcome = bck_part_oracle(B)
+            assert bck_part_outcome(B) == outcome
+            k_outcomes.add(isinstance(outcome, str))
+            kinds |= assert_systems_match_oracles(B, member_sets(B, rng, 6))
+    assert k_outcomes == {True, False}
+    # on corrupted tables the two detachment forms can disagree as well
+    assert "arrow- and squig-detachment disagree" in kinds
+
+
+# --- isotone maps -----------------------------------------------------------
+
+
+def test_isotone_matches_definition_on_valid_pool(valid_pool):
+    rng = random.Random(8)
+    seen = set()
+    for A in valid_pool:
+        n = A.size
+        identity = tuple(A.elements())
+        moved = list(identity)
+        moved[rng.randrange(n)] = rng.randrange(n)
+        maps = [identity, (A.unit,) * n, phi_map(A), tuple(moved),
+                tuple(rng.randrange(n) for _ in identity)]
+        for d in maps:
+            expected = isotone_oracle(A, d)
+            assert map_properties(A, d).isotone == expected, (A.names, d)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 # --- congruence classes -----------------------------------------------------
 
 
-def test_congruence_matches_oracle_on_valid_pool(small_pool, large_products):
-    for A in small_pool + list(large_products.values()):
+def test_congruence_matches_oracle_on_valid_pool(small_pool, products, large_products):
+    several = 0
+    for A in small_pool + list(products.values()) + list(large_products.values()):
         systems = [D for D in enumerate_ds(A) if D.compatible and D.closed] \
-            if A.size <= 6 else [bck_part_system(A)]
+            if A.size <= 15 else [bck_part_system(A)]
         for D in systems:
-            assert congruence_outcome(A, D) == congruence_oracle(A, D)
+            classes = congruence_oracle(A, D)
+            assert congruence_outcome(A, D) == classes
+            several += sum(len(block) > 1 for block in classes) > 1
+    # quotients with two classes of several members, so the class-id rows
+    # are compared between several members in both arguments
+    assert several > 20
+
+
+def test_congruence_witness_between_classes_of_several_members(products,
+                                                               large_products):
+    # x ~> y moved to another class for x and y in classes of several
+    # members: the relation, read off ->, is unchanged, and ~> is no longer
+    # constant on those two classes
+    checked = 0
+    for A in list(products.values()) + list(large_products.values()):
+        K = bck_part_system(A)
+        classes = congruence_classes(A, K)
+        wide = [block for block in classes if len(block) > 1]
+        if len(classes) < 2 or not wide:
+            continue
+        rng = random.Random(A.size)
+        for _ in range(6):
+            bx, by = rng.choice(wide), rng.choice(wide)
+            x, y = rng.choice(bx), rng.choice(by)
+            moved = next(block for block in classes if A.squig[x][y] not in block)
+            B = corrupted(A, "squig", x, y, moved[0])
+            expected = congruence_oracle(B, K)
+            assert expected == ("operation not constant on classes "
+                                f"[{A.names[bx[0]]}] op [{A.names[by[0]]}]")
+            assert congruence_outcome(B, K) == expected
+            checked += 1
+    assert checked >= 18
 
 
 def test_congruence_matches_oracle_on_random_relations():
