@@ -3,11 +3,11 @@
 An algebra lives on indices 0..n-1 with display names attached; both
 implication tables are dense tuples so every operation is a table lookup.
 The algebra's four fields are its names, unit and two tables.  The tables
-derived from them (the order x <= y iff x -> y = 1 among them) and the
-structure every result is stated over (atoms, K(A), branches,
-classification) are cached properties of the algebra, each built on first
-use and kept, so each crosscheck behind the structure runs once per
-algebra.
+derived from them and the structure every result is stated over (atoms,
+K(A), branches, classification) are cached properties of the algebra, each
+built on first use and kept, so each crosscheck behind the structure runs
+once per algebra.  The order x <= y iff x -> y = 1 lives only in the byte
+views, as rows and columns of 0/1 bytes.
 ``validate`` is the first of two intended constructors of
 :class:`PseudoBciAlgebra`: it checks the five defining axioms and runs a
 suite of theorem-backed sanity checks whose failure can only mean a bug in
@@ -33,9 +33,11 @@ reported with the same text and in the same order as an
 instance-by-instance scan.
 
 psBCI5 is one mask test of the order against its transpose.
-The steps after validation read the same views: K(A) is read off column 1
-of the order and checked closed on gathered rows, each join table is n
-translated columns, and the columns are the byte columns as tuples.
+The steps after validation read the same views: K(A) and each branch are
+columns of the order, each join table is n translated columns, and the
+columns are the byte columns as tuples.  ``is_subalgebra`` is the one
+closure test: both rows of every member, gathered at the members, must
+hold members alone; K(A), deductive systems and kernels all go through it.
 Membership in a subset is one translate through a 256-byte table
 (``member_map``), which ``dsystems`` uses for deductive systems and
 congruences.
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -83,7 +86,7 @@ class ByteTables(NamedTuple):
     n x n block.  ``order[x]`` is row x of the order table as 0/1 bytes,
     padded likewise: ``s.translate(order[x])`` marks the entries above x.
     ``order_cols[y]`` is column y of the order, unpadded: byte x marks
-    x <= y.
+    x <= y.  These two are the algebra's only order table.
     """
 
     rows: tuple[tuple[bytes, ...], tuple[bytes, ...]]
@@ -126,11 +129,12 @@ class PseudoBciAlgebra:
     """Immutable pseudo-BCI algebra: element names, unit and both tables.
 
     The scans in ``validate`` read an unvalidated instance.  The derived
-    tables (the order among them) and the structure (atoms, K(A), branches,
-    classification, each the public function of this module called on the
-    algebra) are cached properties, built on first use and kept.  They are
-    not fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only the
-    four fields.
+    tables and the structure (atoms, K(A), branches, classification, each
+    the public function of this module called on the algebra) are cached
+    properties, built on first use and kept.  They are not fields, so
+    ``==``, ``hash`` and ``dataclasses.replace`` see only the four fields.
+    The order is read from the byte views alone (``ByteTables.order`` and
+    ``order_cols``); ``le`` looks up one entry.
     Every cached property must depend on the tables and the unit alone,
     never on ``names``: ``renamed`` hands on whatever has been built.  Safe
     to share between threads; every function in this package treats it as
@@ -151,7 +155,7 @@ class PseudoBciAlgebra:
 
     def le(self, x: int, y: int) -> bool:
         """The partial order: x <= y iff x -> y = 1 (iff x ~> y = 1)."""
-        return self.leq[x][y]
+        return self.byte_tables.order[x][y] == 1
 
     def cup1(self, x: int, y: int) -> int:
         """(x -> y) ~> y, the first join-like term."""
@@ -164,11 +168,6 @@ class PseudoBciAlgebra:
     def phi(self, x: int) -> int:
         """(x -> 1) ~> 1; lands in the atom heading x's branch."""
         return self.squig[self.arrow[x][self.unit]][self.unit]
-
-    @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """The order table: [x][y] is x <= y, that is x -> y = 1."""
-        return tuple(tuple(map(self.unit.__eq__, row)) for row in self.arrow)
 
     @cached_property
     def columns(self) -> tuple[Table, Table]:
@@ -564,8 +563,8 @@ def _sanity_failures(A: PseudoBciAlgebra) -> list[str]:
             report("(9)", x)
         if ax[u] != sx[u]:
             report("(11)", x)
+    leq = A.byte_tables.order
     for x, y in A.failing_pairs[1]:
-        leq = A.leq
         ax, sx, ay, sy, lx, ly = arrow[x], squig[x], arrow[y], squig[y], leq[x], leq[y]
         axy, sxy = ax[y], sx[y]
         if not lx[squig[axy][y]] or not lx[arrow[sxy][y]]:
@@ -661,21 +660,19 @@ def atoms(A: PseudoBciAlgebra) -> frozenset[int]:
 
 
 def is_pseudo_bck(A: PseudoBciAlgebra) -> bool:
-    """Whether 1 is the greatest element, i.e. K(A) is the whole universe."""
-    return all(A.leq[x][A.unit] for x in A.elements())
+    """Whether 1 is the greatest element, i.e. K(A) is the whole universe:
+    column 1 of the order holds no 0."""
+    return 0 not in A.byte_tables.order_cols[A.unit]
 
 
 def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
     """K(A) = {x | x <= 1}, read off column 1 of the order: the x with
-    x -> 1 = 1.  Verified closed under both implications: both rows of
-    every member, gathered at the members, hold members alone.  Only a
-    failure is rescanned a pair at a time, for the least witness."""
-    bt = A.byte_tables
-    members = bytes([x for x, below in enumerate(bt.order_cols[A.unit]) if below])
-    part = frozenset(members)
-    if gather(bt.maps, members, members).translate(None, members):  # left K(A)
-        for x in members:
-            for y in members:
+    x -> 1 = 1.  Verified a subalgebra (``is_subalgebra``); only a failure
+    is rescanned a pair at a time, for the least witness."""
+    part = frozenset(compress(A.elements(), A.byte_tables.order_cols[A.unit]))
+    if not is_subalgebra(A, part):
+        for x in sorted(part):
+            for y in sorted(part):
                 if A.arrow[x][y] not in part or A.squig[x][y] not in part:
                     raise InternalInconsistencyError(
                         f"BCK part not closed at ({A.names[x]}, {A.names[y]})")
@@ -683,11 +680,10 @@ def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
 
 
 def branches(A: PseudoBciAlgebra) -> dict[int, frozenset[int]]:
-    """Map each atom a to its branch {x | x <= a}; the branches partition A."""
-    result = {
-        a: frozenset(x for x in A.elements() if A.leq[x][a])
-        for a in sorted(A.atoms)
-    }
+    """Map each atom a to its branch {x | x <= a}, column a of the order;
+    the branches partition A."""
+    cols = A.byte_tables.order_cols
+    result = {a: frozenset(compress(A.elements(), cols[a])) for a in sorted(A.atoms)}
     seen: set[int] = set()
     for a, block in result.items():
         if block & seen:
@@ -719,12 +715,13 @@ class ClassificationReport:
 def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool]]:
     n = A.size
     u = A.unit
-    arrow, squig, leq = A.arrow, A.squig, A.leq
+    arrow, squig = A.arrow, A.squig
+    below = A.byte_tables.order_cols
     cup1, cup2 = A.joins
     rng = range(n)
 
-    a = all(not leq[x][u] or x == u for x in rng)
-    b = all(not leq[x][y] or x == y for x in rng for y in rng)
+    a = below[u].count(1) == 1                  # K(A) = {1}
+    b = b"".join(below).count(1) == n           # only x <= x
     c = all(cup1[x][y] == x and cup2[x][y] == x for x in rng for y in rng)
     d = all(squig[arrow[x][u]][u] == x and arrow[squig[x][u]][u] == x for x in rng)
     e = all(squig[arrow[x][u]][y] == arrow[squig[y][u]][x] for x in rng for y in rng)
@@ -803,7 +800,7 @@ def classify(A: PseudoBciAlgebra) -> ClassificationReport:
     """Decide every classification flag, cross-checking the theorem-level
     equivalences between them."""
     n = A.size
-    arrow, squig, leq = A.arrow, A.squig, A.leq
+    arrow, squig = A.arrow, A.squig
     cup1, cup2 = A.joins
     rng = range(n)
 
@@ -820,7 +817,8 @@ def classify(A: PseudoBciAlgebra) -> ClassificationReport:
 
     is_commutative = all(
         cup1[x][y] == x and cup2[x][y] == x
-        for x in rng for y in rng if leq[y][x])
+        for x, below in zip(rng, A.byte_tables.order_cols)
+        for y in compress(rng, below))
     is_branchwise = all(
         cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]
         for block in A.branches.values() for x in block for y in block)
@@ -879,9 +877,19 @@ def group_view(A: PseudoBciAlgebra) -> GroupView:
                      identity=A.unit)
 
 
+def member_set(A: PseudoBciAlgebra, members: Iterable[int]) -> frozenset[int]:
+    """The members as a set, after checking that each is an index of A:
+    raises ValueError naming the least one outside 0..n-1."""
+    ms = frozenset(members)
+    for x in sorted(ms):
+        if not 0 <= x < A.size:
+            raise ValueError(f"element index {x} is outside a universe of size {A.size}")
+    return ms
+
+
 def is_subalgebra(A: PseudoBciAlgebra, members: Iterable[int]) -> bool:
-    """True iff the subset contains 1 and is closed under both implications."""
-    s = frozenset(members)
-    if A.unit not in s:
-        return False
-    return all(A.arrow[x][y] in s and A.squig[x][y] in s for x in s for y in s)
+    """True iff the subset contains 1 and is closed under both implications:
+    both rows of every member, gathered at the members, hold members alone.
+    Raises ValueError for an index outside A (``member_set``)."""
+    s = bytes(sorted(member_set(A, members)))
+    return A.unit in s and not gather(A.byte_tables.maps, s, s).translate(None, s)

@@ -17,9 +17,9 @@ Nothing else reads them.  A given subset is tested on the byte views
 (``PseudoBciAlgebra.byte_tables``) instead: each row sent through one
 256-byte membership table (``core.member_map``) marks the y with x op y
 in D.  Compatible means both implications detect membership identically,
-so the marked -> rows equal the marked ~> rows; closed means the subset is
-a subalgebra, so both rows of every member, gathered at the members, hold
-members alone; detachment gathers the members' rows at the non-members.
+so the marked -> rows equal the marked ~> rows; closed is
+``core.is_subalgebra``, the package's one closure test; detachment
+gathers the members' rows at the non-members.
 Quotients exist exactly for compatible closed systems; the congruence of
 a system is built once as bitmask rows, each read off a translated row
 and column, checked for reflexivity and transitivity a row at a time and
@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import AlgebraSpec, PseudoBciAlgebra, Table, gather, member_map, validate
+from .core import (AlgebraSpec, PseudoBciAlgebra, Table, gather, is_subalgebra,
+                   member_map, member_set, validate)
 from .errors import (CongruenceError, InternalInconsistencyError,
                      NotCompatibleOrClosedError)
 from .limits import check_cap
@@ -57,29 +58,14 @@ def _detachment_closed(A: PseudoBciAlgebra, members: frozenset[int], k: int) -> 
 
 
 def _flags(A: PseudoBciAlgebra, members: frozenset[int]) -> DeductiveSystem:
-    """The system with its two flags, both read off translated rows.
-
-    Each row sent through one membership table marks the y with x op y in
-    D.  D is compatible iff the marked -> rows equal the marked ~> rows,
-    and closed (a subalgebra) iff it holds the unit and both rows of every
-    member, gathered at the members, hold members alone.
+    """The system with its two flags.  Each row sent through one membership
+    table marks the y with x op y in D, and D is compatible iff the marked
+    -> rows equal the marked ~> rows.  Closed is ``is_subalgebra``.
     """
-    bt = A.byte_tables
     in_d = member_map(members)
-    arrow, squig = (b"".join(rows).translate(in_d) for rows in bt.rows)
-    inside = bytes(sorted(members))
-    return DeductiveSystem(
-        members=members, compatible=arrow == squig,
-        closed=A.unit in members
-        and not gather(bt.maps, inside, inside).translate(None, inside))
-
-
-def _member_set(A: PseudoBciAlgebra, members: Iterable[int]) -> frozenset[int]:
-    ms = frozenset(members)
-    for x in sorted(ms):
-        if not 0 <= x < A.size:
-            raise ValueError(f"element index {x} is outside a universe of size {A.size}")
-    return ms
+    arrow, squig = (b"".join(rows).translate(in_d) for rows in A.byte_tables.rows)
+    return DeductiveSystem(members=members, compatible=arrow == squig,
+                           closed=is_subalgebra(A, members))
 
 
 def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> DeductiveSystem:
@@ -89,7 +75,7 @@ def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> Deductiv
     detachment forms select the same subsets (a theorem), so disagreement
     between them is an internal bug, not bad input.
     """
-    ms = _member_set(A, members)
+    ms = member_set(A, members)
     if A.unit not in ms:
         raise ValueError("a deductive system must contain the unit")
     by_arrow = _detachment_closed(A, ms, 0)
@@ -229,7 +215,7 @@ def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSyst
     Closure under arrow-detachment from the generators plus the unit; usable
     above the enumeration cap.
     """
-    start = sum(1 << x for x in _member_set(A, generators)) | 1 << A.unit
+    start = sum(1 << x for x in member_set(A, generators)) | 1 << A.unit
     return _flags(A, _members(_closure(A.preimages[0], 0, [], start)))
 
 

@@ -232,7 +232,8 @@ def _join_absorption_iff_regular(c: Analysis, d: SelfMap):
 
 def _regular_type2_basics(c: Analysis, d: SelfMap):
     A = c.A
-    arrow, squig, leq, K, phi = A.arrow, A.squig, A.leq, A.bck_part, c.phi
+    arrow, squig, K, phi = A.arrow, A.squig, A.bck_part, c.phi
+    leq = A.byte_tables.order
     for x in range(c.n):
         if not leq[x][d[x]]:
             return f": x <= dx fails at {c.name(x)}"
@@ -265,11 +266,12 @@ def _regular_type2_basics(c: Analysis, d: SelfMap):
 
 
 def _chk_dominated_idempotent_composition(c: Analysis):
+    leq = c.A.byte_tables.order
     for d2 in c.ridop2:
         if not c.map_records[d2].idempotent:
             continue
         for d1 in c.ridop2:
-            if all(c.A.leq[d1[x]][d2[x]] for x in range(c.n)):
+            if all(leq[d1[x]][d2[x]] for x in range(c.n)):
                 if compose(d2, d1) != d2:
                     return f"d1={c.fmt(d1)}, d2={c.fmt(d2)}"
     return None
@@ -287,8 +289,7 @@ def _kernel_bck_part_forces_idempotent(c: Analysis, d: SelfMap):
 
 
 def _lower_bound_forces_regular_bck(c: Analysis, d: SelfMap):
-    leq = c.A.leq
-    if any(all(leq[a][d[x]] for x in range(c.n)) for a in range(c.n)):
+    if any(all(up[v] for v in d) for up in c.A.byte_tables.order):
         if d[c.unit] != c.unit:
             return " bounded below but not regular"
         if not c.A.classification.is_pseudo_bck:
@@ -309,7 +310,7 @@ def _type1_unit_image(c: Analysis, d: SelfMap):
 
 def _type2_unit_translation(c: Analysis, d: SelfMap):
     A = c.A
-    arrow, squig, leq = A.arrow, A.squig, A.leq
+    arrow, squig, leq = A.arrow, A.squig, A.byte_tables.order
     d1 = d[c.unit]
     for x in range(c.n):
         if not leq[arrow[d1][x]][d[x]] or not leq[squig[d1][x]][d[x]]:
@@ -426,7 +427,7 @@ def _chk_psemisimple_pointwise_constant(c: Analysis):
 
 def _sym1_constant_gap(c: Analysis, d: SelfMap):
     A = c.A
-    arrow, squig, leq = A.arrow, A.squig, A.leq
+    arrow, squig, leq = A.arrow, A.squig, A.byte_tables.order
     cup1, cup2 = A.joins
     d1 = d[c.unit]
     for x in range(c.n):

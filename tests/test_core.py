@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from functools import cached_property
 
 import pytest
@@ -95,13 +96,23 @@ def test_leq_golden(proper5):
     assert all(proper5.le(x, x) for x in proper5.elements())
 
 
-def test_algebra_fields_are_names_unit_and_tables(all_fixtures):
+def test_algebra_fields_are_names_unit_and_tables(all_fixtures, products):
     assert [f.name for f in dataclasses.fields(PseudoBciAlgebra)] == [
         "names", "unit", "arrow", "squig"]
-    for algebra in all_fixtures.values():
-        assert algebra.leq == tuple(
-            tuple(algebra.arrow[x][y] == algebra.unit for y in algebra.elements())
-            for x in algebra.elements())
+    # the order lives in the byte views alone: row x of order marks the y
+    # with x -> y = 1, then zero padding to 256 bytes; column y of
+    # order_cols marks the x with x -> y = 1
+    for algebra in [*all_fixtures.values(), *products.values()]:
+        n, u, arrow = algebra.size, algebra.unit, algebra.arrow
+        bt = algebra.byte_tables
+        rng = algebra.elements()
+        assert len(bt.order) == len(bt.order_cols) == n
+        for x in rng:
+            assert list(bt.order[x][:n]) == [v == u for v in arrow[x]]
+            assert bt.order[x][n:] == bytes(256 - n)
+            assert list(bt.order_cols[x]) == [row[x] == u for row in arrow]
+            assert [algebra.le(x, y) for y in rng] == [v == u for v in arrow[x]]
+            assert all(type(algebra.le(x, y)) is bool for y in rng)
 
 
 def test_cup_golden(proper5, all_fixtures):
@@ -259,6 +270,26 @@ def test_is_subalgebra(proper5, all_fixtures):
     for algebra in all_fixtures.values():
         assert is_subalgebra(algebra, {algebra.unit})
         assert is_subalgebra(algebra, set(algebra.elements()))
+
+
+def test_is_subalgebra_matches_definition(small_pool, products):
+    # random subsets, with and without the unit, against the all-pairs
+    # definition; both answers must occur, and both without the unit
+    rnd = random.Random(27)
+    seen = set()
+    for algebra in [*small_pool, *products.values()]:
+        rng = algebra.elements()
+        arrow, squig = algebra.arrow, algebra.squig
+        for _ in range(12):
+            members = {x for x in rng if rnd.random() < 0.5}
+            if rnd.random() < 0.5:
+                members.add(algebra.unit)
+            expected = algebra.unit in members and all(
+                arrow[x][y] in members and squig[x][y] in members
+                for x in members for y in members)
+            assert is_subalgebra(algebra, members) == expected, (algebra.names, members)
+            seen.add((algebra.unit in members, expected))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def comparable(value, n):

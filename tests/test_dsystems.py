@@ -107,7 +107,8 @@ def test_enumerate_ds_equals_oracle_on_every_size5_class():
 
 
 def test_flags_match_their_definitions(small_pool):
-    # compatible: x -> y and x ~> y lie in D together; closed: a subalgebra
+    # compatible: x -> y and x ~> y lie in D together; closed: both lie in D
+    # for all x, y in D
     for algebra in small_pool:
         rng = algebra.elements()
         rest = [x for x in rng if x != algebra.unit]
@@ -117,8 +118,11 @@ def test_flags_match_their_definitions(small_pool):
                 compatible = all(
                     (algebra.arrow[x][y] in members) == (algebra.squig[x][y] in members)
                     for x in rng for y in rng)
+                closed = all(
+                    algebra.arrow[x][y] in members and algebra.squig[x][y] in members
+                    for x in members for y in members)
                 assert pbci.dsystems._flags(algebra, members) == DeductiveSystem(
-                    members, compatible, is_subalgebra(algebra, members))
+                    members, compatible, closed)
 
 
 def system_digest(systems):
@@ -197,8 +201,9 @@ def test_as_deductive_system_rejects(proper5):
 
 @pytest.mark.parametrize("members", [{-1, 4}, {7, 4}, {7}, {-1}])
 def test_out_of_range_members_rejected(proper5, members):
+    # -1 must not wrap to the unit's row, nor 7 index past the tables
     bad = min(members) if min(members) < 0 else max(members)
-    for build in (as_deductive_system, generate_ds):
+    for build in (as_deductive_system, generate_ds, is_subalgebra):
         with pytest.raises(ValueError, match=rf"element index {bad}\b"):
             build(proper5, members)
 

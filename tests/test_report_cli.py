@@ -230,9 +230,8 @@ def test_cli_non_integer_cap_exit_2(runner, args):
 
 # The cached properties of an algebra: its derived tables and the
 # structure built on them.
-DERIVED_TABLES = ("leq", "columns", "joins", "product", "byte_tables",
-                  "failing_pairs", "preimages", "atoms", "bck_part", "branches",
-                  "classification")
+DERIVED_TABLES = ("columns", "joins", "product", "byte_tables", "failing_pairs",
+                  "preimages", "atoms", "bck_part", "branches", "classification")
 
 
 def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
@@ -257,7 +256,7 @@ def test_cli_builds_each_table_of_the_algebra_once(runner, products, tmp_path,
     # and it reads no K(A)
     for_check = {name: 1 for name in once if name not in ("preimages", "bck_part")}
     # the quotient by K(A) reads K(A), its flags and its congruence off the
-    # byte views: no order table and no preimage masks
+    # byte views: no column tuples, joins or preimage masks
     for_quotient = dict.fromkeys(("byte_tables", "failing_pairs", "bck_part"), 1)
     for command, expected in ((["analyze", "--json"], once),
                               (["check"], for_check),

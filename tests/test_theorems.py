@@ -137,6 +137,8 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
      "d=(a a a a 1), D={c, 1}"),
     ("psemisimple-iff-trivial-regular-type2", "cyclic3", _II, "a a 1",
      "classification=True, trivial kernels=True, only identity=False"),
+    ("psemisimple-composition-commutes", "cyclic3", (_I, _II), ("a a a", "b b b"),
+     "d1=(a a a), d2=(b b b)"),
     ("psemisimple-implicative-monoid", "cyclic3", _II, "b 1 a",
      "composition of maps 1 and 1 escapes the set"),
     ("psemisimple-pointwise-constant", "cyclic3", _II, "b 1 a",
@@ -149,18 +151,25 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
      "d=(a a a a a) bounded below but not regular"),
     ("lower-bound-forces-regular-bck", "proper5", (_I, _II), "a a a a 1",
      "d=(a a a a 1) bounded below on a non-pseudo-BCK algebra"),
+    # 1 lies above both a and b but nothing lies below both, so only the
+    # second map is bounded below
+    ("lower-bound-forces-regular-bck", "mixed6", (_I, _II), ("a a a a a b", "b b b b b b"),
+     "d=(b b b b b b) bounded below but not regular"),
 ])
 def test_failure_witnesses(tid, name, cls, image, witness, request):
-    # one map that breaks the law, added to the true maps of the class, or
-    # of each class of a tuple (a map of types I and II is two-sided).  No
-    # map breaks the other two per-map rows.  invariance-forces-regular:
-    # {1} is always a deductive system and an irregular map moves 1 out of
-    # it.  left-translation-forces-identity: x = 1 in d(x -> y) = d(x) -> y
-    # gives d(y) = d(1) -> y = y once d(1) = 1, and likewise for ~>.
+    # one map that breaks the law, or a tuple of maps, added to the true
+    # maps of the class, or of each class of a tuple (a map of types I and
+    # II is two-sided).  No map breaks the other two per-map rows.
+    # invariance-forces-regular: {1} is always a deductive system and an
+    # irregular map moves 1 out of it.  left-translation-forces-identity:
+    # x = 1 in d(x -> y) = d(x) -> y gives d(y) = d(1) -> y = y once
+    # d(1) = 1, and likewise for ~>.
     algebra = request.getfixturevalue(name)
     maps = dict(Analysis(algebra).derivations)
+    added = {m(algebra, text) for text in
+             ((image,) if isinstance(image, str) else image)}
     for c in cls if isinstance(cls, tuple) else (cls,):
-        maps[c] = sorted(set(maps[c]) | {m(algebra, image)})
+        maps[c] = sorted(set(maps[c]) | added)
     an = Analysis(algebra)
     an.__dict__["derivations"] = maps
     result = next(r for r in an.theorems.results if r.tid == tid)
