@@ -137,8 +137,6 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
      "d=(a a a a 1), D={c, 1}"),
     ("psemisimple-iff-trivial-regular-type2", "cyclic3", _II, "a a 1",
      "classification=True, trivial kernels=True, only identity=False"),
-    ("psemisimple-composition-commutes", "cyclic3", (_I, _II), ("a a a", "b b b"),
-     "d1=(a a a), d2=(b b b)"),
     ("psemisimple-implicative-monoid", "cyclic3", _II, "b 1 a",
      "composition of maps 1 and 1 escapes the set"),
     ("psemisimple-pointwise-constant", "cyclic3", _II, "b 1 a",
@@ -155,6 +153,8 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
     # second map is bounded below
     ("lower-bound-forces-regular-bck", "mixed6", (_I, _II), ("a a a a a b", "b b b b b b"),
      "d=(b b b b b b) bounded below but not regular"),
+    ("psemisimple-composition-commutes", "cyclic3", (_I, _II), ("a a a", "b b b"),
+     "d1=(a a a), d2=(b b b)"),
 ])
 def test_failure_witnesses(tid, name, cls, image, witness, request):
     # one map that breaks the law, or a tuple of maps, added to the true
