@@ -24,14 +24,14 @@ whose preimage is not assigned yet, and waits for that cell's step.  A
 transport that is smaller at the first difference prunes the branch; one
 that is larger never can, and drops out (lex-leader symmetry breaking:
 Crawford, Ginsberg, Luks and Roy, KR 1996; McKay, J. Algorithms 26, 1998).
-``search`` expands each canonical model into its orbit: every distinct
-transport, or only the least by flat key for ``modulo_iso``.  Every
-predicate is an isomorphism invariant, so it is decided once per orbit.
-Each class's least member additionally passes the full validator, and the
-other members it emits are checked to be the plain ``_transport`` images
-of that member: the axioms and the sanity laws hold or fail together
-under isomorphism, so each emitted spec is validated or a checked
-isomorphic copy of a validated one.
+``search`` expands each class once: a labelled search emits the plain
+``_transport`` images of the canonical model, which define its orbit, and
+``modulo_iso`` only the least flat key, read off the translate tables of
+``_transports``.  The class's representative (the canonical model, or the
+least key) passes the full validator, and every predicate, an isomorphism
+invariant, is decided on it.  The axioms and the sanity laws hold or fail
+together under isomorphism, so each emitted spec is validated or a
+transport of a validated one.
 
 ``brute_force_search`` is the independent oracle for small sizes: a plain
 scan of all table pairs (with only the axiom-forced unit rows fixed) that
@@ -47,7 +47,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import AlgebraSpec, validate
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, ValidationError
 from .limits import check_cap
 
 PREDICATE_NAMES = (
@@ -113,19 +113,20 @@ def _unit_fixing_perms(n: int):
         yield tuple(p) + (n - 1,)
 
 
+def _plain_orbit(arrow, squig) -> set[tuple[int, ...]]:
+    """The distinct flat keys of the pair's unit-fixing transports."""
+    return {_flat_key(_transport(arrow, perm), _transport(squig, perm))
+            for perm in _unit_fixing_perms(len(arrow))}
+
+
 def is_lex_least_rep(arrow, squig) -> bool:
     """Whether the pair has the least flat key of its unit-fixing iso class.
 
-    A direct check over all (n-1)! transports, kept outside the search as
-    the test oracle for ``modulo_iso`` output (the search reads the least
-    member off each expanded orbit) and as a span that the benchmark's
-    tracer names."""
-    n = len(arrow)
-    own = _flat_key(arrow, squig)
-    for perm in _unit_fixing_perms(n):
-        if _flat_key(_transport(arrow, perm), _transport(squig, perm)) < own:
-            return False
-    return True
+    A check by the plain transports, kept outside the search as the test
+    oracle for ``modulo_iso`` output (the search reads the least key off
+    the translate tables) and as a span that the benchmark's tracer
+    names."""
+    return _flat_key(arrow, squig) == min(_plain_orbit(arrow, squig))
 
 
 def _canonical_tables(n: int):
@@ -287,10 +288,11 @@ def _transports(n: int):
     """(table, gather) for every unit-fixing permutation p: the transport by
     p of the model with flat key k has flat key
     ``gather(bytes(k).translate(table))``, p applied to every entry and the
-    entries then moved to their images' cells.  ``_transport`` stays the
-    plain form for the oracle, the tests and ``_check_orbit``; built from
-    it, the orbits made the size 3 and 4 searches about 17% slower
-    (CPython 3.11, 2-core host)."""
+    entries then moved to their images' cells.  Only ``modulo_iso`` reads
+    them, for the least key of each class, at 8-12x less than the plain
+    ``_transport`` images (1.9 against 0.18 ms for the 25 classes of size
+    4, best of 5 by process time, CPython 3.11).  A labelled search needs
+    every image anyway and builds them plainly."""
     out = []
     for perm in _unit_fixing_perms(n):
         inv = sorted(range(n), key=perm.__getitem__)
@@ -300,41 +302,24 @@ def _transports(n: int):
     return tuple(out)
 
 
-def _orbit_keys(flat: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """The distinct flat keys of the unit-fixing transports of the model
-    with flat key ``flat``, sorted."""
+def _least_key(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The least flat key among the transports of the model keyed ``flat``."""
     data = bytes(flat)
-    return sorted({gather(data.translate(table))
-                   for table, gather in _transports(n)})
-
-
-def _check_orbit(keys: list[tuple[int, ...]], n: int) -> None:
-    """Raise unless the sorted distinct flat keys ``keys`` are exactly the
-    plain ``_transport`` images of their least member, one for each
-    unit-fixing permutation.  It shares nothing with the translate tables
-    of ``_transports``, so a fault in the orbit expansion shows here."""
-    arrow, squig = _unflatten(keys[0], n)
-    images = {_flat_key(_transport(arrow, perm), _transport(squig, perm))
-              for perm in _unit_fixing_perms(n)}
-    if images != set(keys):
-        raise InternalInconsistencyError(
-            f"a size-{n} orbit expansion differs from the transports of its "
-            f"least member in {len(images ^ set(keys))} key(s) (package bug)")
+    return min(gather(data.translate(table)) for table, gather in _transports(n))
 
 
 def search(query: SearchQuery) -> list[AlgebraSpec]:
     """All (or the first ``limit``) algebras matching the query.
 
-    The DFS yields one canonical model per unit-fixing isomorphism class,
-    and each is expanded into its orbit: every distinct transport, or with
-    modulo_iso only the one with the least flat key.  Output order is
-    lexicographic by the flattened (arrow, squig) index pair.  Each class's
-    least member passes the full validator, and the other members of a
-    labelled orbit are checked to be its transports.  Every predicate is
-    an isomorphism invariant, so it is decided once per orbit, on its
-    least member.  The DFS does not meet the models in output order, so
-    ``limit`` cuts the sorted list of all matches: the whole enumeration
-    runs either way, and only the kept keys become specs.
+    The DFS yields one canonical model per unit-fixing isomorphism class.
+    Its representative, the canonical model or with modulo_iso the least
+    flat key of its class, passes the full validator, and every predicate,
+    an isomorphism invariant, is decided on it.  A class that passes emits
+    its representative, or in a labelled search every distinct transport of
+    the canonical model.  Output order is lexicographic by the flattened
+    (arrow, squig) index pair.  The DFS does not meet the models in output
+    order, so ``limit`` cuts the sorted list of all matches: the whole
+    enumeration runs either way, and only the kept keys become specs.
     """
     query.check()
     check_cap(query.size, "search")
@@ -348,22 +333,23 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
 
     matches = []
     for canonical in _canonical_tables(n):
-        keys = _orbit_keys(canonical, n)
-        if query.modulo_iso:
-            keys = keys[:1]
-        # defense in depth, since search pruning is exact: the least member
-        # passes the full validator (n is within the search cap, so within
-        # validate's cap from the same PBCI_MAX_SIZE), and the others are
-        # checked to be its transports, which isomorphism makes valid too
-        algebra = validate(to_spec(keys[0]))
+        rep = _least_key(canonical, n) if query.modulo_iso else canonical
+        # defense in depth, since search pruning is exact (n is within the
+        # search cap, so within validate's cap from the same PBCI_MAX_SIZE):
+        # a table the validator refuses here is a fault of this module
+        try:
+            algebra = validate(to_spec(rep))
+        except ValidationError as exc:
+            raise InternalInconsistencyError(
+                f"a size-{n} search emitted a table that fails validation: "
+                f"{exc} (package bug)") from exc
         if wanted:
             report = algebra.classification
             if any(getattr(report, field_name) != value
                    for field_name, value in wanted):
                 continue
-        if not query.modulo_iso:
-            _check_orbit(keys, n)
-        matches += keys
+        matches += ([rep] if query.modulo_iso
+                    else _plain_orbit(*_unflatten(canonical, n)))
     matches.sort()
     if query.limit is not None:
         matches = matches[: query.limit]

@@ -309,6 +309,34 @@ def test_derivations_descend_to_quotients_on_products(label, products,
     assert _assert_descends_to_quotients(algebra) > 0
 
 
+def central_translations(A, involutions_only=False):
+    """The maps x -> x.c for c in the centre of A's group, x.y being
+    ``A.product``; with involutions_only, only those with c.c = 1."""
+    mul, n = A.product, A.size
+    return sorted(tuple(mul[x][c] for x in range(n)) for c in range(n)
+                  if all(mul[x][c] == mul[c][x] for x in range(n))
+                  and not (involutions_only and mul[c][c] != A.unit))
+
+
+P_SEMISIMPLE_LABELS = ("cyclic3", "group6", "cyclic3^2", "cyclic3^3", "group6^2")
+
+
+@pytest.mark.parametrize("label", P_SEMISIMPLE_LABELS)
+def test_p_semisimple_derivations_are_central_translations(
+        label, all_fixtures, products, large_products, monkeypatch):
+    # proved closed form on a p-semisimple algebra: type I maps are the
+    # translations by central elements, type II those by central c with
+    # c.c = 1, of either kind; forced, III equals I and IV equals II
+    algebra = {**all_fixtures, **products, **large_products}[label]
+    assert algebra.classification.is_p_semisimple
+    monkeypatch.setenv("PBCI_MAX_SIZE", str(algebra.size))
+    expected = {"I": central_translations(algebra),
+                "II": central_translations(algebra, involutions_only=True)}
+    expected["III"], expected["IV"] = expected["I"], expected["II"]
+    for cls in C:
+        assert enumerate_derivations(algebra, cls, force=True) == expected[cls.dtype], cls
+
+
 def test_oracle_equivalence_matches_product_filter(cyclic3):
     # the oracle really is a plain filter over all n^n maps
     n = cyclic3.size

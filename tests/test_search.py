@@ -74,8 +74,8 @@ def test_size_two_models():
 
 
 def test_every_result_validates():
-    # the search validates one member per class and checks that the others
-    # are its transports; here every labelled result, up to the 3,747 of
+    # the search validates one member per class and emits the others as its
+    # plain transports; here every labelled result, up to the 3,747 of
     # size 5, passes the full validator, sanity suite included
     for n in (2, 3, 4, 5):
         labelled = search(SearchQuery(size=n))
@@ -85,15 +85,25 @@ def test_every_result_validates():
 @pytest.mark.parametrize("k", range(6))
 def test_a_wrong_transport_table_is_caught(monkeypatch, k):
     # entry k relabels a and b the other way round: its images are no
-    # transports, and the check against the plain _transport must say so
+    # transports, so some least key is no algebra, and the validator's
+    # refusal is reported as a fault of the search, not of its input
     transports = list(search_module._transports(4))
     table, gather = transports[k]
     wrong = bytearray(table)
     wrong[0], wrong[1] = wrong[1], wrong[0]
     transports[k] = (bytes(wrong), gather)
     monkeypatch.setattr(search_module, "_transports", lambda n: tuple(transports))
-    with pytest.raises(InternalInconsistencyError, match="orbit expansion"):
-        search(SearchQuery(size=4))
+    with pytest.raises(InternalInconsistencyError, match="fails validation"):
+        search(SearchQuery(size=4, modulo_iso=True))
+
+
+def test_modulo_iso_keys_are_the_least_plain_transports():
+    # the translate tables against the plain _transport, at a size where
+    # every class has 24 transports
+    keys = [_flat_key(*index_tables(spec))
+            for spec in search(SearchQuery(size=5, modulo_iso=True))]
+    assert keys == sorted(min(_flat_key(*image) for image in orbit(*model))
+                          for model in canonical_models(5))
 
 
 def test_search_matches_brute_force_oracle():
