@@ -47,8 +47,10 @@ but evaluate the inner one a row or a block at a time on the same byte
 views: the atom characterizations compare a column with composed rows,
 group associativity compares a block over (y, z) per x, the medial laws
 compare ids of composed rows, and the atom tests share what does not
-depend on the atom.  Everything is pure Python; numpy would cost more at
-start-up than it saves on these tables.
+depend on the atom.  p-semisimplicity (c), (d) and (h), atom tests at
+every element, read the crosschecked atom set; (i) is the group axioms
+and the reconstruction.  Everything is pure Python; numpy would cost more
+at start-up than it saves on these tables.
 """
 
 from __future__ import annotations
@@ -717,17 +719,15 @@ def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool
     u = A.unit
     arrow, squig = A.arrow, A.squig
     below = A.byte_tables.order_cols
-    cup1, cup2 = A.joins
     rng = range(n)
 
     a = below[u].count(1) == 1                  # K(A) = {1}
     b = b"".join(below).count(1) == n           # only x <= x
-    c = all(cup1[x][y] == x and cup2[x][y] == x for x in rng for y in rng)
-    d = all(squig[arrow[x][u]][u] == x and arrow[squig[x][u]][u] == x for x in rng)
+    # atom characterizations (b), (k) and _is_atom at every x; atoms() crosschecked them
+    c = d = h = len(A.atoms) == n
     e = all(squig[arrow[x][u]][y] == arrow[squig[y][u]][x] for x in rng for y in rng)
     f = all(len(set(col)) == n for col in A.columns[0])
     g = all(len(set(col)) == n for col in A.columns[1])
-    h = all(_is_atom(A, x) for x in rng)
     i = _group_axioms_hold(A)
     return [("a", a), ("b", b), ("c", c), ("d", d), ("e", e),
             ("f", f), ("g", g), ("h", h), ("i", i)]
@@ -735,24 +735,20 @@ def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool
 
 def _group_axioms_hold(A: PseudoBciAlgebra) -> bool:
     """Whether x.y = (x->1)~>y with x^-1 = x->1 is a group reconstructing
-    both implications; quantified over the full table."""
-    n = A.size
+    both implications; quantified over the full table.  These imply law
+    (11) and the dual product form: x ~> 1 = x^-1.1 = x^-1 = x -> 1, so
+    (y ~> 1) -> x = x.(y^-1)^-1 = x.y."""
     u = A.unit
-    arrow, squig, prod = A.arrow, A.squig, A.product
+    prod = A.product
+    prod_cols = tuple(zip(*prod))
     inv = A.columns[0][u]             # x -> 1
-    for x in range(n):
-        px = prod[x]
-        if px[u] != x or prod[u][x] != x:
+    for x, (px, ix) in enumerate(zip(prod, inv)):
+        if px[u] != x or prod[u][x] != x or px[ix] != u or prod[ix][x] != u:
+            return False            # 1 is no identity, or x^-1 no inverse
+        # the reconstruction at every y: row x of -> is column x^-1 of the
+        # product, and row x of ~> is its row x^-1
+        if A.arrow[x] != prod_cols[ix] or A.squig[x] != prod[ix]:
             return False
-        if px[inv[x]] != u or prod[inv[x]][x] != u:
-            return False
-        if inv[x] != squig[x][u]:
-            return False
-        for y in range(n):
-            if px[y] != arrow[squig[y][u]][x]:   # the dual product form
-                return False
-            if arrow[x][y] != prod[y][inv[x]] or squig[x][y] != prod[inv[x]][y]:
-                return False
     # associativity, a block over (y, z) per x: (x.y).z is the join of the
     # rows x.y, and x.(y.z) the whole product table sent through row x
     bt = A.byte_tables

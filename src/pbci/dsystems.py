@@ -221,7 +221,10 @@ def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSyst
 
 def bck_part_system(A: PseudoBciAlgebra) -> DeductiveSystem:
     """K(A) as a deductive system; always compatible and closed (asserted)."""
-    ds = as_deductive_system(A, A.bck_part)
+    try:
+        ds = as_deductive_system(A, A.bck_part)
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"BCK part is not a deductive system: {exc}")
     if not (ds.compatible and ds.closed):
         raise InternalInconsistencyError("BCK part is not compatible and closed")
     return ds

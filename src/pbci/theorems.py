@@ -498,9 +498,9 @@ def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap]):
 
 
 def _chk_bck_part_closed_compatible_invariant(c: Analysis):
-    ds = c.bck_system
+    c.bck_system                # raises unless compatible and closed
     for d in c.ridop2:
-        if not is_invariant(c.A, ds, d):
+        if not c.map_records[d].maps_bck_into_bck:
             return f"BCK part not invariant under d={c.fmt(d)}"
     return None
 

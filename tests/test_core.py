@@ -198,6 +198,17 @@ def test_branch_facts(all_fixtures):
                 assert same == (algebra.squig[x][y] in unit_branch)
 
 
+def test_classify_runs_the_atom_test_once_per_element(proper5, monkeypatch):
+    # atoms() runs the atom test at each element; the p-semisimplicity
+    # characterizations that quantify it read the atom set instead
+    algebra = validate(proper5.to_spec())
+    calls = []
+    original = core._is_atom
+    monkeypatch.setattr(core, "_is_atom", lambda A, x: calls.append(x) or original(A, x))
+    classify(algebra)
+    assert sorted(calls) == list(algebra.elements())
+
+
 def test_classify_golden(all_fixtures):
     flags = {name: classify(algebra) for name, algebra in all_fixtures.items()}
     assert flags["proper5"].is_proper

@@ -381,3 +381,14 @@ def test_bck_part_system_flags(all_fixtures):
     for algebra in all_fixtures.values():
         ds = bck_part_system(algebra)
         assert ds.compatible and ds.closed
+
+
+@pytest.mark.parametrize("closed", [lambda A, members, k: False,
+                                    lambda A, members, k: k == 0],
+                         ids=["rejected", "forms-disagree"])
+def test_bck_part_system_faults_are_internal(proper5, closed, monkeypatch):
+    # K(A) is a deductive system by a theorem, so a detachment check that
+    # rejects it, or whose two forms disagree on it, is a package bug
+    monkeypatch.setattr(pbci.dsystems, "_detachment_closed", closed)
+    with pytest.raises(InternalInconsistencyError, match="BCK part|disagree"):
+        bck_part_system(proper5)
