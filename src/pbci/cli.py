@@ -2,6 +2,8 @@
 
 Exit codes: 0 success / all checks pass; 1 axiom violations, theorem
 failures, or failed quotient preconditions; 2 usage or parse errors.
+Each command renders its whole stdout first and writes it with one
+``click.echo``, so a pipe gets one write, not one per line.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def _usage_error(message: str):
     sys.exit(USAGE_EXIT)
 
 
+def _write(lines: list[str]) -> None:
+    """Write the lines to stdout, each ended by a newline, in one call."""
+    click.echo("\n".join(lines))
+
+
 def _read(path: str) -> str:
     """The text of an input file; a UTF-8 byte-order mark is dropped."""
     try:
@@ -61,10 +68,9 @@ def _load(path: str) -> PseudoBciAlgebra:
     except StructuralError as exc:
         _usage_error(f"{path}: {exc}")
     except ValidationError as exc:
-        click.echo(f"{path}: not a pseudo-BCI algebra; "
-                   f"{len(exc.violations)} violation(s):")
-        for v in exc.violations:
-            click.echo(f"  {v}")
+        _write([f"{path}: not a pseudo-BCI algebra; "
+                f"{len(exc.violations)} violation(s):",
+                *(f"  {v}" for v in exc.violations)])
         sys.exit(FAILURE_EXIT)
 
 
@@ -106,7 +112,7 @@ def check(file: str) -> None:
     """Validate FILE and print its classification."""
     algebra = _load(file)
     report = algebra.classification
-    click.echo(f"valid pseudo-BCI algebra with {algebra.size} element(s)")
+    lines = [f"valid pseudo-BCI algebra with {algebra.size} element(s)"]
     for label, value in (
         ("BCI", report.is_bci),
         ("pseudo-BCK", report.is_pseudo_bck),
@@ -117,7 +123,8 @@ def check(file: str) -> None:
         ("arrow-medial", report.is_medial_arrow),
         ("squig-medial", report.is_medial_squig),
     ):
-        click.echo(f"  {label}: {'yes' if value else 'no'}")
+        lines.append(f"  {label}: {'yes' if value else 'no'}")
+    _write(lines)
 
 
 @main.command()
@@ -153,11 +160,12 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
     except TypeRequiresPseudoBckError:
         _usage_error(f"{cls} is defined only on pseudo-BCK algebras; "
                      "pass --force to evaluate the identities anyway")
+    lines = []
     if not cls.applies_to(algebra):
-        click.echo("# forced evaluation outside the defined scope of types III/IV")
-    click.echo(f"# {cls}{' regular' if regular else ''}: {len(maps)} map(s)")
-    for d in maps:
-        click.echo(format_selfmap(d, algebra))
+        lines.append("# forced evaluation outside the defined scope of types III/IV")
+    lines.append(f"# {cls}{' regular' if regular else ''}: {len(maps)} map(s)")
+    lines += [format_selfmap(d, algebra) for d in maps]
+    _write(lines)
 
 
 @main.command()
@@ -166,13 +174,14 @@ def ds(file: str) -> None:
     """List every deductive system of FILE with its flags."""
     algebra = _load(file)
     systems = enumerate_ds(algebra)
-    click.echo(f"# {len(systems)} deductive system(s)")
+    lines = [f"# {len(systems)} deductive system(s)"]
     for system in systems:
         flags = []
         flags.append("compatible" if system.compatible else "not-compatible")
         flags.append("closed" if system.closed else "not-closed")
         members = " ".join(algebra.name_set(system.members))
-        click.echo(f"{{{members}}}  {' '.join(flags)}")
+        lines.append(f"{{{members}}}  {' '.join(flags)}")
+    _write(lines)
 
 
 @main.command(name="quotient")
@@ -210,8 +219,8 @@ def quotient_cmd(file: str, by_k: str | None, subset_file: str | None) -> None:
         click.echo(f"error: {exc}", err=True)
         sys.exit(FAILURE_EXIT)
     click.echo(f"# quotient by {{{' '.join(algebra.name_set(system.members))}}}: "
-               f"{result.size} class(es)")
-    click.echo(serialize_spec(result.to_spec()), nl=False)
+               f"{result.size} class(es)\n" + serialize_spec(result.to_spec()),
+               nl=False)
 
 
 @main.command(name="map")
@@ -226,22 +235,22 @@ def map_cmd(file: str, map_spec: str) -> None:
     except ParseError as exc:
         _usage_error(str(exc))
     props = map_properties(algebra, d)
-    click.echo(f"map: {format_selfmap(d, algebra)}")
-    click.echo(f"  regular: {'yes' if props.regular else 'no'}")
-    click.echo(f"  isotone: {'yes' if props.isotone else 'no'}")
-    click.echo(f"  idempotent: {'yes' if props.idempotent else 'no'}")
-    click.echo(f"  kernel: {{{' '.join(algebra.name_set(props.kernel))}}}"
-               f" (subalgebra: {'yes' if props.kernel_is_subalgebra else 'no'},"
-               f" in BCK part: {'yes' if props.kernel_in_bck_part else 'no'})")
-    click.echo(f"  image: {{{' '.join(algebra.name_set(props.image))}}}"
-               f" (in atoms: {'yes' if props.image_in_atoms else 'no'})")
-    click.echo(f"  maps BCK part into itself: "
-               f"{'yes' if props.maps_bck_into_bck else 'no'}")
-    click.echo(f"  maps atoms into atoms: "
-               f"{'yes' if props.maps_atoms_into_atoms else 'no'}")
-    for cls in DerivationClass:
-        if cls.applies_to(algebra):
-            click.echo(f"  {cls}: {'yes' if satisfies(algebra, d, cls) else 'no'}")
+    lines = [
+        f"map: {format_selfmap(d, algebra)}",
+        f"  regular: {'yes' if props.regular else 'no'}",
+        f"  isotone: {'yes' if props.isotone else 'no'}",
+        f"  idempotent: {'yes' if props.idempotent else 'no'}",
+        f"  kernel: {{{' '.join(algebra.name_set(props.kernel))}}}"
+        f" (subalgebra: {'yes' if props.kernel_is_subalgebra else 'no'},"
+        f" in BCK part: {'yes' if props.kernel_in_bck_part else 'no'})",
+        f"  image: {{{' '.join(algebra.name_set(props.image))}}}"
+        f" (in atoms: {'yes' if props.image_in_atoms else 'no'})",
+        f"  maps BCK part into itself: {'yes' if props.maps_bck_into_bck else 'no'}",
+        f"  maps atoms into atoms: {'yes' if props.maps_atoms_into_atoms else 'no'}",
+    ]
+    lines += [f"  {cls}: {'yes' if satisfies(algebra, d, cls) else 'no'}"
+              for cls in DerivationClass if cls.applies_to(algebra)]
+    _write(lines)
 
 
 @main.command()
@@ -250,6 +259,7 @@ def verify(file: str) -> None:
     """Run the theorem suite on FILE; exit 1 on any failure."""
     algebra = _load(file)
     report = theorem_suite(algebra)
+    lines = []
     for result in report.results:
         if not result.applicable:
             status = "SKIP"
@@ -258,13 +268,14 @@ def verify(file: str) -> None:
         else:
             status = "FAIL"
         note = f" [{result.note}]" if result.note else ""
-        click.echo(f"{status} {result.tid}{note}")
+        lines.append(f"{status} {result.tid}{note}")
         if result.witness:
-            click.echo(f"     witness: {result.witness}")
+            lines.append(f"     witness: {result.witness}")
     applicable = len(report.applicable())
     failures = len(report.failures())
-    click.echo(f"# {applicable} applicable, {applicable - failures} passed, "
-               f"{failures} failed, {len(report.results) - applicable} skipped")
+    lines.append(f"# {applicable} applicable, {applicable - failures} passed, "
+                 f"{failures} failed, {len(report.results) - applicable} skipped")
+    _write(lines)
     if failures:
         sys.exit(FAILURE_EXIT)
 
@@ -301,11 +312,8 @@ def search_cmd(size: int, preds: tuple[str, ...], limit: int | None,
     except ValueError as exc:
         _usage_error(str(exc))
     results = search(query)
-    click.echo(f"# {len(results)} algebra(s)")
-    for i, spec in enumerate(results):
-        click.echo(f"# model {i}")
-        click.echo(serialize_spec(spec), nl=False)
-        click.echo("")
+    _write([f"# {len(results)} algebra(s)",
+            *(f"# model {i}\n{serialize_spec(spec)}" for i, spec in enumerate(results))])
 
 
 if __name__ == "__main__":

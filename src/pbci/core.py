@@ -16,11 +16,15 @@ this package, never bad input.  The second is
 and every cached property built from them; ``dsystems.quotient`` calls it
 when every congruence class is a singleton.
 
-``validate`` reads the tables in one pass into an unvalidated algebra, and
-the axiom scan (``collect_violations``) and the sanity suite
-(``_sanity_failures``) read that instance, which ``validate`` returns once
-both pass.  One pass of byte blocks decides every instance of every law of
-both (``_failing_pairs``, kept as the cached ``failing_pairs``).
+``validate`` is reading plus one check.  It reads the tables in one pass
+into an unvalidated algebra (``_index_tables`` and the universe cap), and
+``check_algebra`` runs the axiom scan (``collect_violations``) and the
+sanity suite (``_sanity_failures``) on that instance, which it returns once
+both pass.  The search's class representatives and the other quotients
+are index tables already, so ``search`` and ``dsystems.quotient`` build
+the algebra from them and enter at ``check_algebra``: the same check with
+the same errors.  One pass of byte blocks decides every instance of every
+law of both (``_failing_pairs``, kept as the cached ``failing_pairs``).
 ``ByteTables`` holds the tables as bytes, so composing a row with a table
 is one ``bytes.translate`` and n of them joined make an n x n block over
 two of the variables: the pass makes O(n^2) C calls on blocks of n^2
@@ -506,6 +510,18 @@ def validate(spec: AlgebraSpec, *, max_size: int | None = None) -> PseudoBciAlge
     """
     A = _index_tables(spec)
     check_cap(A.size, "universe", max_size)
+    return check_algebra(A)
+
+
+def check_algebra(A: PseudoBciAlgebra) -> PseudoBciAlgebra:
+    """The checking half of ``validate``: A itself once the axiom scan and
+    the sanity suite pass, with the same errors.
+
+    For callers that hold well-formed index tables already (the search's
+    class representatives, a quotient's class tables), which enter here
+    instead of spelling the tables out as names for ``validate`` to read
+    back.  Every entry must be an index below ``A.size`` <= MAX_ELEMENTS.
+    """
     violations = collect_violations(A)
     if violations:
         raise ValidationError(violations)

@@ -23,10 +23,11 @@ gathers the members' rows at the non-members.
 Quotients exist exactly for compatible closed systems; the congruence of
 a system is built once as bitmask rows, each read off a translated row
 and column, checked for reflexivity and transitivity a row at a time and
-for compatibility on rows of class ids.  A quotient is
-re-validated through the full axiom checker unless every class is a
-singleton; then its tables are the algebra's own, already validated, and
-the quotient is the algebra renamed.
+for compatibility on rows of class ids.  A quotient's tables of class
+indices pass the validator's axiom scan and sanity suite again
+(``core.check_algebra``) unless every class is a singleton; then its
+tables are the algebra's own, already validated, and the quotient is the
+algebra renamed.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (AlgebraSpec, PseudoBciAlgebra, Table, gather, is_subalgebra,
-                   member_map, member_set, validate)
+from .core import (PseudoBciAlgebra, Table, check_algebra, gather, is_subalgebra,
+                   member_map, member_set)
 from .errors import (CongruenceError, InternalInconsistencyError,
                      NotCompatibleOrClosedError)
 from .limits import check_cap
@@ -306,24 +307,21 @@ def quotient(A: PseudoBciAlgebra, D: DeductiveSystem) -> PseudoBciAlgebra:
     class i is {i}, so the quotient's tables and order are A's own, which
     ``validate`` has accepted; the result is A under the bracketed names,
     with every table A has built.
-    Otherwise the result is re-validated through the full axiom checker
-    rather than trusting the correspondence theorem.
+    Otherwise the result is built from the tables of class indices, read
+    off each class's least member, and checked again rather than trusting
+    the correspondence theorem: ``core.check_algebra`` runs the validator's
+    axiom scan and sanity suite on them.  A failure is a package bug.
     """
     classes = congruence_classes(A, D)
     names = tuple("[" + min(A.names[x] for x in block) + "]" for block in classes)
     if len(classes) == A.size:
         return A.renamed(names)
     class_of = {x: i for i, block in enumerate(classes) for x in block}
-    unit_name = names[class_of[A.unit]]
-    arrow = tuple(
-        tuple(names[class_of[A.arrow[bx[0]][by[0]]]] for by in classes)
-        for bx in classes)
-    squig = tuple(
-        tuple(names[class_of[A.squig[bx[0]][by[0]]]] for by in classes)
-        for bx in classes)
-    spec = AlgebraSpec(names=names, unit=unit_name, arrow=arrow, squig=squig)
+    reps = [block[0] for block in classes]
+    arrow, squig = (tuple(tuple(class_of[table[x][y]] for y in reps) for x in reps)
+                    for table in (A.arrow, A.squig))
     try:
-        return validate(spec, max_size=A.size)
+        return check_algebra(PseudoBciAlgebra(names, class_of[A.unit], arrow, squig))
     except Exception as exc:  # correspondence theorem guarantees validity
         raise InternalInconsistencyError(
             f"quotient tables failed validation: {exc}") from exc

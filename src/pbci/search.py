@@ -28,10 +28,12 @@ Crawford, Ginsberg, Luks and Roy, KR 1996; McKay, J. Algorithms 26, 1998).
 ``_transport`` images of the canonical model, which define its orbit, and
 ``modulo_iso`` only the least flat key, read off the translate tables of
 ``_transports``.  The class's representative (the canonical model, or the
-least key) passes the full validator, and every predicate, an isomorphism
-invariant, is decided on it.  The axioms and the sanity laws hold or fail
-together under isomorphism, so each emitted spec is validated or a
-transport of a validated one.
+least key) is checked on its index tables: once its entries are known to
+be elements, ``core.check_algebra`` runs the validator's axiom scan and
+sanity suite on it, and every predicate, an isomorphism invariant, is
+decided on it.  The axioms and the sanity laws hold or fail together under
+isomorphism, so each emitted spec is checked or a transport of a checked
+one.
 
 ``brute_force_search`` is the independent oracle for small sizes: a plain
 scan of all table pairs (with only the axiom-forced unit rows fixed) that
@@ -46,7 +48,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import AlgebraSpec, validate
+from .core import AlgebraSpec, PseudoBciAlgebra, check_algebra
 from .errors import InternalInconsistencyError, ValidationError
 from .limits import check_cap
 
@@ -312,14 +314,16 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     """All (or the first ``limit``) algebras matching the query.
 
     The DFS yields one canonical model per unit-fixing isomorphism class.
-    Its representative, the canonical model or with modulo_iso the least
-    flat key of its class, passes the full validator, and every predicate,
-    an isomorphism invariant, is decided on it.  A class that passes emits
-    its representative, or in a labelled search every distinct transport of
-    the canonical model.  Output order is lexicographic by the flattened
-    (arrow, squig) index pair.  The DFS does not meet the models in output
-    order, so ``limit`` cuts the sorted list of all matches: the whole
-    enumeration runs either way, and only the kept keys become specs.
+    Each key's entries are range-checked first.  Its representative, the
+    canonical model or with modulo_iso the least flat key of its class,
+    then passes the validator's axiom scan and sanity suite, run on its
+    index tables, and every predicate, an isomorphism invariant, is decided
+    on it.  A class that passes emits its representative, or in a labelled
+    search every distinct transport of the canonical model.  Output order
+    is lexicographic by the flattened (arrow, squig) index pair.  The DFS
+    does not meet the models in output order, so ``limit`` cuts the sorted
+    list of all matches: the whole enumeration runs either way, and only
+    the kept keys become specs.
     """
     query.check()
     check_cap(query.size, "search")
@@ -331,25 +335,31 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
         arrow, squig = _unflatten(map(names.__getitem__, flat), n)
         return AlgebraSpec(names=names, unit=names[-1], arrow=arrow, squig=squig)
 
+    def refuse(reason) -> InternalInconsistencyError:
+        return InternalInconsistencyError(
+            f"a size-{n} search emitted a table that fails validation: "
+            f"{reason} (package bug)")
+
     matches = []
     for canonical in _canonical_tables(n):
+        # defense in depth, since search pruning is exact: a table the
+        # checker refuses here is a fault of this module.  An entry out of
+        # range is refused first, before _least_key translates it into a
+        # byte that may look like an element.
+        if max(canonical) >= n:
+            raise refuse(f"entry {max(canonical)} is not an element")
         rep = _least_key(canonical, n) if query.modulo_iso else canonical
-        # defense in depth, since search pruning is exact (n is within the
-        # search cap, so within validate's cap from the same PBCI_MAX_SIZE):
-        # a table the validator refuses here is a fault of this module
+        tables = _unflatten(rep, n)
         try:
-            algebra = validate(to_spec(rep))
+            algebra = check_algebra(PseudoBciAlgebra(names, n - 1, *tables))
         except ValidationError as exc:
-            raise InternalInconsistencyError(
-                f"a size-{n} search emitted a table that fails validation: "
-                f"{exc} (package bug)") from exc
+            raise refuse(exc) from exc
         if wanted:
             report = algebra.classification
             if any(getattr(report, field_name) != value
                    for field_name, value in wanted):
                 continue
-        matches += ([rep] if query.modulo_iso
-                    else _plain_orbit(*_unflatten(canonical, n)))
+        matches += [rep] if query.modulo_iso else _plain_orbit(*tables)
     matches.sort()
     if query.limit is not None:
         matches = matches[: query.limit]

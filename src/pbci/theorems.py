@@ -11,7 +11,8 @@ The checks read the structure and tables of the algebra from its cached
 properties, and the enumerations, capped per call, from an ``Analysis``:
 each applicable derivation class, map records, phi (``phi_map``), the
 deductive systems and the monoid, each computed on first use and kept for
-the call.  Per-map facts are read from the map's one record, and
+the call.  K(A) as a deductive system is the entry of the systems with its
+members.  Per-map facts are read from the map's one record, and
 d-invariance from the one table ``non_invariant``.  A result's
 applicability is derived from ``passed``, which is None exactly when the
 row is skipped.
@@ -50,8 +51,8 @@ from .derivations import (
     pointwise,
     regular_translation_maps,
 )
-from .dsystems import (DeductiveSystem, bck_part_system, enumerate_ds, is_invariant,
-                       quotient)
+from .dsystems import DeductiveSystem, enumerate_ds, is_invariant, quotient
+from .errors import InternalInconsistencyError
 from .formats import format_selfmap
 
 EMPIRICAL_NOTE = "checked empirically; asserted without catalogued proof"
@@ -176,7 +177,15 @@ class Analysis:
 
     @cached_property
     def bck_system(self) -> DeductiveSystem:
-        return bck_part_system(self.A)
+        """K(A) as the entry of ``systems`` with its members, whose flags
+        are already built; it must be there, compatible and closed."""
+        K = self.A.bck_part
+        D = next((D for D in self.systems if D.members == K), None)
+        if D is None:
+            raise InternalInconsistencyError("BCK part is not a deductive system")
+        if not (D.compatible and D.closed):
+            raise InternalInconsistencyError("BCK part is not compatible and closed")
+        return D
 
     @cached_property
     def theorems(self) -> TheoremReport:

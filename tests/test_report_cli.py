@@ -6,6 +6,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from pbci import (
     theorems,
     validate,
 )
+import pbci.cli
 from pbci.cli import main
 from pbci.search import PREDICATE_NAMES
 from pbci.report import build_report, render_json, render_text, spec_from_report
@@ -622,6 +624,59 @@ def test_cli_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "pbci" in result.output
+
+
+PROPER5_UNIT_ROW = ("a b c d 1\nsquig:", "b b c d 1\nsquig:")   # breaks psBCI3
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "proper5"],
+    ["check", "corrupted"],
+    ["analyze", "proper5"],
+    ["analyze", "proper5", "--json"],
+    ["verify", "proper5"],
+    ["ds", "proper5"],
+    ["derivations", "proper5", "--kind", "implicative", "--type", "i"],
+    ["map", "proper5", "--map", "d d d 1 d"],
+    ["quotient", "proper5", "--by", "K"],
+    ["search", "--size", "3"],
+], ids=" ".join)
+def test_each_command_writes_stdout_once(args, runner, monkeypatch, tmp_path):
+    # each command renders its stdout and writes it in one click.echo call
+    corrupted = tmp_path / "corrupted.pbci"
+    corrupted.write_text(fixture_text("proper5").replace(*PROPER5_UNIT_ROW))
+    paths = {"proper5": fixture_path("proper5"), "corrupted": str(corrupted)}
+    args = [paths.get(a, a) for a in args]
+    echo, writes = click.echo, []
+
+    def counting(*a, **kw):
+        if not kw.get("err"):
+            writes.append(a)
+        return echo(*a, **kw)
+
+    monkeypatch.setattr(pbci.cli.click, "echo", counting)
+    result = runner.invoke(main, args)
+    assert result.exit_code == (1 if str(corrupted) in args else 0), result.output
+    assert len(writes) == 1
+
+
+@pytest.mark.parametrize("args", [["search", "--size", "4"],
+                                  ["verify", fixture_path("proper5")]],
+                         ids=["search", "verify"])
+def test_closed_stdout_prints_no_traceback(args):
+    # the reader is gone before the command writes: the one write meets
+    # EPIPE, and the command exits without a traceback
+    src = str(Path(__file__).parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "pbci.cli", *args],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    finally:
+        os.close(write_end)
+    assert result.returncode in (0, 1), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # --- fuzz -------------------------------------------------------------------

@@ -97,6 +97,29 @@ def test_a_wrong_transport_table_is_caught(monkeypatch, k):
         search(SearchQuery(size=4, modulo_iso=True))
 
 
+# flat keys of size 3 that the DFS must never yield, by what they break
+BAD_KEYS = {
+    # b -> 1 = a but b ~> 1 = 1
+    "psBCI1": (2, 0, 0, 0, 2, 0, 0, 1, 2, 2, 0, 0, 0, 2, 2, 0, 1, 2),
+    # a -> b = 3, no element: a translate table of _transports sends that
+    # byte to a, so a least key read without the range check looks valid
+    "entry 3 is not an element": (2, 3, 0, 0, 2, 2, 0, 1, 2,
+                                  2, 0, 0, 0, 2, 2, 0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("modulo_iso", [False, True], ids=["labelled", "modulo-iso"])
+@pytest.mark.parametrize("fault", BAD_KEYS)
+def test_a_bad_dfs_key_is_caught(monkeypatch, fault, modulo_iso):
+    # the representative is checked on its index tables, after the range
+    # check, so a faulty key is reported as a fault of the search
+    monkeypatch.setattr(search_module, "_canonical_tables",
+                        lambda n: iter([BAD_KEYS[fault]]))
+    with pytest.raises(InternalInconsistencyError,
+                       match=f"fails validation: .*{fault}"):
+        search(SearchQuery(size=3, modulo_iso=modulo_iso))
+
+
 def test_modulo_iso_keys_are_the_least_plain_transports():
     # the translate tables against the plain _transport, at a size where
     # every class has 24 transports

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from pbci import EnumerationCapExceeded, theorems
+from pbci import EnumerationCapExceeded, InternalInconsistencyError, theorems
 from pbci.derivations import DerivationClass
 from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
                            theorem_suite)
@@ -204,3 +204,27 @@ def test_invariance_table_holds_only_the_maps_the_rows_read(bck5):
     read = set(an.implicative) | set(an.symmetric)
     assert set(an.non_invariant) == read
     assert len(read) == 4 < len(an.map_records) == 6
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_bck_system_is_the_enumerated_entry(name, request):
+    # K(A) is read off the systems, not closed and flagged again
+    an = Analysis(request.getfixturevalue(name))
+    K = an.bck_system
+    assert K.members == an.A.bck_part
+    assert any(D is K for D in an.systems)
+
+
+@pytest.mark.parametrize("change", ["missing", "not-compatible", "not-closed"])
+def test_bck_system_faults_are_internal(proper5, change):
+    # K(A) is a compatible closed deductive system by a theorem, so an
+    # enumeration that lacks it, or flags it otherwise, is a package bug
+    an = Analysis(proper5)
+    systems = [D for D in an.systems if D.members != proper5.bck_part]
+    if change != "missing":
+        K = next(D for D in an.systems if D.members == proper5.bck_part)
+        field = change.removeprefix("not-")
+        systems.append(dataclasses.replace(K, **{field: False}))
+    an.systems = systems
+    with pytest.raises(InternalInconsistencyError, match="BCK part"):
+        an.bck_system
