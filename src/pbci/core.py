@@ -221,21 +221,18 @@ class PseudoBciAlgebra:
         return _failing_pairs(self)
 
     @cached_property
-    def preimages(self) -> tuple[Table, Table]:
-        """Both tables as preimage masks: bit y of [0][x][v] is set iff
-        x -> y = v, and bit y of [1][x][v] iff x ~> y = v.  Only the
-        Close-by-One closure of ``dsystems`` reads them."""
+    def preimages(self) -> Table:
+        """The arrow table as preimage masks: bit y of [x][v] is set iff
+        x -> y = v.  Only the ->-detachment closure of ``dsystems`` reads
+        them; the squig form decides the same deductive systems."""
         n = len(self.names)
-        out = []
-        for table in (self.arrow, self.squig):
-            rows = []
-            for row in table:
-                masks = [0] * n
-                for y, v in enumerate(row):
-                    masks[v] |= 1 << y
-                rows.append(tuple(masks))
-            out.append(tuple(rows))
-        return tuple(out)
+        rows = []
+        for row in self.arrow:
+            masks = [0] * n
+            for y, v in enumerate(row):
+                masks[v] |= 1 << y
+            rows.append(tuple(masks))
+        return tuple(rows)
 
     @cached_property
     def atoms(self) -> frozenset[int]:

@@ -6,13 +6,19 @@ under intersection, so they are the closed sets of one closure operator on
 bitmasks (``_closure``), which ``generate_ds`` applies and ``enumerate_ds``
 walks by Close-by-One: each system found is extended by one element, and
 the closure of the extension starts from the closed system, so it processes
-only the pairs that involve a new element.  The squig form of detachment
-selects the same subsets (a theorem), which enumeration asserts by running
-Close-by-One under both forms.  ``brute_force_ds`` is the independent
-oracle: a scan of every subset holding the unit.
+only the pairs that involve a new element.  ``brute_force_ds`` is the
+independent oracle: a scan of every subset holding the unit, under both
+forms of detachment.
 
-Close-by-One reads the algebra's preimage masks
-(``PseudoBciAlgebra.preimages``): bit y of pre[x][v] is set iff x op y = v.
+The squig form selects the same subsets, so ->-detachment alone decides
+them.  If D is closed under ->-detachment, then x in D and x <= z give
+x -> z = 1 in D, so z in D; by law (2), x <= (x ~> y) -> y, so x ~> y in
+D gives y in D.  The converse is the same with the operations swapped,
+and laws (2) and (3) are sanity laws, which ``core.check_algebra`` asserts
+on every validated algebra.
+
+Close-by-One reads the algebra's arrow preimage masks
+(``PseudoBciAlgebra.preimages``): bit y of pre[x][v] is set iff x -> y = v.
 Nothing else reads them.  A given subset is tested on the byte views
 (``PseudoBciAlgebra.byte_tables``) instead: each row sent through one
 256-byte membership table (``core.member_map``) marks the y with x op y
@@ -72,27 +78,25 @@ def _flags(A: PseudoBciAlgebra, members: frozenset[int]) -> DeductiveSystem:
 def as_deductive_system(A: PseudoBciAlgebra, members: Iterable[int]) -> DeductiveSystem:
     """Wrap a subset after checking the deductive-system axioms.
 
-    Raises ValueError when the subset is not a deductive system.  The two
-    detachment forms select the same subsets (a theorem), so disagreement
-    between them is an internal bug, not bad input.
+    Raises ValueError when the subset is not a deductive system.  Only
+    ->-detachment is tested: closed under it, D holds every z above a
+    member (x -> z = 1), so x ~> y in D gives y in D by law (2),
+    x <= (x ~> y) -> y; the module docstring has the converse.
     """
     ms = member_set(A, members)
     if A.unit not in ms:
         raise ValueError("a deductive system must contain the unit")
-    by_arrow = _detachment_closed(A, ms, 0)
-    if by_arrow != _detachment_closed(A, ms, 1):
-        raise _disagreement(A, ms)
-    if not by_arrow:
+    if not _detachment_closed(A, ms, 0):
         raise ValueError("subset is not closed under detachment")
     return _flags(A, ms)
 
 
 def _closure(pre: Table, m: int, done: list[int], new: int,
              below: int = 0) -> int | None:
-    """The least bitmask above m | new that is closed under detachment
-    along one implication, whose preimage masks are pre.
+    """The least bitmask above m | new that is closed under
+    ->-detachment, whose preimage masks are pre.
 
-    Closed means x in D and x op y in D imply y in D: pre[x][v] lies in D
+    Closed means x in D and x -> y in D imply y in D: pre[x][v] lies in D
     for all members x and v.  m must be closed already, with its members
     listed in done, so only the pairs (x, v) that involve a new member are
     processed: each new member z once, against the members before it, and
@@ -116,8 +120,8 @@ def _closure(pre: Table, m: int, done: list[int], new: int,
     return m
 
 
-def _closed_sets(A: PseudoBciAlgebra, pre: Table) -> list[int]:
-    """Every closed bitmask of detachment along pre, by Close-by-One.
+def _closed_sets(A: PseudoBciAlgebra) -> list[int]:
+    """Every closed bitmask of ->-detachment, by Close-by-One.
 
     From the closure of the unit, each closed B is extended by each i
     outside B above the element that produced B, and the closure of
@@ -127,7 +131,7 @@ def _closed_sets(A: PseudoBciAlgebra, pre: Table) -> list[int]:
     the closed base.  The list is in depth-first order, which depends on
     the family of closed sets alone.
     """
-    n = A.size
+    n, pre = A.size, A.preimages
     done: list[int] = []
     root = _closure(pre, 0, done, 1 << A.unit)
     found = [root]
@@ -176,24 +180,21 @@ def _sorted_systems(A: PseudoBciAlgebra, sets) -> list[DeductiveSystem]:
 def enumerate_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
     """Every deductive system, sorted by (size, membership indices).
 
-    Close-by-One over the closed sets of arrow-detachment, and again of
-    squig-detachment; the two families are the same (a theorem), which is
-    asserted.  Only the systems and their one-element extensions are
-    closed, not the 2^(n-1) subsets.
+    Close-by-One over the closed sets of ->-detachment, run once: closed
+    under it, D holds every z above a member (x -> z = 1), so x ~> y in D
+    gives y in D by law (2), x <= (x ~> y) -> y, and the squig form
+    selects the same sets (the module docstring has the converse).  Only
+    the systems and their one-element extensions are closed, not the
+    2^(n-1) subsets.
     """
     check_cap(A.size, "subset-enumeration")
-    pre_arrow, pre_squig = A.preimages
-    by_arrow = _closed_sets(A, pre_arrow)
-    by_squig = _closed_sets(A, pre_squig)
-    if by_arrow != by_squig:
-        odd = min(set(by_arrow) ^ set(by_squig))
-        raise _disagreement(A, _members(odd))
-    return _sorted_systems(A, map(_members, by_arrow))
+    return _sorted_systems(A, map(_members, _closed_sets(A)))
 
 
 def brute_force_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
     """Oracle enumeration: test every one of the 2^(n-1) subsets holding
-    the unit under both detachment forms.
+    the unit under both detachment forms, whose disagreement raises
+    InternalInconsistencyError.
 
     Exponential by construction; intended for cross-checking enumerate_ds.
     """
@@ -213,11 +214,11 @@ def brute_force_ds(A: PseudoBciAlgebra) -> list[DeductiveSystem]:
 def generate_ds(A: PseudoBciAlgebra, generators: Iterable[int]) -> DeductiveSystem:
     """The least deductive system containing the generators.
 
-    Closure under arrow-detachment from the generators plus the unit; usable
+    Closure under ->-detachment from the generators plus the unit; usable
     above the enumeration cap.
     """
     start = sum(1 << x for x in member_set(A, generators)) | 1 << A.unit
-    return _flags(A, _members(_closure(A.preimages[0], 0, [], start)))
+    return _flags(A, _members(_closure(A.preimages, 0, [], start)))
 
 
 def bck_part_system(A: PseudoBciAlgebra) -> DeductiveSystem:

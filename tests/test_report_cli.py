@@ -128,8 +128,8 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
     assert set(atom_checks.values()) == {1}
     assert set(atom_checks) == ({(algebra.names, a) for a in algebra.elements()}
                                 | {(Q.names, a) for a in Q.elements()})
-    # Close-by-One once per detachment form
-    assert calls["_closed_sets"] == 2
+    # Close-by-One once, under ->-detachment
+    assert calls["_closed_sets"] == 1
     # K(A) once, shared by the report, the theorems and K(A) as a system
     assert calls["bck_part"] == 1
     # the solver once per class, plus the translation route and the

@@ -15,13 +15,14 @@ hand-corrupted tables, which bypass ``validate``, where the oracle
 answers False.
 """
 
+import itertools
 import random
 
 import pytest
 
 from pbci import (CongruenceError, InternalInconsistencyError, PseudoBciAlgebra,
-                  as_deductive_system, bck_part_system, core, enumerate_ds,
-                  generate_ds, map_properties, phi_map)
+                  as_deductive_system, bck_part_system, brute_force_ds, core,
+                  enumerate_ds, generate_ds, map_properties, phi_map)
 from pbci.dsystems import (DeductiveSystem, _detachment_closed, _flags,
                            congruence_classes)
 
@@ -292,11 +293,7 @@ def as_system_oracle(A, members):
     text of the error it raises."""
     if A.unit not in members:
         return ValueError, "a deductive system must contain the unit"
-    by_arrow = detachment_oracle(A, members, A.arrow)
-    if by_arrow != detachment_oracle(A, members, A.squig):
-        return (InternalInconsistencyError, "arrow- and squig-detachment disagree on "
-                f"{{{', '.join(A.name_set(members))}}}")
-    if not by_arrow:
+    if not detachment_oracle(A, members, A.arrow):
         return ValueError, "subset is not closed under detachment"
     return flags_oracle(A, members)
 
@@ -306,6 +303,26 @@ def as_system_outcome(A, members):
         return as_deductive_system(A, members)
     except (ValueError, InternalInconsistencyError) as exc:
         return type(exc), str(exc)
+
+
+def assert_brute_force_matches_oracle(A):
+    """brute_force_ds raises exactly when the two detachment forms disagree
+    on some subset holding the unit, and names one; otherwise it lists the
+    systems that enumerate_ds finds.  Returns which of the two happened."""
+    rest = [x for x in A.elements() if x != A.unit]
+    subsets = [frozenset((A.unit, *c)) for k in range(len(rest) + 1)
+               for c in itertools.combinations(rest, k)]
+    disagree = {"arrow- and squig-detachment disagree on "
+                f"{{{', '.join(A.name_set(s))}}}" for s in subsets
+                if detachment_oracle(A, s, A.arrow) != detachment_oracle(A, s, A.squig)}
+    try:
+        systems = brute_force_ds(A)
+    except InternalInconsistencyError as exc:
+        assert str(exc) in disagree, (A.names, str(exc))
+        return "arrow- and squig-detachment disagree"
+    assert not disagree, A.names
+    assert systems == enumerate_ds(A), A.names
+    return "forms agree"
 
 
 def bck_part_oracle(A):
@@ -725,6 +742,7 @@ def test_flags_detachment_and_k_match_definitions_on_corrupted_tables(
     rng = random.Random(6)
     kinds = set()
     k_outcomes = set()
+    oracle_outcomes = set()
     for A in list(all_fixtures.values()) + list(large_products.values()):
         corrupt = list(sampled(A, 6))
         # an implication of two members of K(A) sent outside it, the
@@ -739,9 +757,12 @@ def test_flags_detachment_and_k_match_definitions_on_corrupted_tables(
             assert bck_part_outcome(B) == outcome
             k_outcomes.add(isinstance(outcome, str))
             kinds |= assert_systems_match_oracles(B, member_sets(B, rng, 6))
+            if B.size <= 6:
+                oracle_outcomes.add(assert_brute_force_matches_oracle(B))
     assert k_outcomes == {True, False}
-    # on corrupted tables the two detachment forms can disagree as well
-    assert "arrow- and squig-detachment disagree" in kinds
+    # on corrupted tables the two detachment forms can disagree, which
+    # only the oracle enumeration tests
+    assert oracle_outcomes == {"forms agree", "arrow- and squig-detachment disagree"}
 
 
 # --- isotone maps -----------------------------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from pbci import EnumerationCapExceeded, InternalInconsistencyError, theorems
-from pbci.derivations import DerivationClass
+from pbci.derivations import DerivationClass, enumerate_derivations
 from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
                            theorem_suite)
 
@@ -90,6 +90,22 @@ def test_suite_over_small_pool(small_pool):
         assert report.failures() == [], (algebra.names, report.failures())
 
 
+def test_regular_type2_order_links_hold(small_pool, products, monkeypatch):
+    # regular-type2-basics checks only the translation link of each chain
+    # d(x) op y <= d(x) op dy <= x op dy = d(x op y); the order links
+    # follow from x <= dx and laws (5) and (6), and hold here as facts
+    monkeypatch.setenv("PBCI_MAX_SIZE", "15")
+    for A in small_pool + list(products.values()):
+        rng = A.elements()
+        for d in enumerate_derivations(A, DerivationClass.IMPLICATIVE_II, regular=True):
+            for op in (A.arrow, A.squig):
+                for x in rng:
+                    for y in rng:
+                        low, mid, high = op[d[x]][y], op[d[x]][d[y]], op[x][d[y]]
+                        assert A.arrow[low][mid] == A.unit, (A.names, d, x, y)
+                        assert A.arrow[mid][high] == A.unit, (A.names, d, x, y)
+
+
 _I, _II, _III, _IV = (DerivationClass.IMPLICATIVE_I, DerivationClass.IMPLICATIVE_II,
                       DerivationClass.IMPLICATIVE_III, DerivationClass.IMPLICATIVE_IV)
 _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
@@ -155,6 +171,10 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
      "d=(b b b b b b) bounded below but not regular"),
     ("psemisimple-composition-commutes", "cyclic3", (_I, _II), ("a a a", "b b b"),
      "d1=(a a a), d2=(b b b)"),
+    # not inflationary at b, so the order links of the chain at (a, d)
+    # fail too, but they are left to laws (5) and (6)
+    ("regular-type2-basics", "proper5", _II, "a a a 1 1",
+     "d=(a a a 1 1): x <= dx fails at b"),
 ])
 def test_failure_witnesses(tid, name, cls, image, witness, request):
     # one map that breaks the law, or a tuple of maps, added to the true
