@@ -28,13 +28,16 @@ law of both (``_failing_pairs``, kept as the cached ``failing_pairs``).
 ``ByteTables`` holds the tables as bytes, so composing a row with a table
 is one ``bytes.translate`` and n of them joined make an n x n block over
 two of the variables: the pass makes O(n^2) C calls on blocks of n^2
-bytes, never an n^3 buffer, and it is the one scan at every n.  A
-translate table has 256 entries, so an algebra has at most 256 elements
-(``MAX_ELEMENTS``), a limit no size cap lifts.  Both checks then rescan
-only a pair (x, y) at which some instance fails, one z at a time, to list
-what fails there.  So every violation (and every sanity witness) is
-reported with the same text and in the same order as an
-instance-by-instance scan.
+bytes, never an n^3 buffer, and it is the one scan at every n.  The block
+of laws (5) and (6), which the pass reads only where x <= y, is built only
+for an x with a strict upper bound; for the others, every element of a
+p-semisimple algebra among them, its one column is read off the diagonal
+v |-> v -> v.  A translate table has 256 entries, so an algebra has at
+most 256 elements (``MAX_ELEMENTS``), a limit no size cap lifts.  Both
+checks then rescan only a pair (x, y) at which some instance fails, one z
+at a time, to list what fails there.  So every violation (and every
+sanity witness) is reported with the same text and in the same order as
+an instance-by-instance scan.
 
 psBCI5 is one mask test of the order against its transpose.
 The steps after validation read the same views: K(A) and each branch are
@@ -52,8 +55,9 @@ views: the atom characterizations compare a column with composed rows,
 group associativity compares a block over (y, z) per x, the medial laws
 compare ids of composed rows, and the atom tests share what does not
 depend on the atom.  p-semisimplicity (c), (d) and (h), atom tests at
-every element, read the crosschecked atom set; (i) is the group axioms
-and the reconstruction.  Everything is pure Python; numpy would cost more
+every element, read the crosschecked atom set; (e) compares a row with a
+translated column per element; (i) is the group axioms and the
+reconstruction.  Everything is pure Python; numpy would cost more
 at start-up than it saves on these tables.
 """
 
@@ -362,6 +366,16 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
     the same of (y->z) -> (x->z) and (y~>z) -> (x~>z), and (10) compares
     the order rows of x and y as bit masks.  Only where a block differs is
     each y looked at.
+
+    Two of those four brackets, (y->z) -> (x->z) and (z~>x) -> (z~>y), have
+    a block of their own, which is read only at the y with x <= y.  So it
+    is built only for an x with a strict upper bound, some y != x with
+    x <= y.  For any other x that branch is reached at y = x alone, if at
+    all, where the block's column over z is (x->z) -> (x->z) and then
+    (z~>x) -> (z~>x): x's row of arrow and column of squig sent through the
+    diagonal v |-> v -> v.  Both readings give the same bytes on every
+    table, valid or not.  In a valid algebra the unit has no strict upper
+    bound, and in a p-semisimple one no element has.
     """
     n, u = A.size, A.unit
     nn = n * n
@@ -397,6 +411,8 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
     tables = ((squig_to,) * n + (to_arrow,) * n + (arrow_to,) * n + (to_squig,) * n
               + (arrow_to,) * n + (to_arrow,) * n)
     n2, n4 = 2 * n, 4 * n
+    sources4, tables4 = sources[:n4], tables[:n4]   # all but (5) and (6)
+    diag = flat_arrow[::n + 1] + bytes(256 - n)     # v |-> v -> v
     axiom_pairs, sanity_pairs = [], []
     for x, ax, sx, ox in zip(range(n), arrow, squig, order):
         # (2): x <= x \/1 y, then x <= x \/2 y, over y
@@ -406,12 +422,19 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
         lhs48 = columns_arrow.translate(ox) + columns_squig.translate(to_arrow[x])
         rhs48 = b"".join([*map(arrow_col_units, sx), *map(squig_col, ax)])
         hold48 = lhs48 == rhs48
-        picks = b"".join((ax, arrow_cols[x], sx, squig_cols[x], ax, squig_cols[x]))
-        composed = [s.translate(t[v]) for s, t, v in zip(sources, tables, picks)]
         # entry z*n + y: psBCI1; (7); psBCI2, then from n*n on (7'); and
-        # (5) for arrow, then (6) for squig
+        # (5) for arrow, then (6) for squig if x has a strict upper bound,
+        # else only its column at y = x, read off the diagonal
+        if ox.count(1) > ox[x]:
+            picks = b"".join((ax, arrow_cols[x], sx, squig_cols[x], ax, squig_cols[x]))
+            composed = [s.translate(t[v]) for s, t, v in zip(sources, tables, picks)]
+            b56 = b"".join(composed[n4:])
+        else:
+            picks = b"".join((ax, arrow_cols[x], sx, squig_cols[x]))
+            composed = [s.translate(t[v]) for s, t, v in zip(sources4, tables4, picks)]
+            b56, col56 = None, ax.translate(diag) + squig_cols[x].translate(diag)
         b1, b7 = b"".join(composed[:n]), b"".join(composed[n:n2])
-        b2, b56 = b"".join(composed[n2:n4]), b"".join(composed[n4:])
+        b2 = b"".join(composed[n2:n4])
         up_x = up[x]
         for y, axy, sxy in zip(range(n), ax, sx):
             col2 = b2[y::n]
@@ -428,7 +451,8 @@ def _failing_pairs(A: PseudoBciAlgebra) -> tuple[Pairs, Pairs]:
                     and col7.translate(to_arrow[axy]) == units
                     and (not ox[y]
                          or (col7 == units and col2[:n] == units
-                             and b56[y::n] == units2 and not up[y] & ~up_x))):
+                             and (col56 if b56 is None else b56[y::n]) == units2
+                             and not up[y] & ~up_x))):
                 continue
             sanity_pairs.append((x, y))
     return tuple(axiom_pairs), tuple(sanity_pairs)
@@ -730,15 +754,18 @@ class ClassificationReport:
 def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool]]:
     n = A.size
     u = A.unit
-    arrow, squig = A.arrow, A.squig
-    below = A.byte_tables.order_cols
-    rng = range(n)
+    bt = A.byte_tables
+    below = bt.order_cols
 
     a = below[u].count(1) == 1                  # K(A) = {1}
     b = b"".join(below).count(1) == n           # only x <= x
     # atom characterizations (b), (k) and _is_atom at every x; atoms() crosschecked them
     c = d = h = len(A.atoms) == n
-    e = all(squig[arrow[x][u]][y] == arrow[squig[y][u]][x] for x in rng for y in rng)
+    # (x->1) ~> y = (y~>1) -> x, a row over y per x: row x -> 1 of squig
+    # against column x of arrow read at the y ~> 1
+    to_u, sq_to_u = bt.cols[0][u], bt.cols[1][u]
+    e = all(bt.rows[1][v] == sq_to_u.translate(arrow_to_x)
+            for v, arrow_to_x in zip(to_u, bt.col_maps[0]))
     f = all(len(set(col)) == n for col in A.columns[0])
     g = all(len(set(col)) == n for col in A.columns[1])
     i = _group_axioms_hold(A)

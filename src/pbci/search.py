@@ -24,16 +24,16 @@ whose preimage is not assigned yet, and waits for that cell's step.  A
 transport that is smaller at the first difference prunes the branch; one
 that is larger never can, and drops out (lex-leader symmetry breaking:
 Crawford, Ginsberg, Luks and Roy, KR 1996; McKay, J. Algorithms 26, 1998).
-``search`` expands each class once: a labelled search emits the plain
-``_transport`` images of the canonical model, which define its orbit, and
-``modulo_iso`` only the least flat key, read off the translate tables of
-``_transports``.  The class's representative (the canonical model, or the
-least key) is checked on its index tables: once its entries are known to
-be elements, ``core.check_algebra`` runs the validator's axiom scan and
-sanity suite on it, and every predicate, an isomorphism invariant, is
-decided on it.  The axioms and the sanity laws hold or fail together under
-isomorphism, so each emitted spec is checked or a transport of a checked
-one.
+``search`` expands each class once, through the translate tables of
+``_transports``: a labelled search emits every distinct image of the
+canonical model, and ``modulo_iso`` only the least.  The tests hold those
+images equal to the plain ``_transport`` ones, which define the orbit.
+The class's representative (the canonical model, or the least key) is
+checked on its index tables: once its entries are known to be elements,
+``core.check_algebra`` runs the validator's axiom scan and sanity suite on
+it, and every predicate, an isomorphism invariant, is decided on it.  The
+axioms and the sanity laws hold or fail together under isomorphism, so
+each emitted spec is checked or a transport of a checked one.
 
 ``brute_force_search`` is the independent oracle for small sizes: a plain
 scan of all table pairs (with only the axiom-forced unit rows fixed) that
@@ -125,9 +125,8 @@ def is_lex_least_rep(arrow, squig) -> bool:
     """Whether the pair has the least flat key of its unit-fixing iso class.
 
     A check by the plain transports, kept outside the search as the test
-    oracle for ``modulo_iso`` output (the search reads the least key off
-    the translate tables) and as a span that the benchmark's tracer
-    names."""
+    oracle for ``modulo_iso`` output (the search reads every image off the
+    translate tables) and as a span that the benchmark's tracer names."""
     return _flat_key(arrow, squig) == min(_plain_orbit(arrow, squig))
 
 
@@ -290,11 +289,11 @@ def _transports(n: int):
     """(table, gather) for every unit-fixing permutation p: the transport by
     p of the model with flat key k has flat key
     ``gather(bytes(k).translate(table))``, p applied to every entry and the
-    entries then moved to their images' cells.  Only ``modulo_iso`` reads
-    them, for the least key of each class, at 8-12x less than the plain
-    ``_transport`` images (1.9 against 0.18 ms for the 25 classes of size
-    4, best of 5 by process time, CPython 3.11).  A labelled search needs
-    every image anyway and builds them plainly."""
+    entries then moved to their images' cells.  Both output modes read
+    them, for every image of a class or its least, at 7-9x less than the
+    plain ``_transport`` images (2.3 against 0.27 ms for the 25 classes of
+    size 4, 57 against 8 ms for the 181 of size 5, best of 7 by process
+    time, CPython 3.11 on a shared 2-core host)."""
     out = []
     for perm in _unit_fixing_perms(n):
         inv = sorted(range(n), key=perm.__getitem__)
@@ -304,10 +303,11 @@ def _transports(n: int):
     return tuple(out)
 
 
-def _least_key(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The least flat key among the transports of the model keyed ``flat``."""
+def _images(flat: tuple[int, ...], n: int):
+    """The flat keys of the transports of the model keyed ``flat``, one per
+    unit-fixing permutation."""
     data = bytes(flat)
-    return min(gather(data.translate(table)) for table, gather in _transports(n))
+    return (gather(data.translate(table)) for table, gather in _transports(n))
 
 
 def search(query: SearchQuery) -> list[AlgebraSpec]:
@@ -319,11 +319,12 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     then passes the validator's axiom scan and sanity suite, run on its
     index tables, and every predicate, an isomorphism invariant, is decided
     on it.  A class that passes emits its representative, or in a labelled
-    search every distinct transport of the canonical model.  Output order
-    is lexicographic by the flattened (arrow, squig) index pair.  The DFS
-    does not meet the models in output order, so ``limit`` cuts the sorted
-    list of all matches: the whole enumeration runs either way, and only
-    the kept keys become specs.
+    search every distinct image of the canonical model under the translate
+    tables of ``_transports``.  Output order is lexicographic by the
+    flattened (arrow, squig) index pair.  The DFS does not meet the models
+    in output order, so ``limit`` cuts the sorted list of all matches: the
+    whole enumeration runs either way, and only the kept keys become
+    specs.
     """
     query.check()
     check_cap(query.size, "search")
@@ -344,11 +345,11 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
     for canonical in _canonical_tables(n):
         # defense in depth, since search pruning is exact: a table the
         # checker refuses here is a fault of this module.  An entry out of
-        # range is refused first, before _least_key translates it into a
+        # range is refused first, before _images translates it into a
         # byte that may look like an element.
         if max(canonical) >= n:
             raise refuse(f"entry {max(canonical)} is not an element")
-        rep = _least_key(canonical, n) if query.modulo_iso else canonical
+        rep = min(_images(canonical, n)) if query.modulo_iso else canonical
         tables = _unflatten(rep, n)
         try:
             algebra = check_algebra(PseudoBciAlgebra(names, n - 1, *tables))
@@ -359,7 +360,7 @@ def search(query: SearchQuery) -> list[AlgebraSpec]:
             if any(getattr(report, field_name) != value
                    for field_name, value in wanted):
                 continue
-        matches += [rep] if query.modulo_iso else _plain_orbit(*tables)
+        matches += [rep] if query.modulo_iso else set(_images(canonical, n))
     matches.sort()
     if query.limit is not None:
         matches = matches[: query.limit]

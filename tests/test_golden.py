@@ -30,7 +30,6 @@ After an intended output change, record them again with
 """
 
 import hashlib
-import importlib
 import json
 import shlex
 import tempfile
@@ -235,21 +234,6 @@ def test_search_stdout_matches_golden_digests():
 def test_size5_search_stdout_matches_golden_digests():
     expected = json.loads(SEARCH5_DIGESTS.read_text(encoding="utf-8"))
     assert search_digests(SEARCH5_ARGS) == expected
-
-
-def test_labelled_search_reads_no_translate_table(monkeypatch):
-    # a labelled search expands each class by the plain transports alone
-    def refuse(n):
-        raise AssertionError("a labelled search read the translate tables")
-
-    # the package exports the function ``search`` under the module's name
-    monkeypatch.setattr(importlib.import_module("pbci.search"), "_transports",
-                        refuse)
-    expected = json.loads(SEARCH_DIGESTS.read_text(encoding="utf-8"))
-    labelled = [args for args in SEARCH_ARGS
-                if args[2] in ("3", "4") and "--modulo-iso" not in args]
-    assert search_digests(labelled) == {
-        " ".join(args): expected[" ".join(args)] for args in labelled}
 
 
 @pytest.mark.parametrize("label", CORRUPTIONS)

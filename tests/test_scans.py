@@ -550,16 +550,44 @@ def test_decide_step_matches_oracles_on_valid_pool(valid_pool):
         assert assert_pairs_decided(A), A.names
 
 
+def fails_56_on_the_diagonal(B):
+    """Whether (5) or (6) fails at some (x, x, z), by definition, for an x
+    with no strict upper bound: the instances that the decide step reads
+    off the diagonal v -> v instead of a block."""
+    arrow, squig, leq = B.arrow, B.squig, order_oracle(B)
+    rng = range(B.size)
+    return any(leq[x][x] and leq[x].count(True) == 1 and any(
+        not leq[arrow[x][z]][arrow[x][z]] or not leq[squig[x][z]][squig[x][z]]
+        or not leq[arrow[z][x]][arrow[z][x]] or not leq[squig[z][x]][squig[z][x]]
+        for z in rng) for x in rng)
+
+
 def test_decide_step_matches_oracles_on_corrupted_tables(all_fixtures,
                                                          large_products):
-    flagged = checked = 0
+    flagged = checked = diagonal = 0
     sources = list(all_fixtures.values()) + list(large_products.values())
     for A in sources:
         for B in corruptions(A) if A.size <= 5 else sampled(A, 12):
             flagged += not assert_pairs_decided(B)
             checked += 1
+            diagonal += fails_56_on_the_diagonal(B)
     # every single-entry change of these tables breaks some law
     assert flagged == checked > 500
+    # and some break (5) or (6) where no block is built, e.g. an entry
+    # v -> v other than 1 of cyclic3
+    assert diagonal > 0
+
+
+def test_decide_step_reads_5_and_6_off_the_diagonal(all_fixtures):
+    # proper5 with a -> a = a and a ~> d = a: d has no strict upper bound,
+    # and (6) fails at (d, d, a) as (a~>d) -> (a~>d) = a -> a = a, while
+    # every other law holds at (d, d), so only the diagonal flags the pair
+    A = all_fixtures["proper5"]
+    a, d = A.index_of("a"), A.index_of("d")
+    B = corrupted(corrupted(A, "arrow", a, a, a), "squig", a, d, a)
+    assert fails_56_on_the_diagonal(B)
+    assert (d, d) in core._failing_pairs(B)[1]
+    assert not assert_pairs_decided(B)
 
 
 def test_decide_step_matches_oracles_on_random_tables():

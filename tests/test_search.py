@@ -16,7 +16,10 @@ from pbci.search import (
     search,
     _canonical_tables,
     _flat_key,
+    _images,
+    _plain_orbit,
     _transport,
+    _transports,
     _unflatten,
     _unit_fixing_perms,
 )
@@ -75,8 +78,8 @@ def test_size_two_models():
 
 def test_every_result_validates():
     # the search validates one member per class and emits the others as its
-    # plain transports; here every labelled result, up to the 3,747 of
-    # size 5, passes the full validator, sanity suite included
+    # images under the translate tables; here every labelled result, up to
+    # the 3,747 of size 5, passes the full validator, sanity suite included
     for n in (2, 3, 4, 5):
         labelled = search(SearchQuery(size=n))
         assert [validate(spec).to_spec() for spec in labelled] == labelled
@@ -127,6 +130,28 @@ def test_modulo_iso_keys_are_the_least_plain_transports():
             for spec in search(SearchQuery(size=5, modulo_iso=True))]
     assert keys == sorted(min(_flat_key(*image) for image in orbit(*model))
                           for model in canonical_models(5))
+
+
+def test_translate_tables_give_the_plain_transports():
+    # both output modes read the translate tables, and the plain _transport
+    # defines the orbit.  Two probes tell every cell apart: in the first,
+    # an arrow entry names its row and a squig entry its column, and in the
+    # second the other way round, so a misplaced entry, a swapped table or
+    # a wrong relabelling changes some image
+    for n in range(1, 8):
+        rows = tuple(tuple([x] * n) for x in range(n))
+        cols = tuple(tuple(range(n)) for _ in range(n))
+        probes = [(rows, cols), (cols, rows)]
+        for perm, (table, gather) in zip(_unit_fixing_perms(n), _transports(n),
+                                         strict=True):
+            for arrow, squig in probes:
+                image = gather(bytes(_flat_key(arrow, squig)).translate(table))
+                assert image == _flat_key(_transport(arrow, perm),
+                                          _transport(squig, perm)), (n, perm)
+    # and each class's images are its orbit
+    for n in (3, 4, 5):
+        for flat in _canonical_tables(n):
+            assert set(_images(flat, n)) == _plain_orbit(*_unflatten(flat, n))
 
 
 def test_search_matches_brute_force_oracle():
