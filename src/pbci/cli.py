@@ -4,6 +4,12 @@ Exit codes: 0 success / all checks pass; 1 axiom violations, theorem
 failures, or failed quotient preconditions; 2 usage or parse errors.
 Each command renders its whole stdout first and writes it with one
 ``click.echo``, so a pipe gets one write, not one per line.
+
+Importing this module runs no analysis layer.  Each command imports what it
+reads from ``derivations``, ``dsystems``, ``theorems``, ``report`` and
+``search`` in its own body, so ``--version``, ``--help`` and ``check`` run
+none of them, ``quotient`` runs ``dsystems`` alone and ``search`` runs
+``search`` alone.
 """
 
 from __future__ import annotations
@@ -14,10 +20,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .core import PseudoBciAlgebra, validate
-from .derivations import (DerivationClass, enumerate_derivations, map_properties,
-                          satisfies)
-from .dsystems import as_deductive_system, bck_part_system, enumerate_ds, quotient
+from .core import PREDICATE_NAMES, PseudoBciAlgebra, validate
 from .errors import (
     NotCompatibleOrClosedError,
     ParseError,
@@ -29,9 +32,6 @@ from .errors import (
 )
 from .formats import format_selfmap, parse_algebra, parse_selfmap, serialize_spec
 from .limits import env_cap
-from .report import build_report, failed_theorems, render_json, render_text
-from .search import PREDICATE_NAMES, SearchQuery, search
-from .theorems import theorem_suite
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -132,6 +132,8 @@ def check(file: str) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
 def analyze(file: str, as_json: bool) -> None:
     """Full structural report for FILE."""
+    from .report import build_report, failed_theorems, render_json, render_text
+
     algebra = _load(file)
     report = build_report(algebra)
     click.echo(render_json(report) if as_json else render_text(report), nl=False)
@@ -150,6 +152,8 @@ def analyze(file: str, as_json: bool) -> None:
               help="Evaluate types III/IV on non-pseudo-BCK inputs too.")
 def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) -> None:
     """List the derivation operators of one class, one image row per line."""
+    from .derivations import DerivationClass, enumerate_derivations
+
     try:
         cls = DerivationClass.from_strings(kind, dtype)
     except ValueError as exc:
@@ -172,6 +176,8 @@ def derivations(file: str, kind: str, dtype: str, regular: bool, force: bool) ->
 @click.argument("file", type=click.Path(dir_okay=False))
 def ds(file: str) -> None:
     """List every deductive system of FILE with its flags."""
+    from .dsystems import enumerate_ds
+
     algebra = _load(file)
     systems = enumerate_ds(algebra)
     lines = [f"# {len(systems)} deductive system(s)"]
@@ -192,6 +198,8 @@ def ds(file: str) -> None:
               default=None, help="File listing the members of the system.")
 def quotient_cmd(file: str, by_k: str | None, subset_file: str | None) -> None:
     """Quotient FILE by a compatible closed deductive system."""
+    from .dsystems import as_deductive_system, bck_part_system, quotient
+
     if (by_k is None) == (subset_file is None):
         _usage_error("exactly one of --by K or --by-file is required")
     algebra = _load(file)
@@ -229,6 +237,8 @@ def quotient_cmd(file: str, by_k: str | None, subset_file: str | None) -> None:
               help="Image row ('d d d 1 d') or pairs ('a=d,b=d,...').")
 def map_cmd(file: str, map_spec: str) -> None:
     """Property record for one self-map of FILE."""
+    from .derivations import DerivationClass, map_properties, satisfies
+
     algebra = _load(file)
     try:
         d = parse_selfmap(map_spec, algebra)
@@ -257,6 +267,8 @@ def map_cmd(file: str, map_spec: str) -> None:
 @click.argument("file", type=click.Path(dir_okay=False))
 def verify(file: str) -> None:
     """Run the theorem suite on FILE; exit 1 on any failure."""
+    from .theorems import theorem_suite
+
     algebra = _load(file)
     report = theorem_suite(algebra)
     lines = []
@@ -304,6 +316,8 @@ def _parse_predicate(raw: str) -> tuple[str, bool]:
 def search_cmd(size: int, preds: tuple[str, ...], limit: int | None,
                modulo_iso: bool) -> None:
     """Enumerate pseudo-BCI algebras of a given size."""
+    from .search import SearchQuery, search
+
     try:
         predicates = tuple(_parse_predicate(p) for p in preds)
         query = SearchQuery(size=size, predicates=predicates, limit=limit,

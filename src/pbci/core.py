@@ -751,6 +751,18 @@ class ClassificationReport:
     is_medial_squig: bool
 
 
+# The flags a model search can select on: each names the ``is_`` field above.
+PREDICATE_NAMES = (
+    "p_semisimple",
+    "commutative",
+    "proper",
+    "pseudo_bck",
+    "bci",
+    "medial_arrow",
+    "medial_squig",
+)
+
+
 def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool]]:
     n = A.size
     u = A.unit

@@ -48,19 +48,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import AlgebraSpec, PseudoBciAlgebra, check_algebra
+from .core import PREDICATE_NAMES, AlgebraSpec, PseudoBciAlgebra, check_algebra
 from .errors import InternalInconsistencyError, ValidationError
 from .limits import check_cap
 
-PREDICATE_NAMES = (
-    "p_semisimple",
-    "commutative",
-    "proper",
-    "pseudo_bck",
-    "bci",
-    "medial_arrow",
-    "medial_squig",
-)
 
 @dataclass(frozen=True)
 class SearchQuery:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -366,6 +367,57 @@ def test_cli_import_does_not_load_numpy():
                             text=True, env={**os.environ, "PYTHONPATH": src},
                             check=True)
     assert result.stdout.strip() == "False"
+
+
+LAZY_LAYERS = ("derivations", "dsystems", "theorems", "report", "search")
+
+
+@pytest.mark.parametrize("args, unread", [
+    (None, LAZY_LAYERS),
+    (["--version"], LAZY_LAYERS),
+    (["--help"], LAZY_LAYERS),
+    (["check", fixture_path("proper5")], LAZY_LAYERS),
+    (["quotient", fixture_path("proper5"), "--by", "K"],
+     ("derivations", "theorems", "report", "search")),
+    (["search", "--size", "3"], ("derivations", "dsystems", "theorems", "report")),
+    (["verify", fixture_path("proper5")], ("report", "search")),
+    (["analyze", fixture_path("proper5"), "--json"], ("search",)),
+])
+def test_cli_runs_only_the_layers_its_command_reads(args, unread):
+    # every layer is registered from `import pbci` on; one whose body has
+    # not run yet holds no public name
+    code = textwrap.dedent(f"""
+        import sys, types
+        import pbci.cli
+        if {args!r} is not None:
+            try:
+                pbci.cli.main({args!r}, standalone_mode=False)
+            except SystemExit:
+                pass
+        unread = []
+        for layer in {LAZY_LAYERS!r}:
+            names = types.ModuleType.__getattribute__(
+                sys.modules["pbci." + layer], "__dict__")
+            if not any(not name.startswith("_") for name in names):
+                unread.append(layer)
+        print(unread, file=sys.stderr)
+    """)
+    src = str(Path(__file__).parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src},
+                            check=True)
+    assert result.stderr.strip() == str(list(unread))
+
+
+def test_help_lists_every_command_and_predicate(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    for command in main.commands:
+        assert f"  {command} " in result.output, command
+    result = runner.invoke(main, ["search", "--help"])
+    assert result.exit_code == 0
+    for name in PREDICATE_NAMES:
+        assert name in result.output, name
 
 
 def test_cli_derivations_golden(runner):
