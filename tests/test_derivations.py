@@ -212,9 +212,12 @@ def _transport(d, order):
     return tuple(position[d[old]] for old in order)
 
 
-@pytest.mark.parametrize("label", PRODUCT_LABELS)
-def test_enumeration_invariant_under_declaration_order(label, products, monkeypatch):
-    algebra = products[label]
+@pytest.mark.parametrize("label", PRODUCT_LABELS + LARGE_PRODUCT_LABELS)
+def test_enumeration_invariant_under_declaration_order(label, products,
+                                                      large_products, monkeypatch):
+    # the solver's schedule follows declaration order, and the brute-force
+    # oracle stops at n = 4, so relabelling is the oracle at n = 9 to 36
+    algebra = {**products, **large_products}[label]
     n = algebra.size
     monkeypatch.setenv("PBCI_MAX_SIZE", str(n))
     base = {cls: enumerate_derivations(algebra, cls, force=True)
@@ -227,6 +230,37 @@ def test_enumeration_invariant_under_declaration_order(label, products, monkeypa
             assert got == sorted(_transport(d, order) for d in base[cls])
         assert (regular_translation_maps(moved)
                 == sorted(_transport(d, order) for d in translations))
+
+
+def _assert_schedule_sound(A, schedule, rhss, reads_x):
+    """The invariants that let the solver run without undo: each pair's row
+    runs at exactly one level, after every image it reads is known; each
+    element is written exactly once, by its branch or by one mode bit; and a
+    clear mode bit checks an image already known."""
+    n = A.size
+    pairs = sorted((x, y) for _, rows in schedule for x, y, _ in rows)
+    assert pairs == [(x, y) for x in range(n) for y in range(n)]
+    known: list[int] = []
+    for e, level in schedule:
+        known.append(e)
+        rows = [derivations._rows(A, rhs, level) for rhs in rhss]
+        for i, (x, y, mode) in enumerate(level):
+            assert y in known and (x in known or not reads_x)
+            assert all({row[i][0], row[i][1]} <= set(known) for row in rows)
+            for bit, t in ((1, A.arrow[x][y]), (2, A.squig[x][y])):
+                if mode & bit:
+                    known.append(t)
+                assert t in known
+    assert sorted(known) == list(range(n))
+    assert schedule[0][0] == A.unit
+
+
+def test_schedules_are_sound(small_pool, products):
+    for algebra in small_pool + list(products.values()):
+        _assert_schedule_sound(algebra, algebra.derivation_schedule,
+                               [cls.rhs for cls in C], True)
+        _assert_schedule_sound(algebra, algebra.translation_schedule,
+                               [derivations._TRANSLATION], False)
 
 
 def _assert_splits(A, B, algebra):
@@ -256,7 +290,7 @@ def test_derivations_split_over_products(label, products, large_products,
 def test_derivations_split_over_tail_products(factor, power, monkeypatch):
     # chain2^6 = chain2 x chain2^5 (n = 64) and cyclic3^4 = cyclic3 x
     # cyclic3^3 (n = 81), the largest tables the solver meets, and those
-    # where the order of its watch lists shows most
+    # where the order of its schedule shows most
     A = load_algebra("cyclic3") if factor == "cyclic3" else validate(
         parse_algebra(CHAIN2))
     B = A
