@@ -118,10 +118,6 @@ class AlgebraSpec:
     arrow: tuple[tuple[str, ...], ...]  # row x, column y holds x -> y
     squig: tuple[tuple[str, ...], ...]  # row x, column y holds x ~> y
 
-    def check_structure(self) -> None:
-        """Raise StructuralError unless names/unit/tables are well-formed."""
-        _index_tables(self)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -66,17 +66,17 @@ def test_validate_reports_every_violation():
 
 def test_structural_errors():
     with pytest.raises(StructuralError):
-        AlgebraSpec(("a", "a"), "a", ((("a",),) * 2), ((("a",),) * 2)).check_structure()
+        validate(AlgebraSpec(("a", "a"), "a", ((("a",),) * 2), ((("a",),) * 2)))
     with pytest.raises(StructuralError):
-        AlgebraSpec(("a",), "b", (("a",),), (("a",),)).check_structure()
+        validate(AlgebraSpec(("a",), "b", (("a",),), (("a",),)))
     with pytest.raises(StructuralError):
-        AlgebraSpec(("a",), "a", (("a", "a"),), (("a",),)).check_structure()
+        validate(AlgebraSpec(("a",), "a", (("a", "a"),), (("a",),)))
     with pytest.raises(StructuralError):
-        AlgebraSpec(("a",), "a", (("z",),), (("a",),)).check_structure()
+        validate(AlgebraSpec(("a",), "a", (("z",),), (("a",),)))
     with pytest.raises(StructuralError, match="empty universe"):
-        AlgebraSpec((), "a", (), ()).check_structure()
+        validate(AlgebraSpec((), "a", (), ()))
     with pytest.raises(StructuralError, match="arrow table has 0 rows, expected 1"):
-        AlgebraSpec(("a",), "a", (), (("a",),)).check_structure()
+        validate(AlgebraSpec(("a",), "a", (), (("a",),)))
 
 
 def test_universe_cap(monkeypatch):

@@ -92,8 +92,7 @@ def test_the_largest_algebra_validates_and_classifies():
 def test_no_cap_lifts_the_element_limit(monkeypatch):
     spec = flat_spec(257)
     monkeypatch.setenv("PBCI_MAX_SIZE", "1000")
-    for run in (validate, lambda s: validate(s, max_size=1000),
-                AlgebraSpec.check_structure):
+    for run in (validate, lambda s: validate(s, max_size=1000)):
         with pytest.raises(StructuralError) as excinfo:
             run(spec)
         assert str(excinfo.value) == LIMIT

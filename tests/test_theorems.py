@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from pbci import EnumerationCapExceeded, InternalInconsistencyError, theorems
-from pbci.derivations import DerivationClass, enumerate_derivations
+from pbci.derivations import (DerivationClass, enumerate_derivations, identity_map,
+                              map_properties)
 from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
                            theorem_suite)
 
@@ -90,20 +91,75 @@ def test_suite_over_small_pool(small_pool):
         assert report.failures() == [], (algebra.names, report.failures())
 
 
-def test_regular_type2_order_links_hold(small_pool, products, monkeypatch):
-    # regular-type2-basics checks only the translation link of each chain
-    # d(x) op y <= d(x) op dy <= x op dy = d(x op y); the order links
-    # follow from x <= dx and laws (5) and (6), and hold here as facts
+def _atom_of(A):
+    """Each element's branch atom, read off A.branches."""
+    return {x: a for a, block in A.branches.items() for x in block}
+
+
+def test_regular_type2_implied_facts_hold(small_pool, products, monkeypatch):
+    # regular-type2-basics checks only x <= dx and the translation link of
+    # each chain d(x) op y <= d(x) op dy <= x op dy = d(x op y); the order
+    # links follow from x <= dx and laws (5) and (6), and the branch, BCK
+    # part, image-gap and kernel facts from lemmas L1-L5 of the theorems
+    # module.  All hold here as facts
     monkeypatch.setenv("PBCI_MAX_SIZE", "15")
     for A in small_pool + list(products.values()):
-        rng = A.elements()
+        rng, K, atom_of = A.elements(), A.bck_part, _atom_of(A)
         for d in enumerate_derivations(A, DerivationClass.IMPLICATIVE_II, regular=True):
-            for op in (A.arrow, A.squig):
-                for x in rng:
+            where = (A.names, d)
+            for x in rng:
+                assert atom_of[A.phi(x)] == atom_of[d[x]], (where, x)
+                for op in (A.arrow, A.squig):
+                    assert op[A.phi(x)][d[x]] in K, (where, x)
                     for y in rng:
                         low, mid, high = op[d[x]][y], op[d[x]][d[y]], op[x][d[y]]
-                        assert A.arrow[low][mid] == A.unit, (A.names, d, x, y)
-                        assert A.arrow[mid][high] == A.unit, (A.names, d, x, y)
+                        assert A.arrow[low][mid] == A.unit, (where, x, y)
+                        assert A.arrow[mid][high] == A.unit, (where, x, y)
+                        if A.le(x, y):
+                            assert mid in K, (where, x, y)
+            rec = map_properties(A, d)
+            assert rec.kernel_in_bck_part and rec.maps_bck_into_bck, where
+            assert rec.kernel_is_subalgebra, where
+
+
+def test_validation_lemmas_and_implied_map_facts_hold(small_pool, products,
+                                                      monkeypatch):
+    # the lemmas L1-L5 of the theorems module, which follow from the laws
+    # that validation asserts, and the conjuncts of the per-map laws that
+    # they prove, so that no row checks them
+    monkeypatch.setenv("PBCI_MAX_SIZE", "15")
+    for A in small_pool + list(products.values()):
+        rng, u, K, ats = A.elements(), A.unit, A.bck_part, A.atoms
+        arrow, squig, (cup1, cup2), phi = A.arrow, A.squig, A.joins, A.phi
+        atom_of = _atom_of(A)
+        assert u in ats and A.branches[u] == K, A.names
+        for x in rng:
+            assert arrow[phi(x)][u] == arrow[x][u], (A.names, x)              # L1
+            assert {phi(x), arrow[x][u]} <= ats, (A.names, x)                 # L2
+            assert phi(phi(x)) == phi(x), (A.names, x)
+            assert atom_of[x] == phi(x), (A.names, x)                         # L4
+            for y in rng:
+                if phi(x) == phi(y):                                          # L5
+                    assert {arrow[x][y], squig[x][y]} <= K, (A.names, x, y)
+        for a in ats:
+            for x in rng:                                                     # L3
+                assert {arrow[x][a], squig[x][a]} <= ats, (A.names, a, x)
+                assert cup1[a][x] == cup2[a][x] == a, (A.names, a, x)
+                assert not A.le(a, x) or x == a, (A.names, a, x)              # L4
+        for d in enumerate_derivations(A, DerivationClass.IMPLICATIVE_II):
+            for a in ats:
+                assert d[a] == arrow[d[u]][a] == squig[d[u]][a], (A.names, d, a)
+        for d in enumerate_derivations(A, DerivationClass.SYMMETRIC_I, regular=True):
+            assert set(d) <= ats, (A.names, d)
+        for d in enumerate_derivations(A, DerivationClass.SYMMETRIC_II):
+            assert set(d) <= ats, (A.names, d)
+            for x in rng:
+                assert cup1[d[x]][x] == cup2[d[x]][x] == d[x], (A.names, d, x)
+                assert phi(cup2[d[x]][x]) == d[x], (A.names, d, x)
+                for v in d:
+                    assert {arrow[x][v], squig[x][v]} <= ats, (A.names, d, x, v)
+            if d[u] == u:
+                assert d == identity_map(A), (A.names, d)
 
 
 _I, _II, _III, _IV = (DerivationClass.IMPLICATIVE_I, DerivationClass.IMPLICATIVE_II,
@@ -175,6 +231,16 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
     # fail too, but they are left to laws (5) and (6)
     ("regular-type2-basics", "proper5", _II, "a a a 1 1",
      "d=(a a a 1 1): x <= dx fails at b"),
+    ("regular-type2-basics", "proper5", _II, "a b a d 1",
+     "d=(a b a d 1): squig chain fails at (b, a)"),
+    ("sym1-constant-gap", "proper5", _S1, "a a a a 1",
+     "d=(a a a a 1): dx join d(1) fails at a"),
+    ("sym2-atom-valued", "proper5", _S2, "a a a a 1",
+     "d=(a a a a 1): dx via phi of join fails at a"),
+    # the gap is constant whenever two gaps agree everywhere, so the first
+    # gap check to fail is this one
+    ("psemisimple-sym2-left-translation", "cyclic3", _S2, "a a 1",
+     "d=(a a 1): two gaps differ at (a, b)"),
 ])
 def test_failure_witnesses(tid, name, cls, image, witness, request):
     # one map that breaks the law, or a tuple of maps, added to the true
