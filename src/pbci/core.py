@@ -44,7 +44,7 @@ The steps after validation read the same views: K(A) and each branch are
 columns of the order, each join table is n translated columns, and the
 columns are the byte columns as tuples.  ``is_subalgebra`` is the one
 closure test: both rows of every member, gathered at the members, must
-hold members alone; K(A), deductive systems and kernels all go through it.
+hold members alone; deductive systems and kernels go through it.
 Membership in a subset is one translate through a 256-byte table
 (``member_map``), which ``dsystems`` uses for deductive systems and
 congruences.
@@ -768,16 +768,10 @@ def is_pseudo_bck(A: PseudoBciAlgebra) -> bool:
 
 def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
     """K(A) = {x | x <= 1}, read off column 1 of the order: the x with
-    x -> 1 = 1.  Verified a subalgebra (``is_subalgebra``); only a failure
-    is rescanned a pair at a time, for the least witness."""
-    part = frozenset(compress(A.elements(), A.byte_tables.order_cols[A.unit]))
-    if not is_subalgebra(A, part):
-        for x in sorted(part):
-            for y in sorted(part):
-                if A.arrow[x][y] not in part or A.squig[x][y] not in part:
-                    raise InternalInconsistencyError(
-                        f"BCK part not closed at ({A.names[x]}, {A.names[y]})")
-    return part
+    x -> 1 = 1.  It is a compatible closed deductive system, by sanity laws
+    that ``check_algebra`` asserts: lemma L6 of ``theorems``, proved at
+    ``dsystems.bck_part_system``."""
+    return frozenset(compress(A.elements(), A.byte_tables.order_cols[A.unit]))
 
 
 def branches(A: PseudoBciAlgebra) -> dict[int, frozenset[int]]:

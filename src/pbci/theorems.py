@@ -11,8 +11,8 @@ The checks read the structure and tables of the algebra from its cached
 properties, and the enumerations, capped per call, from an ``Analysis``:
 each applicable derivation class, map records, phi (``phi_map``), the
 deductive systems and the monoid, each computed on first use and kept for
-the call.  K(A) as a deductive system is the entry of the systems with its
-members.  Per-map facts are read from the map's one record, and
+the call.  K(A) as a deductive system is ``bck_part_system`` (L6 below).
+Per-map facts are read from the map's one record, and
 d-invariance from the one table ``non_invariant``.  A result's
 applicability is derived from ``passed``, which is None exactly when the
 row is skipped.
@@ -50,6 +50,9 @@ L5. If phi(u) = phi(v), then u -> v and u ~> v lie in K(A): L1 gives
     u -> 1 = v -> 1, and (12), (12'), (11) and (1) give
     (u -> v) -> 1 = (u -> 1) ~> (v -> 1) = 1 and
     (u ~> v) -> 1 = (u ~> 1) -> (v ~> 1) = 1.
+L6. K(A) is a compatible closed deductive system, by (1), (3), (11),
+    (12), (12') and psBCI3; ``dsystems.bck_part_system`` gives the proof
+    and is the one place that states the flags.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ from .derivations import (
     pointwise,
     regular_translation_maps,
 )
-from .dsystems import DeductiveSystem, enumerate_ds, is_invariant, quotient
-from .errors import InternalInconsistencyError
+from .dsystems import (DeductiveSystem, bck_part_system, enumerate_ds, is_invariant,
+                       quotient)
 from .formats import format_selfmap
 
 EMPIRICAL_NOTE = "checked empirically; asserted without catalogued proof"
@@ -192,18 +195,6 @@ class Analysis:
         alone is not looked at."""
         return {d: next((D for D in self.systems if not is_invariant(self.A, D, d)), None)
                 for d in dict.fromkeys(self.implicative + self.symmetric)}
-
-    @cached_property
-    def bck_system(self) -> DeductiveSystem:
-        """K(A) as the entry of ``systems`` with its members, whose flags
-        are already built; it must be there, compatible and closed."""
-        K = self.A.bck_part
-        D = next((D for D in self.systems if D.members == K), None)
-        if D is None:
-            raise InternalInconsistencyError("BCK part is not a deductive system")
-        if not (D.compatible and D.closed):
-            raise InternalInconsistencyError("BCK part is not compatible and closed")
-        return D
 
     @cached_property
     def theorems(self) -> TheoremReport:
@@ -338,18 +329,21 @@ def _type2_unit_translation(c: Analysis, d: SelfMap):
 
 
 def _implicative_atom_stability(c: Analysis, d: SelfMap):
+    """Only the product rule is checked; the rest follows from the unit
+    rows.  A type I map passes ``type1-unit-image``, so d(1) is an atom and
+    d(a) = (a -> 1) -> d(1).  A type II map passes
+    ``type2-unit-translation``, so d(1) -> 1 <= d(1) and d(1) -> a <= d(a).
+    The left sides are atoms (L2, L3), and an atom lies below nothing else
+    (L4), so d(1) and each d(a) are atoms, and an atom d(1) in K(A) is 1.
+    With d(1) = 1, d(a) = (a -> 1) -> 1 = a by the atom test, or
+    d(a) = 1 -> a = a by psBCI3; and 1 is an atom, so a map that fixes the
+    atoms is regular."""
     prod, ats, u = c.A.product, c.A.atoms, c.unit
-    if not c.map_records[d].maps_atoms_into_atoms:
-        return ": image of an atom is not an atom"
-    if d[u] in c.A.bck_part and d[u] != u:
-        return ": d(1) in the BCK part but not 1"
     d1inv = c.A.arrow[d[u]][u]
     for a in ats:
         for b in ats:
             if d[prod[a][b]] != prod[prod[d[a]][d1inv]][d[b]]:
                 return f": product rule fails at ({c.name(a)}, {c.name(b)})"
-    if all(d[a] == a for a in ats) != (d[u] == u):
-        return ": atom-fixing vs regularity mismatch"
 
 
 def _chk_regular_type2_characterization(c: Analysis):
@@ -501,15 +495,18 @@ def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap]):
 
 
 def _chk_bck_part_closed_compatible_invariant(c: Analysis):
-    c.bck_system                # raises unless compatible and closed
-    for d in c.ridop2:
-        if not c.map_records[d].maps_bck_into_bck:
-            return f"BCK part not invariant under d={c.fmt(d)}"
+    """Only that ``enumerate_ds`` lists K(A) with both flags, which L6
+    proves.  Each regular type II map d sends K(A) into itself:
+    ``regular-type2-basics`` checks x <= dx, law (2) gives dx <= phi(dx),
+    and (10) then x <= phi(dx), an atom by L2.  For x in K(A), the branch
+    of 1 (L4), the branch partition gives phi(dx) = 1, so dx <= 1."""
+    if bck_part_system(c.A) not in c.systems:
+        return "BCK part is not listed as a compatible closed deductive system"
     return None
 
 
 def _chk_quotient_by_bck_part_psemisimple(c: Analysis):
-    Q = quotient(c.A, c.bck_system)
+    Q = quotient(c.A, bck_part_system(c.A))
     if not Q.classification.is_p_semisimple:
         return "quotient by the BCK part is not p-semisimple"
     reg = enumerate_derivations(Q, DerivationClass.IMPLICATIVE_II, regular=True)

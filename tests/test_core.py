@@ -164,15 +164,6 @@ def test_is_pseudo_bck(small_pool):
             if is_pseudo_bck(load_algebra(name))] == ["bck5"]
 
 
-def test_bck_part_closure_check():
-    # a in K but a->a lands outside K: impossible for valid tables,
-    # so the closure check must flag the hand-built corruption
-    arrow = ((1, 1, 2), (0, 2, 1), (0, 1, 2))
-    bad = PseudoBciAlgebra(names=("a", "b", "1"), unit=2, arrow=arrow, squig=arrow)
-    with pytest.raises(InternalInconsistencyError):
-        bck_part(bad)
-
-
 def test_branches_golden(proper5, group6):
     a, b, c, d, one = range(5)
     assert branches(proper5) == {

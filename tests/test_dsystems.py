@@ -379,16 +379,12 @@ def test_quotient_by_normal_subgroup(group6):
     assert classify(Q).is_p_semisimple
 
 
-def test_bck_part_system_flags(all_fixtures):
-    for algebra in all_fixtures.values():
-        ds = bck_part_system(algebra)
-        assert ds.compatible and ds.closed
-
-
-@pytest.mark.parametrize("closed", [lambda A, members, k: False], ids=["rejected"])
-def test_bck_part_system_faults_are_internal(proper5, closed, monkeypatch):
-    # K(A) is a deductive system by a theorem, so a detachment check that
-    # rejects it is a package bug
-    monkeypatch.setattr(pbci.dsystems, "_detachment_closed", closed)
-    with pytest.raises(InternalInconsistencyError, match="BCK part"):
-        bck_part_system(proper5)
+def test_bck_part_system_flags(small_pool, products):
+    # bck_part_system states K(A)'s flags without checking them (lemma L6
+    # of the theorems module); here they are checked as facts, and
+    # enumerate_ds lists K(A) with them
+    for A in small_pool + list(products.values()):
+        K = bck_part_system(A)
+        assert K == as_deductive_system(A, A.bck_part), A.names
+        assert is_subalgebra(A, A.bck_part), A.names
+        assert K in enumerate_ds(A), A.names

@@ -2,9 +2,10 @@ import dataclasses
 
 import pytest
 
-from pbci import EnumerationCapExceeded, InternalInconsistencyError, theorems
+from pbci import EnumerationCapExceeded, theorems
 from pbci.derivations import (DerivationClass, enumerate_derivations, identity_map,
                               map_properties)
+from pbci.dsystems import bck_part_system, enumerate_ds
 from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
                            theorem_suite)
 
@@ -149,6 +150,13 @@ def test_validation_lemmas_and_implied_map_facts_hold(small_pool, products,
         for d in enumerate_derivations(A, DerivationClass.IMPLICATIVE_II):
             for a in ats:
                 assert d[a] == arrow[d[u]][a] == squig[d[u]][a], (A.names, d, a)
+        implicative = {d for cls in (DerivationClass.IMPLICATIVE_I,
+                                     DerivationClass.IMPLICATIVE_II)
+                       for d in enumerate_derivations(A, cls)}
+        for d in implicative:                       # implicative-atom-stability
+            assert {d[a] for a in ats} <= ats, (A.names, d)
+            assert d[u] == u or d[u] not in K, (A.names, d)
+            assert all(d[a] == a for a in ats) == (d[u] == u), (A.names, d)
         for d in enumerate_derivations(A, DerivationClass.SYMMETRIC_I, regular=True):
             assert set(d) <= ats, (A.names, d)
         for d in enumerate_derivations(A, DerivationClass.SYMMETRIC_II):
@@ -215,8 +223,8 @@ _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
      "d1=(a b 1), d2=(b 1 a), op=arrow"),
     ("psemisimple-sym2-left-translation", "cyclic3", _S2, "a a a",
      "d=(a a a): left translation fails at (a, a)"),
-    ("bck-part-closed-compatible-invariant", "proper5", _II, "a a d a 1",
-     "BCK part not invariant under d=(a a d a 1)"),
+    ("type1-unit-image", "proper5", _I, "a a a a a",
+     "d=(a a a a a): d(1) is not an atom"),
     ("lower-bound-forces-regular-bck", "proper5", (_I, _II), "a a a a a",
      "d=(a a a a a) bounded below but not regular"),
     ("lower-bound-forces-regular-bck", "proper5", (_I, _II), "a a a a 1",
@@ -265,7 +273,7 @@ def test_failure_witnesses(tid, name, cls, image, witness, request):
 def test_invariance_is_decided_once_per_map(monkeypatch):
     # the invariance table tests each map against the systems in turn, up
     # to its first non-invariant one, and nothing else calls is_invariant:
-    # the BCK part row reads the map records
+    # the BCK part row reads no map
     calls = 0
     original = theorems.is_invariant
 
@@ -294,17 +302,18 @@ def test_invariance_table_holds_only_the_maps_the_rows_read(bck5):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_bck_system_is_the_enumerated_entry(name, request):
-    # K(A) is read off the systems, not closed and flagged again
-    an = Analysis(request.getfixturevalue(name))
-    K = an.bck_system
-    assert K.members == an.A.bck_part
-    assert any(D is K for D in an.systems)
+    # K(A) as bck_part_system states it, flags unchecked (lemma L6), is the
+    # entry that enumerate_ds lists with its members
+    A = request.getfixturevalue(name)
+    assert bck_part_system(A) == next(D for D in enumerate_ds(A)
+                                      if D.members == A.bck_part)
 
 
 @pytest.mark.parametrize("change", ["missing", "not-compatible", "not-closed"])
 def test_bck_system_faults_are_internal(proper5, change):
     # K(A) is a compatible closed deductive system by a theorem, so an
-    # enumeration that lacks it, or flags it otherwise, is a package bug
+    # enumeration that lacks it, or flags it otherwise, is a package bug,
+    # which the BCK part row reports as its witness
     an = Analysis(proper5)
     systems = [D for D in an.systems if D.members != proper5.bck_part]
     if change != "missing":
@@ -312,5 +321,7 @@ def test_bck_system_faults_are_internal(proper5, change):
         field = change.removeprefix("not-")
         systems.append(dataclasses.replace(K, **{field: False}))
     an.systems = systems
-    with pytest.raises(InternalInconsistencyError, match="BCK part"):
-        an.bck_system
+    result = next(r for r in an.theorems.results
+                  if r.tid == "bck-part-closed-compatible-invariant")
+    assert (result.applicable, result.passed, result.witness) == (
+        True, False, "BCK part is not listed as a compatible closed deductive system")
