@@ -51,12 +51,16 @@ congruences.
 
 The classification crosschecks keep every quantifier of the laws they test,
 but evaluate the inner one a row or a block at a time on the same byte
-views: the atom characterizations compare a column with composed rows,
-group associativity compares a block over (y, z) per x, the medial laws
-compare ids of composed rows, and the atom tests share what does not
-depend on the atom.  p-semisimplicity (c), (d) and (h), atom tests at
-every element, read the crosschecked atom set; (e) compares a row with a
-translated column per element; (i) is the group axioms and the
+views: group associativity compares a block over (y, z) per x, and the
+medial laws compare ids of composed rows.  The atom test is
+(a -> 1) -> 1 = a, crosschecked against the characterizations (b)-(d)
+alone: (b) reads row a of both joins, and (c) and (d) compare a column
+with a composed row.  The other seven, the branch partition and
+"p-semisimple implies commutative" follow from (b)-(d), the sanity laws
+and lemma L2 of ``theorems``; ``_atom_characterizations``, ``branches`` and
+``classify`` give the proofs.  p-semisimplicity (c), (d) and (h), atom
+tests at every element, read the crosschecked atom set; (e) compares a
+row with a translated column per element; (i) is the group axioms and the
 reconstruction.  Everything is pure Python; numpy would cost more
 at start-up than it saves on these tables.
 """
@@ -703,57 +707,61 @@ def _is_atom(A: PseudoBciAlgebra, a: int) -> bool:
     return A.arrow[A.arrow[a][u]][u] == a
 
 
-def _join_fixed(A: PseudoBciAlgebra) -> tuple[frozenset[int], frozenset[int]]:
-    r"""The elements v with v \/k y = v for every y, for k = 1 and 2."""
-    n = A.size
-    return tuple(frozenset(v for v, row in enumerate(join) if row.count(v) == n)
-                 for join in A.joins)
+def _atom_characterizations(A: PseudoBciAlgebra, a: int) -> list[tuple[str, bool]]:
+    r"""The membership tests (b), (c) and (d) for a in At(A), each over every
+    x: (b) a \/1 x = a \/2 x = a, read off row a of both joins; (c)
+    x -> a = (a -> x) ~> 1 and (d) x ~> a = (a ~> x) -> 1, a column against
+    a composed row, one translate each.
 
-
-def _atom_characterizations(A: PseudoBciAlgebra, a: int,
-                            fixed: tuple[frozenset[int], frozenset[int]],
-                            ) -> list[tuple[str, bool]]:
-    """The ten equivalent membership tests (b)..(k) for a in At(A).
-
-    Each test quantifies over x (and y) as in the paper, a whole column at
-    a time: (c)-(f), (i) and (j) compare the column x |-> x -> a or
-    x |-> x ~> a with a composed row, one translate each; (g) and (h) ask
-    whether every entry of that column is fixed by a join, and (b) whether
-    a itself is.  ``fixed`` is _join_fixed(A), shared by every a.
+    The paper's other seven characterizations hold iff a passes the atom
+    test (a -> 1) -> 1 = a, given (b)-(d), the sanity laws of
+    ``check_algebra`` (numbered as in ``SANITY_LAWS``) and lemma L2 of
+    ``theorems``, so none of the seven is checked.  Lemmas L2-L4 rest on
+    (b)-(d), the sanity laws and the partition proved at ``branches``,
+    never on (e)-(k), so no step below is circular.
+    (k) (a -> 1) ~> 1 = a and (a ~> 1) -> 1 = a: both sides on the left
+        equal (a -> 1) -> 1 by (11), so (k) is the atom test.
+    (i) x -> a = (a -> 1) ~> (x -> 1): for an atom, x -> a = (a -> x) ~> 1
+        by (c), = (a -> x) -> 1 by (11), = (a -> 1) ~> (x -> 1) by (12).
+        Conversely x = 1 gives a = (a -> 1) ~> 1 = phi(a) by psBCI3 and
+        (1), an atom by L2.
+    (j) x ~> a = (a ~> 1) -> (x ~> 1): dually by (d), (11) and (12').
+        Conversely x = 1 gives a = (a ~> 1) -> 1 = (a -> 1) -> 1 by psBCI4,
+        (1) and (11).
+    (e) x -> a = (a -> y) ~> (x -> y): for an atom, psBCI1 at (x, a, y)
+        gives x -> a <= (a -> y) ~> (x -> y); x -> a is an atom (L3) and
+        an atom lies below nothing else (L4), so the two are equal.
+        Conversely y = 1 gives (i).
+    (f) x ~> a = (a ~> y) -> (x ~> y): dually by psBCI2; y = 1 gives (j).
+    (g), (h) every x -> a is fixed by \/2 and every x ~> a by \/1: for an
+        atom, x -> a and x ~> a are atoms, fixed by both joins (L3).
+        Conversely x = y = 1 gives a = (a ~> 1) -> 1, the atom test by
+        (11), and a = (a -> 1) ~> 1 = phi(a), an atom by L2.
     """
     u = A.unit
+    n = A.size
     bt = A.byte_tables
     (arrow, squig), (arrow_cols, squig_cols) = bt.rows, bt.cols
-    (to_arrow, to_squig), (arrow_to, squig_to) = bt.maps, bt.col_maps
-    cup1_fixed, cup2_fixed = fixed
-    to_a, sq_to_a = arrow_cols[a], squig_cols[a]
+    arrow_to, squig_to = bt.col_maps
+    cup1, cup2 = A.joins
     return [
-        ("b", a in cup1_fixed and a in cup2_fixed),
-        ("c", to_a == arrow[a].translate(squig_to[u])),
-        ("d", sq_to_a == squig[a].translate(arrow_to[u])),
-        ("e", all(to_a == col.translate(to_squig[v])
-                  for col, v in zip(arrow_cols, arrow[a]))),
-        ("f", all(sq_to_a == col.translate(to_arrow[v])
-                  for col, v in zip(squig_cols, squig[a]))),
-        ("g", cup2_fixed.issuperset(to_a)),
-        ("h", cup1_fixed.issuperset(sq_to_a)),
-        ("i", to_a == arrow_cols[u].translate(to_squig[arrow[a][u]])),
-        ("j", sq_to_a == squig_cols[u].translate(to_arrow[squig[a][u]])),
-        ("k", squig[arrow[a][u]][u] == a and arrow[squig[a][u]][u] == a),
+        ("b", cup1[a].count(a) == n and cup2[a].count(a) == n),
+        ("c", arrow_cols[a] == arrow[a].translate(squig_to[u])),
+        ("d", squig_cols[a] == squig[a].translate(arrow_to[u])),
     ]
 
 
 def atoms(A: PseudoBciAlgebra) -> frozenset[int]:
     """The minimal elements, computed as {x | (x -> 1) -> 1 = x}.
 
-    Every element's membership is re-derived through the ten equivalent
-    characterizations; disagreement raises InternalInconsistencyError since
-    the equivalence is a theorem.
+    Every element's membership is re-derived through the characterizations
+    (b)-(d), which imply the other seven (``_atom_characterizations``);
+    disagreement raises InternalInconsistencyError since the equivalence is
+    a theorem.
     """
     base = frozenset(x for x in A.elements() if _is_atom(A, x))
-    fixed = _join_fixed(A)
     for x in A.elements():
-        for label, holds in _atom_characterizations(A, x, fixed):
+        for label, holds in _atom_characterizations(A, x):
             if holds != (x in base):
                 raise InternalInconsistencyError(
                     f"atom characterization ({label}) disagrees at {A.names[x]}")
@@ -775,19 +783,20 @@ def bck_part(A: PseudoBciAlgebra) -> frozenset[int]:
 
 
 def branches(A: PseudoBciAlgebra) -> dict[int, frozenset[int]]:
-    """Map each atom a to its branch {x | x <= a}, column a of the order;
-    the branches partition A."""
+    """Map each atom a to its branch {x | x <= a}, column a of the order.
+
+    The branches partition A, so nothing scans for overlap or cover; laws
+    are numbered as in ``SANITY_LAWS``.  x <= phi(x) by (2) at y = 1, and
+    phi(x) is an atom (L2 of ``theorems``).  If x <= a for an atom a, (5)
+    with z = 1, applied twice, gives phi(x) <= (a -> 1) ~> 1 = a, by (11)
+    and the atom test.  For atoms b <= a, (c) at b gives
+    a -> b = (b -> a) ~> 1 = 1 ~> 1 = 1 by (1), so a = b by psBCI5.  So phi(x) is
+    the one atom above x.  Likewise an atom a <= z lies below nothing else
+    (L4): z <= phi(z), so a <= phi(z) by (10), a = phi(z), and z = a by
+    psBCI5.
+    """
     cols = A.byte_tables.order_cols
-    result = {a: frozenset(compress(A.elements(), cols[a])) for a in sorted(A.atoms)}
-    seen: set[int] = set()
-    for a, block in result.items():
-        if block & seen:
-            raise InternalInconsistencyError(
-                f"branches overlap at atom {A.names[a]}")
-        seen |= block
-    if seen != set(A.elements()):
-        raise InternalInconsistencyError("branches do not cover the universe")
-    return result
+    return {a: frozenset(compress(A.elements(), cols[a])) for a in sorted(A.atoms)}
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +836,9 @@ def _p_semisimple_characterizations(A: PseudoBciAlgebra) -> list[tuple[str, bool
 
     a = below[u].count(1) == 1                  # K(A) = {1}
     b = b"".join(below).count(1) == n           # only x <= x
-    # atom characterizations (b), (k) and _is_atom at every x; atoms() crosschecked them
+    # (c) is atom characterization (b) at every x and (h) the atom test at
+    # every x, which atoms() crosschecked; (d) is (k) at every x, which is
+    # the atom test by (11)
     c = d = h = len(A.atoms) == n
     # (x->1) ~> y = (y~>1) -> x, a row over y per x: row x -> 1 of squig
     # against column x of arrow read at the y ~> 1
@@ -901,8 +912,14 @@ def _is_medial(tables: ByteTables, k: int) -> bool:
 
 
 def classify(A: PseudoBciAlgebra) -> ClassificationReport:
-    """Decide every classification flag, cross-checking the theorem-level
-    equivalences between them."""
+    r"""Decide every classification flag, cross-checking the theorem-level
+    equivalences between them.
+
+    "p-semisimple implies commutative" is not checked: p-semisimple
+    characterization (b), only x <= x, is crosschecked first, so there the
+    commutativity scan reads y = x alone, where x \/1 x = 1 ~> x = x and
+    x \/2 x = 1 -> x = x by (1), psBCI4 and psBCI3.
+    """
     n = A.size
     arrow, squig = A.arrow, A.squig
     cup1, cup2 = A.joins
@@ -934,9 +951,6 @@ def classify(A: PseudoBciAlgebra) -> ClassificationReport:
     if is_commutative != is_branchwise:
         raise InternalInconsistencyError(
             "commutative and branchwise-commutative disagree")
-    if is_p_semisimple and not is_commutative:
-        raise InternalInconsistencyError(
-            "p-semisimple algebra fails commutativity")
     if (is_medial_arrow or is_medial_squig) and not (is_p_semisimple and is_bci):
         raise InternalInconsistencyError(
             "medial algebra is not a p-semisimple BCI algebra")

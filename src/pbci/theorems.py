@@ -32,8 +32,9 @@ that several rows name.
 A law leaves out each conjunct that validation already proves, and its
 docstring says why.  Every algebra here has passed ``core.check_algebra``,
 whose sanity suite asserts laws (1)-(12'), and its classification has
-crosschecked the atom characterizations (b)-(k) (``core.atoms``) and the
-branch partition (``core.branches``).  With phi(x) = (x -> 1) ~> 1:
+crosschecked the atom characterizations (b)-(d) (``core.atoms``), which
+with those laws and L2 imply the other seven
+(``core._atom_characterizations``).  With phi(x) = (x -> 1) ~> 1:
 
 L1. phi(x) -> 1 = x -> 1.  (2) at y = 1 gives x <= phi(x), so (5) gives
     phi(x) -> 1 <= x -> 1; (2) in its ~> form at u = x -> 1 gives
@@ -44,8 +45,8 @@ L3. For an atom a, x -> a and x ~> a are atoms, and a \/1 y = a \/2 y = a:
     (c) and (d) give x -> a = (a -> x) ~> 1 and x ~> a = (a ~> x) -> 1,
     atoms by (11) and L2, and (b) is the joins.
 L4. phi(x) is the atom of x's branch, and an atom lies below nothing
-    else: x <= phi(x), (10), psBCI5 and the partition.  1 is an atom and
-    its branch is K(A).
+    else: x <= phi(x), (5), (10), (c), psBCI5 and L2, by the partition
+    proof at ``core.branches``.  1 is an atom and its branch is K(A).
 L5. If phi(u) = phi(v), then u -> v and u ~> v lie in K(A): L1 gives
     u -> 1 = v -> 1, and (12), (12'), (11) and (1) give
     (u -> v) -> 1 = (u -> 1) ~> (v -> 1) = 1 and
@@ -409,11 +410,13 @@ def _chk_closed_under_composition(c: Analysis, maps: list[SelfMap]):
 
 
 def _chk_psemisimple_composition_commutes(c: Analysis):
-    for d1 in c.idop:
-        for d2 in c.idop:
-            if compose(d1, d2) != compose(d2, d1):
-                return f"d1={c.fmt(d1)}, d2={c.fmt(d2)}"
-    return None
+    """Reads the monoid's ``commutative`` flag, which tests every pair of
+    the two-sided maps.  Only a failure looks for the first pair to name."""
+    if c.monoid.commutative:
+        return None
+    d1, d2 = next((d1, d2) for i, d1 in enumerate(c.idop) for d2 in c.idop[i + 1:]
+                  if compose(d1, d2) != compose(d2, d1))
+    return f"d1={c.fmt(d1)}, d2={c.fmt(d2)}"
 
 
 def _chk_psemisimple_implicative_monoid(c: Analysis):

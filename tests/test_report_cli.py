@@ -116,7 +116,7 @@ def test_report_computes_each_object_once(name, classes, request, monkeypatch):
 
         monkeypatch.setattr(module, fn, counted)
 
-    count(core, "_atom_characterizations", lambda A, a, fixed: (A.names, a))
+    count(core, "_atom_characterizations", lambda A, a: (A.names, a))
     count(derivations, "_solve", None)
     count(dsystems, "_closed_sets", None)
     # bck_part is imported by name, so count it in every module holding it
@@ -292,8 +292,7 @@ def test_cli_atom_crosscheck_counts(runner, monkeypatch, args, checks):
     checked = []
     original = core._atom_characterizations
     monkeypatch.setattr(core, "_atom_characterizations",
-                        lambda A, a, fixed: checked.append(a)
-                        or original(A, a, fixed))
+                        lambda A, a: checked.append(a) or original(A, a))
     args = [fixture_path("proper5") if a == "FIXTURE" else a for a in args]
     assert runner.invoke(main, args).exit_code == 0
     assert len(checked) == checks
@@ -304,10 +303,10 @@ def test_structure_is_built_once_per_algebra(proper5, monkeypatch):
     checked: Counter = Counter()
     original = core._atom_characterizations
 
-    def counted(A, a, fixed):
+    def counted(A, a):
         if A is algebra:
             checked[a] += 1
-        return original(A, a, fixed)
+        return original(A, a)
 
     monkeypatch.setattr(core, "_atom_characterizations", counted)
     core.classify(algebra)

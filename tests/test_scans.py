@@ -4,7 +4,7 @@ oracles.
 Each oracle below is the literal loop or generator form of the law, one
 element tuple at a time: the five axioms with every violation, the
 twelve-law sanity suite with its first witnesses and the pairs at which
-either fails, the medial flags, the ten atom characterizations, the group
+either fails, the medial flags, the atom characterizations (b)-(d), the group
 axioms of a p-semisimple algebra, the join tables and columns, K(A), the
 flags and detachment of a subset, isotone maps, and the congruence of a
 deductive system.  The scans in ``pbci.core``, ``pbci.dsystems`` and
@@ -26,7 +26,7 @@ from pbci import (CongruenceError, InternalInconsistencyError, PseudoBciAlgebra,
 from pbci.dsystems import (DeductiveSystem, _detachment_closed, _flags,
                            congruence_classes)
 
-from conftest import flat, make_products
+from conftest import flat, make_n90_product, make_products
 
 
 # --- oracles ----------------------------------------------------------------
@@ -186,20 +186,10 @@ def atom_oracle(A, a):
     def all_x(pred):
         return all(pred(x) for x in range(n))
 
-    def all_xy(pred):
-        return all(pred(x, y) for x in range(n) for y in range(n))
-
     return [
         ("b", all_x(lambda x: A.cup1(a, x) == a and A.cup2(a, x) == a)),
         ("c", all_x(lambda x: arrow[x][a] == squig[arrow[a][x]][u])),
         ("d", all_x(lambda x: squig[x][a] == arrow[squig[a][x]][u])),
-        ("e", all_xy(lambda x, y: arrow[x][a] == squig[arrow[a][y]][arrow[x][y]])),
-        ("f", all_xy(lambda x, y: squig[x][a] == arrow[squig[a][y]][squig[x][y]])),
-        ("g", all_xy(lambda x, y: arrow[x][a] == arrow[squig[arrow[x][a]][y]][y])),
-        ("h", all_xy(lambda x, y: squig[x][a] == squig[arrow[squig[x][a]][y]][y])),
-        ("i", all_x(lambda x: arrow[x][a] == squig[arrow[a][u]][arrow[x][u]])),
-        ("j", all_x(lambda x: squig[x][a] == arrow[squig[a][u]][squig[x][u]])),
-        ("k", squig[arrow[a][u]][u] == a and arrow[squig[a][u]][u] == a),
     ]
 
 
@@ -617,8 +607,7 @@ def test_medial_matches_oracle_on_corrupted_medial_tables(p_semisimple_pool,
 
 
 def atom_lists(A):
-    fixed = core._join_fixed(A)
-    return [core._atom_characterizations(A, a, fixed) for a in A.elements()]
+    return [core._atom_characterizations(A, a) for a in A.elements()]
 
 
 def test_atom_characterizations_match_oracle_on_valid_pool(valid_pool):
@@ -655,6 +644,42 @@ def test_atoms_crosscheck_agrees_with_oracle_on_corruptions(all_fixtures):
         else:
             assert not disagrees
     assert raised > 0
+
+
+def test_implied_atom_branch_and_commutativity_facts_hold(small_pool, products,
+                                                          large_products):
+    # what (b)-(d), the sanity laws and lemma L2 of the theorems module
+    # imply, so that atoms(), branches() and classify() do not check it
+    # (proofs at core._atom_characterizations, core.branches and
+    # core.classify): the other seven atom characterizations agree with
+    # the atom test, the atoms' order columns partition A, and every
+    # p-semisimple algebra is commutative
+    pool = small_pool + list(products.values()) + list(large_products.values())
+    for A in pool + [make_n90_product()]:
+        u, rng = A.unit, A.elements()
+        arrow, squig = A.arrow, A.squig
+        ats = [a for a in rng if arrow[arrow[a][u]][u] == a]
+        for a in rng:
+            facts = {
+                "e": all(arrow[x][a] == squig[arrow[a][y]][arrow[x][y]]
+                         for x in rng for y in rng),
+                "f": all(squig[x][a] == arrow[squig[a][y]][squig[x][y]]
+                         for x in rng for y in rng),
+                "g": all(arrow[x][a] == arrow[squig[arrow[x][a]][y]][y]
+                         for x in rng for y in rng),
+                "h": all(squig[x][a] == squig[arrow[squig[x][a]][y]][y]
+                         for x in rng for y in rng),
+                "i": all(arrow[x][a] == squig[arrow[a][u]][arrow[x][u]] for x in rng),
+                "j": all(squig[x][a] == arrow[squig[a][u]][squig[x][u]] for x in rng),
+                "k": squig[arrow[a][u]][u] == a and arrow[squig[a][u]][u] == a,
+            }
+            assert facts == dict.fromkeys(facts, a in ats), (A.names, a)
+        # each x lies below exactly one atom, and A.branches are those columns
+        assert all(sum(arrow[x][a] == u for a in ats) == 1 for x in rng), A.names
+        assert A.branches == {a: frozenset(x for x in rng if arrow[x][a] == u)
+                              for a in ats}, A.names
+        cls = A.classification
+        assert cls.is_commutative or not cls.is_p_semisimple, A.names
 
 
 # --- group axioms -----------------------------------------------------------
@@ -770,6 +795,10 @@ def test_flags_detachment_and_k_match_definitions_on_corrupted_tables(
             kinds |= assert_systems_match_oracles(B, member_sets(B, rng, 6))
             if B.size <= 6:
                 oracle_outcomes.add(assert_brute_force_matches_oracle(B))
+    # the sets fail detachment, compatibility and closure, each somewhere
+    assert kinds == {"system", "a deductive system must contain the unit",
+                     "subset is not closed under detachment",
+                     "incompatible", "not closed"}
     # on corrupted tables the two detachment forms can disagree, which
     # only the oracle enumeration tests
     assert oracle_outcomes == {"forms agree", "arrow- and squig-detachment disagree"}
