@@ -3,9 +3,10 @@
 ``build_report`` reads the structure from the algebra's cached properties
 and every enumeration from one ``theorems.Analysis``, which it hands on to
 ``theorem_suite``, so one report enumerates each derivation class and the
-deductive systems once.  A map listed by several classes has one property
-record, ``Analysis.map_records``; each entry of the report still holds
-its own dicts and lists.
+deductive systems once.  The map property records are built here, and only
+here and in ``pbci map``: ``_derivation_blocks`` builds one per distinct
+map (``derivations.map_properties``) however many classes list it, and
+each entry of the report still holds its own dicts and lists.
 
 Identical inputs produce byte-identical output: every collection is emitted
 in a canonical order (declaration order for element sets, lexicographic
@@ -22,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .core import AlgebraSpec, PseudoBciAlgebra
+from .derivations import map_properties
 from .theorems import Analysis, theorem_suite
 
 
@@ -40,12 +42,21 @@ def _record(A: PseudoBciAlgebra, record) -> dict:
     return out
 
 
-def _map_entry(an: Analysis, d) -> dict:
+def _derivation_blocks(an: Analysis) -> list[dict]:
+    """One block per applicable class, each map with its property record;
+    a map listed by several classes has its record built once."""
     A = an.A
-    return {
-        "images": [A.names[v] for v in d],
-        "properties": _record(A, an.map_records[d]),
-    }
+    records = {d: map_properties(A, d)
+               for d in dict.fromkeys(d for maps in an.derivations.values() for d in maps)}
+    return [
+        {
+            "class": str(cls),
+            "count": len(maps),
+            "maps": [{"images": [A.names[v] for v in d],
+                      "properties": _record(A, records[d])} for d in maps],
+        }
+        for cls, maps in an.derivations.items()
+    ]
 
 
 def build_report(A: PseudoBciAlgebra) -> dict:
@@ -86,14 +97,7 @@ def build_report(A: PseudoBciAlgebra) -> dict:
             "classes": [str(cls) for cls, maps in an.derivations.items()
                         if an.phi in maps],
         },
-        "derivations": [
-            {
-                "class": str(cls),
-                "count": len(maps),
-                "maps": [_map_entry(an, d) for d in maps],
-            }
-            for cls, maps in an.derivations.items()
-        ],
+        "derivations": _derivation_blocks(an),
         "monoid": {
             "members": [[A.names[v] for v in d] for d in an.idop],
             "closed_under_composition": an.monoid.closed_under_composition,

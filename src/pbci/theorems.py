@@ -9,15 +9,17 @@ marked as checked empirically only).
 
 The checks read the structure and tables of the algebra from its cached
 properties, and the enumerations, capped per call, from an ``Analysis``:
-each applicable derivation class, map records, phi (``phi_map``), the
-deductive systems and the monoid, each computed on first use and kept for
-the call.  K(A) as a deductive system is ``bck_part_system`` (L6 below).
-Per-map facts are read from the map's one record, and
-d-invariance from the one table ``non_invariant``.  A result's
+each applicable derivation class, phi (``phi_map``), the deductive systems
+and the monoid, each computed on first use and kept for the call.  K(A) as
+a deductive system is ``bck_part_system`` (L6 below).  Per-map facts are
+read off the map itself: idempotence as ``compose(d, d) == d``, a kernel
+equal to K(A) by ``_kernel_is_bck_part``, a regular map's trivial kernel
+as one 1 in its image row, and atom values as a subset of the atoms;
+``derivations.map_properties`` stays the reference for them.
+d-invariance is read from the one table ``non_invariant``.  A result's
 applicability is derived from ``passed``, which is None exactly when the
-row is skipped.
-``report.build_report`` passes its own analysis to ``theorem_suite``, so a
-report and its theorems share one computation.
+row is skipped.  ``report.build_report`` passes its own analysis to
+``theorem_suite``, so a report and its theorems share one computation.
 
 The catalogue is one table, ``_CATALOG``.  Each row names its precondition
 as ClassificationReport flags and its check as a function of the analysis.
@@ -65,13 +67,11 @@ from functools import cached_property
 from .core import PseudoBciAlgebra
 from .derivations import (
     DerivationClass,
-    MapPropertyRecord,
     MonoidReport,
     SelfMap,
     compose,
     enumerate_derivations,
     identity_map,
-    map_properties,
     monoid_report,
     phi_map,
     pointwise,
@@ -119,13 +119,14 @@ def _maps_of(cls: DerivationClass) -> property:
 
 class Analysis:
     """The enumerations of one algebra that the report and the theorem
-    suite read, each computed on first use and then kept.
+    suite read, each computed on first use and then kept, and the suite's
+    results.
 
     Built per call from A alone, so nothing here outlives the build_report
     or theorem_suite call that made it, and each call checks the size caps
     afresh.  The atoms, K(A), branches and classification are the
-    algebra's own cached properties.  Each distinct map of the derivation
-    classes gets one property record however many classes list it.
+    algebra's own cached properties.  Map property records are no part of
+    it: the report builds them, and the suite reads each fact off the map.
     """
 
     def __init__(self, A: PseudoBciAlgebra):
@@ -140,13 +141,6 @@ class Analysis:
         order; DerivationClass.applies_to decides the scope."""
         return {cls: enumerate_derivations(self.A, cls)
                 for cls in DerivationClass if cls.applies_to(self.A)}
-
-    @cached_property
-    def map_records(self) -> dict[SelfMap, MapPropertyRecord]:
-        """The property record of each distinct map of the applicable
-        classes, keyed by the map, in first-listed order."""
-        distinct = dict.fromkeys(d for maps in self.derivations.values() for d in maps)
-        return {d: map_properties(self.A, d) for d in distinct}
 
     idop1 = _maps_of(DerivationClass.IMPLICATIVE_I)
     idop2 = _maps_of(DerivationClass.IMPLICATIVE_II)
@@ -278,7 +272,7 @@ def _regular_type2_basics(c: Analysis, d: SelfMap):
 def _chk_dominated_idempotent_composition(c: Analysis):
     leq = c.A.byte_tables.order
     for d2 in c.ridop2:
-        if not c.map_records[d2].idempotent:
+        if compose(d2, d2) != d2:
             continue
         for d1 in c.ridop2:
             if all(leq[d1[x]][d2[x]] for x in range(c.n)):
@@ -287,14 +281,19 @@ def _chk_dominated_idempotent_composition(c: Analysis):
     return None
 
 
+def _kernel_is_bck_part(c: Analysis, d: SelfMap) -> bool:
+    """Whether d's kernel is K(A): the column marking d(x) = 1 against
+    column 1 of the order, which marks x <= 1."""
+    return bytes(v == c.unit for v in d) == c.A.byte_tables.order_cols[c.unit]
+
+
 def _kernel_is_bck_part_iff_phi(c: Analysis, d: SelfMap):
-    if (c.map_records[d].kernel == c.A.bck_part) != (d == c.phi):
+    if _kernel_is_bck_part(c, d) != (d == c.phi):
         return ""
 
 
 def _kernel_bck_part_forces_idempotent(c: Analysis, d: SelfMap):
-    rec = c.map_records[d]
-    if rec.kernel == c.A.bck_part and not rec.idempotent:
+    if _kernel_is_bck_part(c, d) and compose(d, d) != d:
         return ""
 
 
@@ -347,18 +346,9 @@ def _implicative_atom_stability(c: Analysis, d: SelfMap):
                 return f": product rule fails at ({c.name(a)}, {c.name(b)})"
 
 
-def _chk_regular_type2_characterization(c: Analysis):
-    alt = regular_translation_maps(c.A)
-    if set(alt) != set(c.ridop2):
-        extra = set(alt) ^ set(c.ridop2)
-        some = c.fmt(sorted(extra)[0])
-        return f"route disagreement, e.g. {some}"
-    return None
-
-
 def _atom_valued_type1_pullthrough(c: Analysis, d: SelfMap):
     arrow, squig = c.A.arrow, c.A.squig
-    if not c.map_records[d].image_in_atoms:
+    if not c.A.atoms.issuperset(d):
         return None
     for x in range(c.n):
         for y in range(c.n):
@@ -393,7 +383,7 @@ def _regular_iff_all_invariant(c: Analysis, d: SelfMap):
 
 def _chk_psemisimple_iff_trivial_regular_type2(c: Analysis):
     a = c.A.classification.is_p_semisimple
-    b = all(c.map_records[d].kernel == {c.unit} for d in c.ridop2)
+    b = all(d.count(c.unit) == 1 for d in c.ridop2)  # regular: 1 is in each kernel
     e = c.ridop2 == [c.ident]
     if not (a == b == e):
         return f"classification={a}, trivial kernels={b}, only identity={e}"
@@ -490,11 +480,12 @@ def _psemisimple_sym2_left_translation(c: Analysis, d: SelfMap):
                 return f": two gaps differ at ({c.name(x)}, {c.name(y)})"
 
 
-def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap]):
-    if set(maps) != set(others):
-        diff = sorted(set(maps) ^ set(others))
-        return f"sets differ, e.g. {c.fmt(diff[0])}"
-    return None
+def _chk_same_maps(c: Analysis, maps: list[SelfMap], others: list[SelfMap],
+                   failure: str = "sets differ"):
+    """The check that two map lists hold the same maps; a failure names the
+    least map in one list only."""
+    diff = set(maps) ^ set(others)
+    return f"{failure}, e.g. {c.fmt(min(diff))}" if diff else None
 
 
 def _chk_bck_part_closed_compatible_invariant(c: Analysis):
@@ -573,7 +564,8 @@ _CATALOG = (
     ("regular-type2-characterization",
      "regular type II maps are exactly the regular right-translation-"
      "compatible maps (two enumeration routes agree)",
-     (), _chk_regular_type2_characterization, None),
+     (), lambda c: _chk_same_maps(c, regular_translation_maps(c.A), c.ridop2,
+                                  "route disagreement"), None),
     ("atom-valued-type1-pullthrough",
      "atom-valued type I maps pull through both implications",
      (), _each("idop1", _atom_valued_type1_pullthrough), None),

@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from pbci import EnumerationCapExceeded, theorems
-from pbci.derivations import (DerivationClass, enumerate_derivations, identity_map,
-                              map_properties)
+from pbci.derivations import (DerivationClass, compose, enumerate_derivations,
+                              identity_map, map_properties)
 from pbci.dsystems import bck_part_system, enumerate_ds
 from pbci.theorems import (CATALOG_IDS, EMPIRICAL_NOTE, Analysis, TheoremResult,
                            theorem_suite)
@@ -170,6 +170,33 @@ def test_validation_lemmas_and_implied_map_facts_hold(small_pool, products,
                 assert d == identity_map(A), (A.names, d)
 
 
+def test_per_map_readings_match_the_property_record(small_pool, products, monkeypatch):
+    # the suite reads its per-map facts off the map, the report from
+    # map_properties, which stays the reference: a kernel equal to K(A)
+    # (_kernel_is_bck_part), idempotence (compose(d, d) == d), atom values
+    # (atoms.issuperset(d)) and, on the regular maps it is read for, a
+    # trivial kernel (d.count(1) == 1).  Every map of every applicable
+    # class is compared, and each reading takes both values somewhere
+    monkeypatch.setenv("PBCI_MAX_SIZE", "15")
+    seen = set()
+    for A in small_pool + list(products.values()):
+        an, u = Analysis(A), A.unit
+        for d in set().union(*an.derivations.values()):
+            rec = map_properties(A, d)
+            readings = {
+                "kernel is K(A)": (theorems._kernel_is_bck_part(an, d),
+                                   rec.kernel == A.bck_part),
+                "idempotent": (compose(d, d) == d, rec.idempotent),
+                "atom-valued": (A.atoms.issuperset(d), rec.image_in_atoms),
+            }
+            if d[u] == u:
+                readings["trivial kernel"] = (d.count(u) == 1, rec.kernel == {u})
+            for name, (read, reference) in readings.items():
+                assert read == reference, (A.names, d, name)
+                seen.add((name, read))
+    assert len(seen) == 8, seen
+
+
 _I, _II, _III, _IV = (DerivationClass.IMPLICATIVE_I, DerivationClass.IMPLICATIVE_II,
                       DerivationClass.IMPLICATIVE_III, DerivationClass.IMPLICATIVE_IV)
 _S1, _S2 = DerivationClass.SYMMETRIC_I, DerivationClass.SYMMETRIC_II
@@ -287,7 +314,8 @@ def test_invariance_is_decided_once_per_map(monkeypatch):
     assert theorem_suite(an).all_passed
     scanned = sum(len(an.systems) if D is None else an.systems.index(D) + 1
                   for D in an.non_invariant.values())
-    assert calls == scanned <= len(an.map_records) * len(an.systems) <= 16_640
+    distinct = set().union(*an.derivations.values())
+    assert calls == scanned <= len(distinct) * len(an.systems) <= 16_640
 
 
 def test_invariance_table_holds_only_the_maps_the_rows_read(bck5):
@@ -297,7 +325,7 @@ def test_invariance_table_holds_only_the_maps_the_rows_read(bck5):
     assert theorem_suite(an).all_passed
     read = set(an.implicative) | set(an.symmetric)
     assert set(an.non_invariant) == read
-    assert len(read) == 4 < len(an.map_records) == 6
+    assert len(read) == 4 < len(set().union(*an.derivations.values())) == 6
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
