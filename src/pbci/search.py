@@ -15,6 +15,16 @@ The law is a theorem of the axioms, which the validator's sanity suite
 asserts on every algebra, so pruning with it loses no model.  At size 5 the
 DFS visits 4,940 inner nodes with it and 35,985 with the axioms alone.
 
+Both tables are one flat list of 2n^2 cells, the arrow table and then the
+squig table row by row, which is also the model's flat key.  ``_layout``
+builds, once per size, the step of every flat cell and every instance as
+a record of flat cell offsets, so that the DFS loop decides a record with
+a few list reads and no call, and tests the permutations the same way.
+``_dfs`` also counts its work exactly: the inner nodes it visits, one per
+step entered with a cell to assign, and the instances it evaluates, added
+once per bucket pass from what the pass's iterator has left.  The tests
+pin both counts, and CI pins them at size 6.
+
 The DFS visits one model per isomorphism class that fixes the unit: the
 canonical one, whose key (each cell's arrow and then squig value, in DFS
 cell order) is the least among its (n-1)! transports.  Every permutation
@@ -47,6 +57,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import PREDICATE_NAMES, AlgebraSpec, PseudoBciAlgebra, check_algebra
 from .errors import InternalInconsistencyError, ValidationError
@@ -121,32 +132,52 @@ def is_lex_least_rep(arrow, squig) -> bool:
     return _flat_key(arrow, squig) == min(_plain_orbit(arrow, squig))
 
 
-def _canonical_tables(n: int):
-    """Yield the flat key of the canonical member of every unit-fixing
-    isomorphism class of index-table pairs with unit n-1 that pass the
-    incrementally checked axioms, in DFS order."""
-    unit = n - 1
-    arrow = [[None] * n for _ in range(n)]
-    squig = [[None] * n for _ in range(n)]
+class _Layout(NamedTuple):
+    """The fixed part of the size-n DFS: the forced key, the cell each step
+    assigns, and the records that wait in each step's bucket at the root."""
+    tab: tuple[int | None, ...]
+    pos: tuple[int, ...]
+    where: tuple[tuple[int, int, int], ...]
+    waiting: tuple[tuple[tuple[bool, int, int, int, int], ...], ...]
+    waiting_perms: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...],
+                                     tuple[int, ...], int], ...], ...]
+    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+@functools.cache
+def _layout(n: int) -> _Layout:
+    unit, nn = n - 1, n * n
+    # tab: the flat key, arrow cell (i, j) at i * n + j and its squig
+    # partner nn further on; an unassigned cell holds None
+    tab: list[int | None] = [None] * (2 * nn)
     for j in range(n):
-        arrow[unit][j] = j
-        squig[unit][j] = j
+        tab[unit * n + j] = tab[nn + unit * n + j] = j
     for i in range(n):
-        arrow[i][i] = unit
-        squig[i][i] = unit
+        tab[i * n + i] = tab[nn + i * n + i] = unit
 
     # unit-column cells first: x -> 1 pins the branch structure and feeds
     # every axiom instance with z = 1, so they prune hardest
     cells = [(i, unit) for i in range(n - 1)]
     cells += [(i, j) for i in range(n - 1) for j in range(n - 1) if j != i]
-    pos = {cell: step for step, cell in enumerate(cells)}
     done = len(cells)
+    # pos[c]: the step that assigns flat cell c (-1 for a forced cell)
+    pos = [-1] * (2 * nn)
+    for step, (i, j) in enumerate(cells):
+        pos[i * n + j] = pos[nn + i * n + j] = step
+    # per step: the flat arrow cell, its squig partner and the transposed
+    # arrow cell, or -1 in the unit column
+    where = tuple((i * n + j, nn + i * n + j, -1 if j == unit else j * n + i)
+                  for i, j in cells)
 
-    # waiting[s]: the instances that step s may decide.  A psBCI1 (on_arrow
-    # True) or psBCI2 (False) instance starts at the step of its last outer
-    # cell; (x, y) is forced only for x = 1 and (y, z) only for y = 1, so
-    # one of them is free.
-    waiting: list[list[tuple[int, int, int, bool | None]]] = [[] for _ in cells]
+    # waiting[s]: the instance records that step s may decide.  A psBCI1 or
+    # psBCI2 record (False, xy, yz, xz, base) holds the flat cells of its
+    # outer table and the offset of its inner one (nn for psBCI1, whose
+    # outer table is ->, and 0 for psBCI2), and asks that
+    # xy . (yz . xz) = 1, with . the inner operation and xy, yz, xz the
+    # outer table's values.  It starts at the step of its last outer cell;
+    # (x, y) is forced only for x = 1 and (y, z) only for y = 1, so one of
+    # them is free.
+    waiting: list[list[tuple[bool, int, int, int, int]]] = [[] for _ in cells]
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -154,125 +185,168 @@ def _canonical_tables(n: int):
                     # identically true given the forced diagonal and unit
                     # rows: the instance reduces to squig[1][1] or squig[u][u]
                     continue
-                s = max(pos.get(cell, -1) for cell in ((x, y), (y, z), (x, z)))
-                waiting[s] += ((x, y, z, True), (x, y, z, False))
-    # A law (8) instance (on_arrow None) starts at the step of y ~> z or
-    # x -> z, whichever comes last.  x = 1 or y = 1 makes it an identity,
-    # and so does x = y = z, given x -> 1 = x ~> 1.
+                outer = (x * n + y, y * n + z, x * n + z)
+                waiting[max(map(pos.__getitem__, outer))] += (
+                    (False, *outer, nn), (False, *(nn + c for c in outer), 0))
+    # A law (8) record (True, yz, xz, x * n, nn + y * n), for
+    # x -> (y ~> z) = y ~> (x -> z), holds the flat cells of y ~> z and
+    # x -> z and the row offsets of x -> _ and y ~> _.  It starts at the
+    # step of y ~> z or x -> z, whichever comes last.  x = 1 or y = 1 makes
+    # it an identity, and so does x = y = z, given x -> 1 = x ~> 1.
     for x in range(unit):
         for y in range(unit):
             for z in range(n):
                 if not x == y == z:
-                    s = max(pos.get((y, z), -1), pos.get((x, z), -1))
-                    waiting[s].append((x, y, z, None))
+                    yz, xz = nn + y * n + z, x * n + z
+                    waiting[max(pos[yz], pos[xz])].append(
+                        (True, yz, xz, x * n, nn + y * n))
 
-    # key[t]: the code arrow * n + squig of the cell assigned at step t, so
-    # that codes compare as the key does.  A permutation p maps the model to
-    # the one whose cell at step t is p applied to the cell at step pre[t],
-    # the preimage of cells[t]; as a code that is code_map[key[pre[t]]].
-    # waiting_perms[s] holds (code_map, pre, t) for each permutation whose
-    # transported key equals the key before step t and waits on step s.
-    key = [0] * done
-    waiting_perms: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = [
-        [] for _ in cells]
+    # A permutation p maps the model to the one whose cell at step t is p
+    # applied to the cell at step pre[t], the preimage of cells[t]; with
+    # cells coded arrow * n + squig, that code is code_map[code at pre[t]].
+    # ready[t] = max(t, pre[t]) is the step that knows both, and
+    # ready[done] = done ends a comparison.  waiting_perms[s] holds
+    # (code_map, pre, ready, t) for each permutation whose transported key
+    # equals the key before step t and waits on step s = ready[t].
+    waiting_perms: list[list[tuple[tuple[int, ...], tuple[int, ...],
+                                   tuple[int, ...], int]]] = [[] for _ in cells]
     for perm in _unit_fixing_perms(n):
         if perm == tuple(range(n)):
             continue
         inv = sorted(range(n), key=perm.__getitem__)
-        code_map = tuple(perm[c // n] * n + perm[c % n] for c in range(n * n))
-        pre = tuple(pos[inv[i], inv[j]] for i, j in cells)
-        waiting_perms[pre[0]].append((code_map, pre, 0))
+        code_map = tuple(perm[c // n] * n + perm[c % n] for c in range(nn))
+        pre = tuple(pos[inv[i] * n + inv[j]] for i, j in cells)
+        ready = tuple(map(max, range(done), pre)) + (done,)
+        waiting_perms[ready[0]].append((code_map, pre, ready, 0))
 
-    def evaluate(inst) -> int:
-        """-1 if the instance fails, ``done`` if it holds, else the step of
-        the inner cell it waits on; its outer cells are assigned."""
-        x, y, z, on_arrow = inst
-        if on_arrow is None:
-            # law (8): x -> (y ~> z) = y ~> (x -> z)
-            v, w = squig[y][z], arrow[x][z]
-            left = arrow[x][v]
-            if left is None:
-                return pos[x, v]
-            right = squig[y][w]
-            if right is None:
-                return pos[y, w]
-            return done if left == right else -1
-        outer, inner = (arrow, squig) if on_arrow else (squig, arrow)
-        u, v, w = outer[x][y], outer[y][z], outer[x][z]
-        t = inner[v][w]
-        if t is None:
-            return pos[v, w]
-        r = inner[u][t]
-        if r is None:
-            return pos[u, t]
-        return done if r == unit else -1
+    # the (arrow, squig, code) values a cell may take, in key order: x -> 1
+    # = x ~> 1 holds in every pseudo-BCI algebra, so a unit-column cell
+    # takes equal values; elsewhere the two tables are 1-coupled, and when
+    # the transposed cell already holds 1 antisymmetry leaves no value 1
+    unit_pairs = tuple((v, v, v * n + v) for v in range(n))
+    coupled_pairs = tuple((va, vs, va * n + vs) for va in range(n)
+                          for vs in range(n) if (va == unit) == (vs == unit))
+    below_pairs = tuple(pair for pair in coupled_pairs if pair[0] != unit)
+    return _Layout(tuple(tab), tuple(pos), where, tuple(map(tuple, waiting)),
+                   tuple(map(tuple, waiting_perms)),
+                   (unit_pairs, coupled_pairs, below_pairs))
 
-    def least_so_far(step: int, moved: list[int]) -> bool:
-        """False if a permutation of the bucket transports the assigned
-        cells to a key that is smaller at the first cell both know."""
-        for code_map, pre, t in waiting_perms[step]:
-            while t <= step and pre[t] <= step:
-                theirs, mine = code_map[key[pre[t]]], key[t]
-                if theirs != mine:
-                    if theirs < mine:
-                        return False
-                    break           # larger: no completion makes p prune
-                t += 1
-            else:
-                if t < done:        # else p is an automorphism of the model
-                    s = max(t, pre[t])
-                    waiting_perms[s].append((code_map, pre, t))
-                    moved.append(s)
-        return True
 
-    # the (arrow, squig) values a cell may take, in key order: x -> 1 =
-    # x ~> 1 holds in every pseudo-BCI algebra, so a unit-column cell takes
-    # equal values; elsewhere the two tables are 1-coupled, and when the
-    # transposed cell already holds 1 antisymmetry leaves no value 1 (an
-    # unassigned cell holds None)
-    unit_pairs = [(v, v) for v in range(n)]
-    coupled_pairs = [(va, vs) for va in range(n) for vs in range(n)
-                     if (va == unit) == (vs == unit)]
-    below_pairs = [(va, vs) for va, vs in coupled_pairs if va != unit]
+class _DfsRun(NamedTuple):
+    """What one DFS found and the work it did: the canonical keys in DFS
+    order, the inner nodes visited (steps entered with a cell still to
+    assign) and the axiom and law (8) instances evaluated."""
+    keys: list[tuple[int, ...]]
+    nodes: int
+    evaluations: int
 
-    def extend(step: int):
+
+def _canonical_tables(n: int) -> list[tuple[int, ...]]:
+    """The flat key of the canonical member of every unit-fixing
+    isomorphism class of index-table pairs with unit n-1 that pass the
+    incrementally checked axioms, in DFS order."""
+    return _dfs(n).keys
+
+
+def _dfs(n: int) -> _DfsRun:
+    layout = _layout(n)
+    unit, done = n - 1, len(layout.where)
+    tab, pos, where = list(layout.tab), layout.pos, layout.where
+    waiting = list(map(list, layout.waiting))
+    waiting_perms = list(map(list, layout.waiting_perms))
+    unit_pairs, coupled_pairs, below_pairs = layout.pairs
+    key = [0] * done                # the code of the cell set at each step
+    out: list[tuple[int, ...]] = []
+    nodes = evaluations = 0
+
+    def extend(step: int) -> None:
+        nonlocal nodes, evaluations
         if step == done:
-            yield _flat_key(arrow, squig)
+            out.append(tuple(tab))
             return
-        i, j = cells[step]
-        if j == unit:
+        nodes += 1
+        cell, partner, transposed = where[step]
+        if transposed < 0:
             pairs = unit_pairs
-        elif arrow[j][i] == unit:
+        elif tab[transposed] == unit:
             pairs = below_pairs
         else:
             pairs = coupled_pairs
-        # newest first: the instances that waited on this cell fail more
-        # often than those whose outer cells it completes
-        bucket = waiting[step][::-1]
+        bucket = waiting[step]
+        size = len(bucket)
         perms = waiting_perms[step]
-        arrow_row, squig_row = arrow[i], squig[i]
-        for va, vs in pairs:
-            arrow_row[j] = va
-            squig_row[j] = vs
-            key[step] = va * n + vs
-            moved, moved_perms = [], []
-            if not perms or least_so_far(step, moved_perms):
-                for inst in bucket:
-                    s = evaluate(inst)
-                    if s < 0:
+        # the buckets a value pair moved records into, to undo: s for an
+        # instance record moved to waiting[s], ~s for a permutation
+        moved = []
+        evaluated = 0
+        for va, vs, code in pairs:
+            tab[cell] = va
+            tab[partner] = vs
+            key[step] = code
+            # lex-leader test: a permutation whose transport is smaller at
+            # the first cell both know prunes the branch, one that is larger
+            # drops out, and one that ties so far waits for its next cell
+            for code_map, pre, ready, t in perms:
+                while ready[t] <= step:
+                    theirs = code_map[key[pre[t]]]
+                    if theirs != key[t]:
                         break
-                    if s < done:
-                        waiting[s].append(inst)
-                        moved.append(s)
+                    t += 1
                 else:
-                    yield from extend(step + 1)
-            for s in moved:
-                waiting[s].pop()
-            for s in moved_perms:
-                waiting_perms[s].pop()
-        arrow_row[j] = squig_row[j] = None
+                    if t < done:        # else p is an automorphism
+                        s = ready[t]
+                        waiting_perms[s].append((code_map, pre, ready, t))
+                        moved.append(~s)
+                    continue
+                if theirs < key[t]:
+                    break
+            else:
+                # newest first: the instances that waited on this cell fail
+                # more often than those whose outer cells it completes.
+                # Each decides, or waits on the inner cell it reads next.
+                it = reversed(bucket)
+                for inst in it:
+                    law8, a, b, c, d = inst
+                    if law8:
+                        inner = c + tab[a]
+                        left = tab[inner]
+                        if left is not None:
+                            inner = d + tab[b]
+                            right = tab[inner]
+                            if right is not None:
+                                if left != right:
+                                    break
+                                continue
+                    else:
+                        inner = d + tab[b] * n + tab[c]
+                        mid = tab[inner]
+                        if mid is not None:
+                            inner = d + tab[a] * n + mid
+                            r = tab[inner]
+                            if r is not None:
+                                if r != unit:
+                                    break
+                                continue
+                    s = pos[inner]
+                    waiting[s].append(inst)
+                    moved.append(s)
+                else:
+                    extend(step + 1)
+                # one count per pass: the records the iterator has left
+                # were not evaluated
+                evaluated += size - it.__length_hint__()
+            if moved:
+                for s in moved:
+                    if s < 0:
+                        waiting_perms[~s].pop()
+                    else:
+                        waiting[s].pop()
+                moved.clear()
+        tab[cell] = tab[partner] = None
+        evaluations += evaluated
 
-    yield from extend(0)
+    extend(0)
+    return _DfsRun(out, nodes, evaluations)
 
 
 @functools.cache

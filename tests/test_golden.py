@@ -50,6 +50,8 @@ PRODUCT_DIGESTS = GOLDEN_DIR / "products.sha256.json"
 LARGE_DIGESTS = GOLDEN_DIR / "large.sha256.json"
 SEARCH_DIGESTS = GOLDEN_DIR / "search.sha256.json"
 SEARCH5_DIGESTS = GOLDEN_DIR / "search5.sha256.json"
+# checked by CI, not tier-1: the size-6 search takes several seconds
+SEARCH6_DIGESTS = GOLDEN_DIR / "search6.sha256.json"
 COMMANDS = {"analyze": ("analyze", "--json"), "analyze-text": ("analyze",),
             "verify": ("verify",), "check": ("check",),
             "quotient": ("quotient", "--by", "K"),
@@ -75,6 +77,7 @@ SEARCH_ARGS = ([("search", "--size", str(n)) for n in (1, 2, 3, 4)]
                + [("search", "--size", str(n)) + variant
                   for n in (3, 4) for variant in SEARCH_VARIANTS])
 SEARCH5_ARGS = [("search", "--size", "5"), ("search", "--size", "5", "--modulo-iso")]
+SEARCH6_ARGS = [("search", "--size", "6", "--modulo-iso")]
 
 # label: (fixture or large product, text replaced once, replacement); each
 # breaks the axioms
@@ -269,7 +272,8 @@ def record() -> None:
     write_digests(PRODUCT_DIGESTS, [(make_products(), PRODUCT_COMMANDS, PRODUCT_ENV)])
     write_digests(LARGE_DIGESTS, large_groups())
     for path, arg_lists in ((SEARCH_DIGESTS, SEARCH_ARGS),
-                            (SEARCH5_DIGESTS, SEARCH5_ARGS)):
+                            (SEARCH5_DIGESTS, SEARCH5_ARGS),
+                            (SEARCH6_DIGESTS, SEARCH6_ARGS)):
         path.write_text(json.dumps(search_digests(arg_lists), indent=2) + "\n",
                         encoding="utf-8")
 
